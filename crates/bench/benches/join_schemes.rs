@@ -40,6 +40,7 @@ fn bench_join_schemes(c: &mut Criterion) {
                     &gen.probe,
                     1,
                     &mut sink,
+                    None,
                 );
                 assert_eq!(sink.matches(), gen.expected_matches);
                 sink.checksum()
@@ -72,6 +73,7 @@ fn bench_tuple_sizes(c: &mut Criterion) {
                     &gen.probe,
                     1,
                     &mut sink,
+                    None,
                 );
                 sink.checksum()
             })

@@ -20,6 +20,7 @@ fn run(gen: &phj_workload::GeneratedJoin, scheme: JoinScheme) -> u64 {
         &gen.probe,
         1,
         &mut sink,
+        None,
     );
     sink.checksum()
 }

@@ -213,7 +213,7 @@ fn ablation_hybrid() {
     let hybrid = {
         let mut mem = SimEngine::paper();
         let mut sink = CountSink::new();
-        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
+        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
         assert_eq!(sink.matches(), gen.expected_matches);
         mem.breakdown().total()
     };

@@ -10,7 +10,7 @@
 
 use phj::sink::{CountSink, JoinSink};
 use phj_bench::report::{scaled, Table};
-use phj_disk::{grace_join_files, DiskGraceConfig, FileRelation};
+use phj_disk::{grace_join_files, DiskGraceConfig, DiskJoinMode, FileRelation};
 use phj_workload::JoinSpec;
 
 fn main() {
@@ -31,6 +31,8 @@ fn main() {
 
     let cfg = DiskGraceConfig {
         mem_budget: scaled(16 << 20),
+        // The paper measures GRACE's two phases, not the default policy.
+        mode: DiskJoinMode::Grace,
         ..DiskGraceConfig::new(&dir)
     };
     let report = grace_join_files(&cfg, &fb, &fp).unwrap();

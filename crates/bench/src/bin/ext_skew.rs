@@ -39,6 +39,7 @@ fn main() {
                 &probe,
                 1,
                 &mut sink,
+                None,
             );
             match matches {
                 None => matches = Some(sink.matches()),

@@ -128,6 +128,7 @@ fn main() {
             &gen.probe,
             1,
             &mut sink,
+            None,
         );
         let dt = t0.elapsed().as_secs_f64();
         if base_wall == 0.0 {

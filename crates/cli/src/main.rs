@@ -47,7 +47,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use phj::grace::{grace_join_with_sink_rec, GraceConfig};
-use phj::hybrid::{hybrid_join_rec, HybridConfig};
+use phj::hybrid::{hybrid_join, HybridConfig};
 use phj::join::JoinScheme;
 use phj::model::{min_group_size, min_prefetch_distance};
 use phj::partition::PartitionScheme;
@@ -198,6 +198,8 @@ USAGE:
   phj disk   [--build-mb N] [--mem-mb N] [--mem-budget BYTES] [--stripes S]
              [--mode grace|hybrid|dynamic] [--dir PATH] [--fault-plan SPEC]
              [--max-depth D] [--json PATH] [DIAGNOSIS] [TELEMETRY]
+             --mode is the residency policy of the one disk-join driver
+             (default dynamic, here and in `phj client --query disk`)
   phj tune   [--build-mb N] [--tuple-size B] [--profile-regions] [--heatmap]
              [--width W] [--json PATH] [--trace-out PATH] [DIAGNOSIS]
              [TELEMETRY]
@@ -537,7 +539,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         let mut sink = CountSink::new();
         let t0 = Instant::now();
         let p = if args.flag("hybrid") {
-            hybrid_join_rec(&mut engine, &hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
+            hybrid_join(&mut engine, &hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         } else {
             grace_join_with_sink_rec(&mut engine, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         };
@@ -580,7 +582,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         let mut sink = CountSink::new();
         let t0 = Instant::now();
         let p = if args.flag("hybrid") {
-            hybrid_join_rec(&mut native, &hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
+            hybrid_join(&mut native, &hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         } else {
             grace_join_with_sink_rec(&mut native, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         };
@@ -967,7 +969,7 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         "mode", "json", "trace-out", "metrics-addr", "sample-interval", "dashboard", "width",
         "explain", "cost-model", "flightrec", "postmortem", "log-format",
     ])?;
-    let mode_str = args.get_str("mode", "grace");
+    let mode_str = args.get_str("mode", phj_disk::DiskJoinMode::default().label());
     let mode = phj_disk::DiskJoinMode::parse(&mode_str)
         .ok_or_else(|| format!("--mode: unknown `{mode_str}` (grace|hybrid|dynamic)"))?;
     let build_mb = args.get_usize("build-mb", 16)?;
@@ -1045,22 +1047,20 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         report.output.num_pages()
     );
     println!("result checksum: {:#018x}", report.checksum);
-    if mode != phj_disk::DiskJoinMode::Grace {
-        println!(
-            "residency: {} of {} partitions stayed in memory; final budget {} KB",
-            report.resident_partitions,
-            report.num_partitions,
-            report.final_budget >> 10
-        );
-        // Transition-by-transition attribution, capped: the full list
-        // lives in the JSON report's config block and the flightrec.
-        const SHOWN: usize = 12;
-        for t in report.transitions.iter().take(SHOWN) {
-            println!("  {t}");
-        }
-        if report.transitions.len() > SHOWN {
-            println!("  ... and {} more transitions", report.transitions.len() - SHOWN);
-        }
+    println!(
+        "residency: {} of {} partitions stayed in memory; final budget {} KB",
+        report.resident_partitions,
+        report.num_partitions,
+        report.final_budget >> 10
+    );
+    // Transition-by-transition attribution, capped: the full list
+    // lives in the JSON report's config block and the flightrec.
+    const SHOWN: usize = 12;
+    for t in report.transitions.iter().take(SHOWN) {
+        println!("  {t}");
+    }
+    if report.transitions.len() > SHOWN {
+        println!("  ... and {} more transitions", report.transitions.len() - SHOWN);
     }
     for e in &report.degradation {
         let (action, detail) = match e.kind {
@@ -1107,11 +1107,9 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         run.config_kv("mode", mode.label());
         run.config_kv("stripes", stripes);
         run.config_kv("max_depth", max_depth);
-        if mode != phj_disk::DiskJoinMode::Grace {
-            run.config_kv("resident_partitions", report.resident_partitions);
-            run.config_kv("final_budget", report.final_budget);
-            run.config_kv("transitions", report.transitions.len());
-        }
+        run.config_kv("resident_partitions", report.resident_partitions);
+        run.config_kv("final_budget", report.final_budget);
+        run.config_kv("transitions", report.transitions.len());
         run.config_kv("checksum", format!("{:#018x}", report.checksum));
         if fault.is_active() {
             run.config_kv("fault_seed", fault.seed);
@@ -1190,6 +1188,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
                     &gen.probe,
                     1,
                     &mut sink,
+                    None,
                 );
                 t0.elapsed().as_secs_f64()
             })

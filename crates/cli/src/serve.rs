@@ -208,7 +208,7 @@ fn client_request(args: &Args, trace_id: u64) -> Result<Request, String> {
             trace_id,
         })),
         "disk" => {
-            let mode_str = args.get_str("mode", "dynamic");
+            let mode_str = args.get_str("mode", phj_disk::DiskJoinMode::default().label());
             let mode = match mode_str.as_str() {
                 "grace" => 0,
                 "hybrid" => 1,

@@ -123,7 +123,7 @@ pub fn direct_cache_join<M: MemoryModel, S: JoinSink>(
 ) {
     let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
     for (bp, pp) in build_parts.iter().zip(probe_parts) {
-        join_pair(mem, &params, bp, pp, num_partitions, sink);
+        join_pair(mem, &params, bp, pp, num_partitions, sink, None);
     }
 }
 
@@ -156,7 +156,7 @@ pub fn two_step_join<M: MemoryModel, S: JoinSink>(
     for (bp, pp) in build_parts.iter().zip(probe_parts) {
         let pc = plan::num_partitions(bp.size_bytes(), cfg.cache_budget);
         if pc <= 1 {
-            join_pair(mem, &params, bp, pp, num_io_partitions, sink);
+            join_pair(mem, &params, bp, pp, num_io_partitions, sink, None);
             continue;
         }
         // Second partition pass: intermediate partitions carry stashed
@@ -166,7 +166,7 @@ pub fn two_step_join<M: MemoryModel, S: JoinSink>(
         for (sb, sp) in sub_b.iter().zip(&sub_p) {
             // Bucket count must be coprime to *both* moduli applied so
             // far; the product covers both.
-            join_pair(mem, &params, sb, sp, num_io_partitions * pc, sink);
+            join_pair(mem, &params, sb, sp, num_io_partitions * pc, sink, None);
         }
     }
 }

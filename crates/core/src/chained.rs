@@ -291,7 +291,7 @@ mod tests {
         let mut grouped = CountSink::new();
         probe_chained_group(&mut mem, &params(), &table, &g.build, &g.probe, 16, &mut grouped);
         let mut reference = CountSink::new();
-        join_pair(&mut mem, &params(), &g.build, &g.probe, 1, &mut reference);
+        join_pair(&mut mem, &params(), &g.build, &g.probe, 1, &mut reference, None);
         assert_eq!(chained, reference);
         assert_eq!(grouped, reference);
     }

@@ -12,7 +12,7 @@ use phj_memsim::MemoryModel;
 use phj_obs::{self as obs, Recorder};
 use phj_storage::Relation;
 
-use crate::join::{join_pair_rec, JoinParams, JoinScheme};
+use crate::join::{join_pair, JoinParams, JoinScheme};
 use crate::partition::{partition_relation_rec, PartitionScheme};
 use crate::plan;
 use crate::sink::{JoinSink, OutputWriter};
@@ -113,7 +113,7 @@ pub fn grace_join_with_sink_rec<M: MemoryModel, S: JoinSink>(
 /// The pair's tuples must carry stashed hash codes (every
 /// partition-phase output does).
 #[allow(clippy::too_many_arguments)]
-pub fn grace_join_pair_rec<M: MemoryModel, S: JoinSink>(
+pub fn grace_join_pair<M: MemoryModel, S: JoinSink>(
     mem: &mut M,
     cfg: &GraceConfig,
     build: &Relation,
@@ -149,7 +149,7 @@ fn join_level<M: MemoryModel, S: JoinSink>(
         let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: use_stored };
         let span = obs::span_begin(&mut rec, mem, "pair");
         obs::span_meta(&mut rec, "index", index);
-        join_pair_rec(mem, &params, build, probe, moduli, sink, rec.as_deref_mut());
+        join_pair(mem, &params, build, probe, moduli, sink, rec.as_deref_mut());
         obs::span_end(&mut rec, mem, span);
         return 1;
     }
@@ -162,18 +162,10 @@ fn join_level<M: MemoryModel, S: JoinSink>(
     let probe_parts =
         partition_relation_rec(mem, cfg.partition_scheme, probe, p, use_stored, rec.as_deref_mut());
     obs::span_end(&mut rec, mem, pass);
-    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
     for (i, (bp, pp)) in build_parts.iter().zip(&probe_parts).enumerate() {
-        if bp.size_bytes() > cfg.mem_budget {
-            // This partition still exceeds memory (cap hit, or skew):
-            // take an additional pass over it (§1.1).
-            join_level(mem, cfg, bp, pp, sink, moduli * p, i, true, rec.as_deref_mut());
-        } else {
-            let span = obs::span_begin(&mut rec, mem, "pair");
-            obs::span_meta(&mut rec, "index", i);
-            join_pair_rec(mem, &params, bp, pp, moduli * p, sink, rec.as_deref_mut());
-            obs::span_end(&mut rec, mem, span);
-        }
+        // A pair that fits the budget joins directly; one that still exceeds
+        // memory (cap hit, or skew) takes an additional pass over it (§1.1).
+        join_level(mem, cfg, bp, pp, sink, moduli * p, i, true, rec.as_deref_mut());
     }
     p
 }

@@ -103,21 +103,10 @@ struct ProbeSlot {
 }
 
 /// Run the hybrid hash join: returns the number of partitions used
-/// (including the in-memory partition 0).
-pub fn hybrid_join<M: MemoryModel, S: JoinSink>(
-    mem: &mut M,
-    cfg: &HybridConfig,
-    build: &Relation,
-    probe: &Relation,
-    sink: &mut S,
-) -> usize {
-    hybrid_join_rec(mem, cfg, build, probe, sink, None)
-}
-
-/// [`hybrid_join`] with an optional span recorder: the fused
+/// (including the in-memory partition 0). With a span recorder, the fused
 /// partition+build pass, the fused partition+probe pass, and each spilled
 /// pair get their own spans under a `"hybrid_join"` root.
-pub fn hybrid_join_rec<M: MemoryModel, S: JoinSink>(
+pub fn hybrid_join<M: MemoryModel, S: JoinSink>(
     mem: &mut M,
     cfg: &HybridConfig,
     build: &Relation,
@@ -423,7 +412,7 @@ pub fn hybrid_join_rec<M: MemoryModel, S: JoinSink>(
     for part in 1..p {
         let span = obs::span_begin(&mut rec, mem, "pair");
         obs::span_meta(&mut rec, "index", part);
-        join::join_pair_rec(
+        join::join_pair(
             mem,
             &params,
             &build_parts[part],
@@ -479,7 +468,7 @@ mod tests {
         let cfg = HybridConfig { mem_budget: 64 * 1024, g: 16, ..Default::default() };
         let mut mem = NativeModel;
         let mut hybrid_sink = CountSink::new();
-        let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut hybrid_sink);
+        let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut hybrid_sink, None);
         assert!(p > 1, "expected spill partitions, got {p}");
         assert_eq!(hybrid_sink.matches(), gen.expected_matches);
         let mut grace_sink = CountSink::new();
@@ -494,7 +483,7 @@ mod tests {
         let cfg = HybridConfig { mem_budget: 1 << 30, g: 8, ..Default::default() };
         let mut mem = NativeModel;
         let mut sink = CountSink::new();
-        let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
+        let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
         assert_eq!(p, 1);
         assert_eq!(sink.matches(), gen.expected_matches);
     }
@@ -517,7 +506,7 @@ mod tests {
         let cfg = HybridConfig { mem_budget: 8 * 1024, g: 4, ..Default::default() };
         let mut mem = NativeModel;
         let mut sink = CountSink::new();
-        hybrid_join(&mut mem, &cfg, &build, &probe, &mut sink);
+        hybrid_join(&mut mem, &cfg, &build, &probe, &mut sink, None);
         assert_eq!(sink.matches(), 300 * 300);
     }
 
@@ -531,7 +520,7 @@ mod tests {
         };
         let mut mem = NativeModel;
         let mut sink = CountSink::new();
-        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
+        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
         assert_eq!(sink.matches(), gen.expected_matches);
     }
 
@@ -545,7 +534,7 @@ mod tests {
             let mut mem = SimEngine::paper();
             let mut sink = CountSink::new();
             if hybrid {
-                hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
+                hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
             } else {
                 grace_equivalent(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
             }

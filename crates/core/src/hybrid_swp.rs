@@ -53,7 +53,7 @@ pub fn hybrid_join_swp<M: MemoryModel, S: JoinSink>(
 
     let params = JoinParams { scheme: cfg.spill_join, use_stored_hash: true };
     for part in 1..p {
-        join::join_pair(mem, &params, &build_parts[part], &probe_parts[part], p, sink);
+        join::join_pair(mem, &params, &build_parts[part], &probe_parts[part], p, sink, None);
     }
     p
 }
@@ -574,7 +574,7 @@ mod tests {
         assert!(p > 1);
         assert_eq!(swp_sink.matches(), gen.expected_matches);
         let mut grp_sink = CountSink::new();
-        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut grp_sink);
+        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut grp_sink, None);
         assert_eq!(swp_sink, grp_sink);
         let mut grace_sink = CountSink::new();
         grace_equivalent(&mut mem, &cfg, &gen.build, &gen.probe, &mut grace_sink);

@@ -356,6 +356,7 @@ mod tests {
             &probe_rel,
             1,
             &mut sink,
+            None,
         );
         sink
     }
@@ -443,6 +444,7 @@ mod tests {
                 &probe_rel,
                 1,
                 &mut sink,
+                None,
             );
             assert_eq!(sink.matches(), 8000);
             mem.breakdown()

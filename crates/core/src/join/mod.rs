@@ -110,24 +110,15 @@ impl Default for JoinParams {
 ///     &gen.probe,
 ///     1,
 ///     &mut sink,
+///     None,
 /// );
 /// assert_eq!(sink.matches(), gen.expected_matches);
 /// ```
+///
+/// With a span recorder, the build and probe sub-phases each get their
+/// own span (with tuple counts in the meta), nested under whatever span
+/// the caller holds open.
 pub fn join_pair<M: MemoryModel, S: JoinSink>(
-    mem: &mut M,
-    params: &JoinParams,
-    build: &Relation,
-    probe: &Relation,
-    num_partitions: usize,
-    sink: &mut S,
-) -> HashTable {
-    join_pair_rec(mem, params, build, probe, num_partitions, sink, None)
-}
-
-/// [`join_pair`] with an optional span recorder: the build and probe
-/// sub-phases each get their own span (with tuple counts in the meta),
-/// nested under whatever span the caller holds open.
-pub fn join_pair_rec<M: MemoryModel, S: JoinSink>(
     mem: &mut M,
     params: &JoinParams,
     build: &Relation,

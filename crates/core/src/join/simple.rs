@@ -81,6 +81,7 @@ mod tests {
             &probe_rel,
             1,
             &mut s1,
+            None,
         );
         let mut s2 = CountSink::new();
         join_pair(
@@ -90,6 +91,7 @@ mod tests {
             &probe_rel,
             1,
             &mut s2,
+            None,
         );
         assert_eq!(s1, s2);
         assert_eq!(s1.matches(), 250);
@@ -109,6 +111,7 @@ mod tests {
                 &probe_rel,
                 1,
                 &mut sink,
+                None,
             );
             (mem.breakdown().total(), sink.matches())
         };

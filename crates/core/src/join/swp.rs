@@ -335,6 +335,7 @@ mod tests {
             &probe_rel,
             1,
             &mut sink,
+            None,
         );
         sink
     }
@@ -391,6 +392,7 @@ mod tests {
                 &probe_rel,
                 1,
                 &mut sink,
+                None,
             );
             assert_eq!(sink.matches(), 8000);
             mem.breakdown()

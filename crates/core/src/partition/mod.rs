@@ -140,7 +140,7 @@ pub fn partition_relation_rec<M: MemoryModel>(
     use_stored_hash: bool,
     rec: Option<&mut Recorder>,
 ) -> Vec<Relation> {
-    partition_page_range_rec(
+    partition_page_range(
         mem,
         scheme,
         input,
@@ -155,20 +155,9 @@ pub fn partition_relation_rec<M: MemoryModel>(
 /// phase hands to one worker. Each worker runs this on its own page
 /// ranges into private buffers; concatenating the per-worker outputs per
 /// partition (in any order) reproduces a sequential partitioning's tuple
-/// multiset, because tuple placement depends only on the hash.
+/// multiset, because tuple placement depends only on the hash. With a
+/// span recorder, the pass becomes one `"partition"` span.
 pub fn partition_page_range<M: MemoryModel>(
-    mem: &mut M,
-    scheme: PartitionScheme,
-    input: &Relation,
-    pages: std::ops::Range<usize>,
-    num_partitions: usize,
-    use_stored_hash: bool,
-) -> Vec<Relation> {
-    partition_page_range_rec(mem, scheme, input, pages, num_partitions, use_stored_hash, None)
-}
-
-/// [`partition_page_range`] with an optional span recorder.
-pub fn partition_page_range_rec<M: MemoryModel>(
     mem: &mut M,
     scheme: PartitionScheme,
     input: &Relation,

@@ -1,14 +1,13 @@
 //! A revocable memory budget shared between a running join and its
 //! grantor.
 //!
-//! The static GRACE path treats [`DiskGraceConfig::mem_budget`] as a
-//! constant for the whole run. The dynamic hybrid path instead reads
-//! its budget from a [`LiveBudget`]: the grantor (the server's
-//! admission table, a test harness, a bench sweep) may lower the
-//! *limit* at any time from any thread, and the join observes the new
-//! limit at its next safe point — a page-granular pressure check —
-//! spills victim partitions until it complies, and then *acks* the
-//! bytes it actually holds. The ack fires an optional hook, which is
+//! The disk join reads its budget from a [`LiveBudget`] (a fixed one
+//! made from [`DiskGraceConfig::mem_budget`] unless the host installs
+//! its own): the grantor (the server's admission table, a test
+//! harness, a bench sweep) may lower the *limit* at any time from any
+//! thread, and the join observes the new limit at its next safe point
+//! — a page-granular pressure check — spills victim partitions until
+//! it complies, and then *acks* the bytes it actually holds. The ack fires an optional hook, which is
 //! how a daemon query propagates compliance back into
 //! `MemGrant::try_shrink` so the freed bytes re-enter the global
 //! budget while the query is still running.

@@ -1,19 +1,30 @@
-//! GRACE hash join over file relations — the disk-oriented execution the
+//! Hash join over file relations — the disk-oriented execution the
 //! paper's real-machine experiments run (§7.2), with real files, real
 //! background I/O threads, and a graceful-degradation ladder for when the
 //! memory-budget estimate turns out wrong.
 //!
-//! The partition phase streams each input relation through a
-//! [`crate::SequentialReader`] (background read-ahead), routes tuples into
-//! per-partition output buffer pages, and spills full pages through a
-//! [`BackgroundWriter`] into a striped spill file, recording which spill
-//! pages belong to which partition. The join phase loads each partition
-//! pair back into memory and runs any in-memory join scheme; output
-//! pages stream to disk through another background writer.
+//! There is **one** partition → build → probe driver
+//! ([`grace_join_files_rec`]); GRACE, hybrid and dynamic hybrid are
+//! residency policies of it ([`DiskJoinMode`]), read in three places:
 //!
-//! **Degradation ladder.** A build partition larger than the memory
-//! budget (skew, or an under-estimated partition count) does not abort
-//! and does not silently thrash:
+//! | policy    | build partitions are born | fan-out                  | re-absorb |
+//! |-----------|---------------------------|--------------------------|-----------|
+//! | `Grace`   | spilled                   | [`plan::num_partitions`] | no        |
+//! | `Hybrid`  | resident until evicted    | [`plan::hybrid_fanout`]  | no        |
+//! | `Dynamic` | resident until evicted    | [`plan::hybrid_fanout`]  | yes       |
+//!
+//! Both inputs stream through a [`crate::SequentialReader`] (background
+//! read-ahead). Resident partitions live in memory and join their probe
+//! tuples on the fly (see `hybrid.rs` for the residency protocol);
+//! spilled ones go through a [`BackgroundWriter`] into a striped
+//! `SpillFile`, and each spilled pair is finally loaded back and
+//! joined with any in-memory scheme. Output pages stream to disk through
+//! another background writer. Under `Grace` nothing is ever resident, so
+//! the run is the classic partition-everything-then-join-pairs GRACE.
+//!
+//! **Degradation ladder.** A spilled build partition larger than the
+//! memory budget (skew, or an under-estimated partition count) does not
+//! abort and does not silently thrash:
 //!
 //! 1. *Recursive repartition* — the oversized partition is re-partitioned
 //!    on disk with a different hash seed ([`phj::hash::hash_key_seeded`]),
@@ -35,6 +46,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::Arc;
 use std::time::Instant;
 
 use phj::join::{dispatch_build, dispatch_probe, join_pair, JoinParams, JoinScheme};
@@ -47,30 +59,29 @@ use phj_storage::{
     tuple::key_bytes_of, tuple::materialize_join_output, Page, Relation, Schema, PAGE_SIZE,
 };
 
+use crate::budget::LiveBudget;
 use crate::error::{PhjError, Result};
 use crate::fault::{FaultPlan, RetryPolicy};
+use crate::hybrid::BuildPass;
 use crate::stripe::StripeSet;
 use crate::writer::BackgroundWriter;
 use crate::FileRelation;
 
-/// Which disk-join execution strategy to run.
+/// The residency policy of the disk join (see the module table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiskJoinMode {
-    /// Classic GRACE: partition everything to disk, then join pairs.
-    /// The budget is static for the whole run.
-    #[default]
+    /// Classic GRACE: every build partition is born spilled, so
+    /// everything is partitioned to disk and then joined pair by pair.
     Grace,
     /// Hybrid: keep as many build partitions memory-resident as the
     /// budget allows, join their probe tuples on the fly, and spill
-    /// largest-first victims when residency outgrows the budget. The
-    /// budget is still static.
+    /// largest-first victims when residency outgrows the budget.
     Hybrid,
-    /// Hybrid plus runtime adaptation: the budget is a [`LiveBudget`]
-    /// the grantor may shrink mid-run (victims spill at the next safe
-    /// point) or raise (spilled partitions re-absorb at the next phase
-    /// boundary).
-    ///
-    /// [`LiveBudget`]: crate::budget::LiveBudget
+    /// Hybrid plus re-absorption: when the grantor of a
+    /// [`LiveBudget`] raises the limit again, spilled partitions are
+    /// pulled back into memory at the build→probe phase boundary. (A
+    /// *shrink* is honored at the next safe point under every policy.)
+    #[default]
     Dynamic,
 }
 
@@ -86,16 +97,33 @@ impl DiskJoinMode {
 
     /// Inverse of [`DiskJoinMode::label`].
     pub fn parse(s: &str) -> Option<DiskJoinMode> {
-        match s {
-            "grace" => Some(DiskJoinMode::Grace),
-            "hybrid" => Some(DiskJoinMode::Hybrid),
-            "dynamic" => Some(DiskJoinMode::Dynamic),
-            _ => None,
+        [DiskJoinMode::Grace, DiskJoinMode::Hybrid, DiskJoinMode::Dynamic]
+            .into_iter()
+            .find(|mode| mode.label() == s)
+    }
+
+    /// Whether build partitions start out memory-resident (`false`:
+    /// every partition is born spilled).
+    pub(crate) fn starts_resident(self) -> bool {
+        self != DiskJoinMode::Grace
+    }
+
+    /// First-pass partition fan-out for `build_bytes` under `budget`.
+    fn fanout(self, build_bytes: usize, budget: usize) -> usize {
+        match self {
+            DiskJoinMode::Grace => plan::num_partitions(build_bytes, budget),
+            _ => plan::hybrid_fanout(build_bytes, budget),
         }
+    }
+
+    /// Whether spilled partitions are re-absorbed at the build→probe
+    /// boundary when the live budget has headroom.
+    fn absorbs(self) -> bool {
+        self == DiskJoinMode::Dynamic
     }
 }
 
-/// Configuration for the on-disk GRACE join.
+/// Configuration for the on-disk join.
 #[derive(Debug, Clone)]
 pub struct DiskGraceConfig {
     /// Join-phase memory budget (build partition size), as in §7.1.
@@ -130,14 +158,12 @@ pub struct DiskGraceConfig {
     /// joins through one journal (the query daemon tags by query id)
     /// can tell the grants apart. 0 for standalone runs.
     pub grant_tag: u64,
-    /// Execution strategy; [`DiskJoinMode::Grace`] preserves the
-    /// classic partition-everything behavior exactly.
+    /// Residency policy; [`DiskJoinMode::Dynamic`] by default.
     pub mode: DiskJoinMode,
-    /// Revocable budget for [`DiskJoinMode::Dynamic`]. When `None`, a
-    /// fixed [`LiveBudget`](crate::budget::LiveBudget) is created from
-    /// `mem_budget`; a host that wants to shrink the run mid-flight
+    /// Revocable budget. When `None`, a fixed [`LiveBudget`] is created
+    /// from `mem_budget`; a host that wants to resize the run mid-flight
     /// (the query daemon's admission table) installs a shared one here.
-    pub live_budget: Option<std::sync::Arc<crate::budget::LiveBudget>>,
+    pub live_budget: Option<Arc<LiveBudget>>,
 }
 
 impl DiskGraceConfig {
@@ -156,7 +182,7 @@ impl DiskGraceConfig {
             max_repartition_depth: 2,
             nlj_fallback: true,
             grant_tag: 0,
-            mode: DiskJoinMode::Grace,
+            mode: DiskJoinMode::default(),
             live_budget: None,
         }
     }
@@ -173,10 +199,9 @@ pub struct DegradationEvent {
     /// Size of the oversized build partition in bytes (whole pages).
     pub bytes: u64,
     /// The memory budget it failed to fit — the *live* budget at the
-    /// time of the event, which under [`DiskJoinMode::Dynamic`] may be
-    /// smaller than the configured `mem_budget` if the grantor shrank
-    /// the run. Robustness curves and `phj explain` attribute spills
-    /// from this pair.
+    /// time of the event, which may be smaller than the configured
+    /// `mem_budget` if the grantor shrank the run. Robustness curves and
+    /// `phj explain` attribute spills from this pair.
     pub budget: u64,
     /// What the engine did about it.
     pub kind: DegradationKind,
@@ -202,18 +227,19 @@ pub enum DegradationKind {
 
 impl std::fmt::Display for DegradationEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.kind {
-            DegradationKind::Repartition { fanout, seed } => write!(
-                f,
-                "partition {} ({} B > budget {} B): repartitioned x{fanout} with seed {seed} at depth {}",
-                self.partition, self.bytes, self.budget, self.depth
-            ),
-            DegradationKind::NljFallback { chunks } => write!(
-                f,
-                "partition {} ({} B > budget {} B): block nested-loop fallback in {chunks} chunk(s) at depth {}",
-                self.partition, self.bytes, self.budget, self.depth
-            ),
-        }
+        let action = match &self.kind {
+            DegradationKind::Repartition { fanout, seed } => {
+                format!("repartitioned x{fanout} with seed {seed}")
+            }
+            DegradationKind::NljFallback { chunks } => {
+                format!("block nested-loop fallback in {chunks} chunk(s)")
+            }
+        };
+        write!(
+            f,
+            "partition {} ({} B > budget {} B): {action} at depth {}",
+            self.partition, self.bytes, self.budget, self.depth
+        )
     }
 }
 
@@ -238,7 +264,7 @@ impl TransitionKind {
     }
 }
 
-/// One residency transition taken by the hybrid/dynamic join, with the
+/// One residency transition taken under a resident-born policy, with the
 /// partition's byte size and the live budget at the moment of the
 /// decision — the attribution trail for robustness curves.
 #[derive(Debug, Clone)]
@@ -257,31 +283,29 @@ pub struct MemTransition {
 
 impl std::fmt::Display for MemTransition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            TransitionKind::SpillVictim => write!(
-                f,
-                "partition {} ({} B) spilled as pressure victim during {} (live budget {} B)",
-                self.partition, self.bytes, self.phase, self.budget
-            ),
-            TransitionKind::Absorb => write!(
-                f,
-                "partition {} ({} B) re-absorbed during {} (live budget {} B)",
-                self.partition, self.bytes, self.phase, self.budget
-            ),
-        }
+        let action = match self.kind {
+            TransitionKind::SpillVictim => "spilled as pressure victim",
+            TransitionKind::Absorb => "re-absorbed",
+        };
+        write!(
+            f,
+            "partition {} ({} B) {action} during {} (live budget {} B)",
+            self.partition, self.bytes, self.phase, self.budget
+        )
     }
 }
 
-/// Timing and outcome of an on-disk GRACE run.
+/// Timing and outcome of an on-disk join.
 #[derive(Debug)]
 pub struct DiskGraceReport {
     /// The join output, on disk.
     pub output: FileRelation,
     /// Number of top-level partitions.
     pub num_partitions: usize,
-    /// Wall-clock seconds for the partition phase.
+    /// Wall-clock seconds for the build pass (partitioning the build
+    /// side into resident and spilled partitions).
     pub partition_s: f64,
-    /// Wall-clock seconds for the join phase.
+    /// Wall-clock seconds for the probe pass plus the spilled-pair joins.
     pub join_s: f64,
     /// Seconds the main thread blocked waiting for input pages (the
     /// Fig-9 "main thread stall").
@@ -303,11 +327,11 @@ pub struct DiskGraceReport {
     pub faults_injected: u64,
     /// Microseconds of injected slow-disk stall.
     pub slow_stall_us: u64,
-    /// Residency transitions (victim spills, re-absorptions) the
-    /// hybrid/dynamic modes took; empty for classic GRACE.
+    /// Residency transitions (victim spills, re-absorptions); empty
+    /// under `Grace`, where nothing is ever resident.
     pub transitions: Vec<MemTransition>,
     /// Build partitions still memory-resident when the probe pass
-    /// ended (0 for classic GRACE — it spills everything up front).
+    /// ended (0 under `Grace`).
     pub resident_partitions: usize,
     /// The live budget when the run finished (equals `mem_budget`
     /// unless a grantor resized the run).
@@ -315,108 +339,125 @@ pub struct DiskGraceReport {
 }
 
 /// One relation partitioned into a spill file: which spill pages belong
-/// to each partition.
+/// to each partition, and how many tuples those pages hold.
 pub(crate) struct Spilled {
     pub(crate) stripes: StripeSet,
     pub(crate) part_pages: Vec<Vec<u64>>,
     pub(crate) part_tuples: Vec<u64>,
 }
 
-/// Routes tuples into per-partition buffer pages and spills sealed full
-/// pages through a background writer — shared by the top-level partition
-/// phase and recursive repartitioning.
-pub(crate) struct SpillBuilder {
-    pub(crate) stripes: StripeSet,
-    pub(crate) writer: BackgroundWriter,
-    pub(crate) bufs: Vec<Page>,
-    pub(crate) part_pages: Vec<Vec<u64>>,
-    pub(crate) part_tuples: Vec<u64>,
-    pub(crate) next_page: u64,
+/// A partitioned spill file being written: tuples route through one
+/// buffer page per partition, and sealed pages stream out through a
+/// [`BackgroundWriter`] that can be stopped ([`SpillFile::sync`], so
+/// pages can be read back) and restarts lazily on the next write — the
+/// build spill crosses the write→read boundary twice (re-absorb at the
+/// phase boundary, pair joins at the end). Used by both passes of the
+/// driver and by recursive repartitioning.
+pub(crate) struct SpillFile {
+    /// The page map so far (complete once [`SpillFile::flush_bufs`] ran).
+    pub(crate) map: Spilled,
+    writer: Option<BackgroundWriter>,
+    next_page: u64,
+    window: usize,
+    bufs: Vec<Page>,
 }
 
-impl SpillBuilder {
-    pub(crate) fn new(cfg: &DiskGraceConfig, name: &str, p: usize) -> Result<SpillBuilder> {
+impl SpillFile {
+    pub(crate) fn new(cfg: &DiskGraceConfig, name: &str, p: usize) -> Result<SpillFile> {
         let stripes = StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
             .map_err(|e| PhjError::io(cfg.dir.join(name), e))?
             .with_faults(cfg.fault.clone(), cfg.retry);
-        let writer = BackgroundWriter::start(stripes.clone(), cfg.write_window);
-        Ok(SpillBuilder {
-            stripes,
-            writer,
-            bufs: (0..p).map(|_| Page::new()).collect(),
-            part_pages: vec![Vec::new(); p],
-            part_tuples: vec![0; p],
+        Ok(SpillFile {
+            map: Spilled { stripes, part_pages: vec![Vec::new(); p], part_tuples: vec![0; p] },
+            writer: None,
             next_page: 0,
+            window: cfg.write_window,
+            bufs: (0..p).map(|_| Page::new()).collect(),
         })
+    }
+
+    fn write_image(&mut self, part: usize, image: Box<[u8; PAGE_SIZE]>) -> Result<()> {
+        let writer = self
+            .writer
+            .get_or_insert_with(|| BackgroundWriter::start(self.map.stripes.clone(), self.window));
+        self.map.part_pages[part].push(self.next_page);
+        writer.write(self.next_page, image)?;
+        self.next_page += 1;
+        Ok(())
     }
 
     /// Append `tuple` to partition `part`, stashing `hash` in its slot.
     pub(crate) fn push(&mut self, part: usize, tuple: &[u8], hash: u32) -> Result<()> {
         if !self.bufs[part].fits(tuple.len()) {
-            self.part_pages[part].push(self.next_page);
-            self.writer.write(self.next_page, self.bufs[part].sealed_image())?;
-            self.next_page += 1;
+            let image = self.bufs[part].sealed_image();
+            self.write_image(part, image)?;
             self.bufs[part].reset();
             // Per-page spill marks are full-mode only: one per sealed page
             // would dominate the ring at phase granularity.
             phj_flightrec::event_full(
                 phj_flightrec::EventKind::Spill,
                 part.min(u16::MAX as usize) as u16,
-                self.part_pages[part].len() as u64,
-                self.part_tuples[part],
+                self.map.part_pages[part].len() as u64,
+                self.map.part_tuples[part],
             );
         }
         self.bufs[part]
             .insert(tuple, hash)
             .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-        self.part_tuples[part] += 1;
+        self.map.part_tuples[part] += 1;
         Ok(())
     }
 
-    /// Flush partial buffer pages and stop the writer.
-    pub(crate) fn finish(mut self) -> Result<Spilled> {
-        for (part, buf) in self.bufs.iter().enumerate() {
-            if buf.nslots() > 0 {
-                self.part_pages[part].push(self.next_page);
-                self.writer.write(self.next_page, buf.sealed_image())?;
-                self.next_page += 1;
+    /// Append a whole page evicted from memory to partition `part`.
+    pub(crate) fn push_page(&mut self, part: usize, page: &Page) -> Result<()> {
+        self.map.part_tuples[part] += page.nslots() as u64;
+        self.write_image(part, page.sealed_image())
+    }
+
+    /// Take over `page` — the open append page of a partition evicted
+    /// mid-build — as partition `part`'s buffer: its contents flush with
+    /// the next seal or at pass end.
+    pub(crate) fn adopt_buf(&mut self, part: usize, page: Page) {
+        debug_assert_eq!(self.bufs[part].nslots(), 0, "a resident partition never buffered");
+        self.map.part_tuples[part] += page.nslots() as u64;
+        self.bufs[part] = page;
+    }
+
+    /// Flush every partial buffer page so the file holds each spilled
+    /// partition completely.
+    pub(crate) fn flush_bufs(&mut self) -> Result<()> {
+        for part in 0..self.bufs.len() {
+            if self.bufs[part].nslots() > 0 {
+                let image = self.bufs[part].sealed_image();
+                self.write_image(part, image)?;
+                self.bufs[part].reset();
             }
         }
-        self.writer.finish()?;
-        // One flush mark per spill file: a = total pages written, b =
+        Ok(())
+    }
+
+    /// Stop the writer and wait for in-flight pages — required before
+    /// any page written so far may be read back.
+    pub(crate) fn sync(&mut self) -> Result<()> {
+        let Some(writer) = self.writer.take() else { return Ok(()) };
+        writer.finish()?;
+        // One flush mark per write burst: a = total pages written, b =
         // total tuples routed.
         phj_flightrec::event(
             phj_flightrec::EventKind::Flush,
-            self.part_pages.len().min(u16::MAX as usize) as u16,
+            self.bufs.len().min(u16::MAX as usize) as u16,
             self.next_page,
-            self.part_tuples.iter().sum(),
+            self.map.part_tuples.iter().sum(),
         );
-        Ok(Spilled {
-            stripes: self.stripes,
-            part_pages: self.part_pages,
-            part_tuples: self.part_tuples,
-        })
+        Ok(())
     }
-}
 
-/// Partition a file relation into `p` partitions within a fresh spill
-/// file. Returns the spill map and the reader's stall time.
-fn partition_to_spill(
-    cfg: &DiskGraceConfig,
-    input: &FileRelation,
-    name: &str,
-    p: usize,
-) -> Result<(Spilled, f64)> {
-    let mut sb = SpillBuilder::new(cfg, name, p)?;
-    let schema = input.schema().clone();
-    let mut scan = input.scan(cfg.read_ahead);
-    while let Some(page) = scan.next_page()? {
-        for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&schema, tuple));
-            sb.push(hash::partition_of(h, p), tuple, h)?;
-        }
+    /// Flush, sync, and hand back the completed page map.
+    pub(crate) fn finish(mut self) -> Result<Spilled> {
+        self.flush_bufs()?;
+        self.sync()?;
+        Ok(self.map)
     }
-    Ok((sb.finish()?, scan.stall_seconds()))
 }
 
 /// Re-partition one oversized partition of `parent` into `fanout`
@@ -432,15 +473,15 @@ fn repartition_spill(
     fanout: usize,
     seed: u32,
 ) -> Result<Spilled> {
-    let mut sb = SpillBuilder::new(cfg, name, fanout)?;
+    let mut file = SpillFile::new(cfg, name, fanout)?;
     for &pid in &parent.part_pages[part] {
         let page = parent.stripes.read_page_verified(pid)?;
         for (_, tuple, stash) in page.iter() {
             let route = hash::hash_key_seeded(key_bytes_of(schema, tuple), seed);
-            sb.push(hash::partition_of(route, fanout), tuple, stash)?;
+            file.push(hash::partition_of(route, fanout), tuple, stash)?;
         }
     }
-    sb.finish()
+    file.finish()
 }
 
 /// Load one partition's pages from the spill file into memory, with a
@@ -495,15 +536,55 @@ pub(crate) fn load_partition(
 /// sink (the `JoinSink` trait is infallible) stick and surface after the
 /// partition pair completes.
 pub(crate) struct DiskSink {
-    pub(crate) build_schema: Schema,
-    pub(crate) probe_schema: Schema,
-    pub(crate) writer: BackgroundWriter,
-    pub(crate) page: Page,
-    pub(crate) next_page: u64,
-    pub(crate) buf: Vec<u8>,
-    pub(crate) tuples: u64,
-    pub(crate) count: CountSink,
-    pub(crate) error: Option<PhjError>,
+    build_schema: Schema,
+    probe_schema: Schema,
+    stripes: StripeSet,
+    writer: BackgroundWriter,
+    page: Page,
+    next_page: u64,
+    buf: Vec<u8>,
+    tuples: u64,
+    count: CountSink,
+    error: Option<PhjError>,
+}
+
+impl DiskSink {
+    /// Create `<dir>/out.N` and start its background writer.
+    fn create(cfg: &DiskGraceConfig, build: &Schema, probe: &Schema) -> Result<DiskSink> {
+        let stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
+            .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
+            .with_faults(cfg.fault.clone(), cfg.retry);
+        Ok(DiskSink {
+            build_schema: build.clone(),
+            probe_schema: probe.clone(),
+            writer: BackgroundWriter::start(stripes.clone(), cfg.write_window),
+            stripes,
+            page: Page::new(),
+            next_page: 0,
+            buf: Vec::new(),
+            tuples: 0,
+            count: CountSink::new(),
+            error: None,
+        })
+    }
+
+    /// Surface (and clear) an error that stuck inside [`JoinSink::emit`].
+    pub(crate) fn check(&mut self) -> Result<()> {
+        self.error.take().map_or(Ok(()), Err)
+    }
+
+    /// Flush the output tail and stop the writer; returns the output
+    /// relation and the pair counter.
+    fn finish(mut self) -> Result<(FileRelation, CountSink)> {
+        if self.page.nslots() > 0 {
+            self.writer.write(self.next_page, self.page.sealed_image())?;
+            self.next_page += 1;
+        }
+        self.writer.finish()?;
+        let schema = Schema::join_output(&self.build_schema, &self.probe_schema);
+        let output = FileRelation::from_parts(schema, self.stripes, self.next_page, self.tuples);
+        Ok((output, self.count))
+    }
 }
 
 impl JoinSink for DiskSink {
@@ -537,203 +618,178 @@ impl JoinSink for DiskSink {
     }
 }
 
-/// Mutable state threaded through the recursive join phase.
-pub(crate) struct Degrade {
-    pub(crate) events: Vec<DegradationEvent>,
+/// The degradation ladder: what every spilled pair's join shares (the
+/// configuration, the output sink) plus the event trail it leaves.
+struct Ladder<'a> {
+    cfg: &'a DiskGraceConfig,
+    params: &'a JoinParams,
+    build_schema: &'a Schema,
+    probe_schema: &'a Schema,
+    /// Top-level partition count (kept as the bucket-coprimality modulus).
+    top_p: usize,
+    sink: &'a mut DiskSink,
+    events: Vec<DegradationEvent>,
     /// Fresh names for recursive spill sets.
-    pub(crate) spill_counter: u64,
+    spill_counter: u64,
 }
 
-/// Join one (build, probe) partition pair, degrading as needed. `label`
-/// is the hierarchical partition name for diagnostics; `top_p` is the
-/// top-level partition count (kept as the bucket-coprimality modulus).
-/// `budget` is the budget *live at this pair* — the static
-/// `cfg.mem_budget` on the GRACE path, the current
-/// [`LiveBudget`](crate::budget::LiveBudget) limit on the dynamic one,
-/// so degradation events attribute against what the run actually had.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn join_partition_pair(
-    cfg: &DiskGraceConfig,
-    budget: u64,
-    params: &JoinParams,
-    native: &mut NativeModel,
-    build_schema: &Schema,
-    probe_schema: &Schema,
-    bspill: &Spilled,
-    pspill: &Spilled,
-    part: usize,
-    label: String,
-    depth: u32,
-    top_p: usize,
-    sink: &mut DiskSink,
-    deg: &mut Degrade,
-    rec: &mut Option<&mut Recorder>,
-) -> Result<()> {
-    let budget = budget.max(PAGE_SIZE as u64);
-    let bpages = bspill.part_pages[part].len();
-    let bytes = (bpages * PAGE_SIZE) as u64;
-    if bytes <= budget {
-        let b = load_partition(bspill, part, build_schema, cfg.read_ahead)?;
-        let pr = load_partition(pspill, part, probe_schema, cfg.read_ahead)?;
-        debug_assert_eq!(b.num_tuples() as u64, bspill.part_tuples[part]);
-        debug_assert_eq!(pr.num_tuples() as u64, pspill.part_tuples[part]);
-        join_pair(native, params, &b, &pr, top_p, sink);
-        return Ok(());
-    }
-
-    // Oversized build partition: walk the degradation ladder.
-    if depth < cfg.max_repartition_depth {
-        let fanout = plan::num_partitions(bytes as usize, budget as usize).max(2);
-        let seed = depth + 1;
-        deg.spill_counter += 1;
-        let tag = deg.spill_counter;
-        let sub_b = repartition_spill(
-            cfg, build_schema, bspill, part, &format!("rp{tag}_b"), fanout, seed,
-        )?;
-        let max_sub = sub_b.part_pages.iter().map(Vec::len).max().unwrap_or(0);
-        if max_sub < bpages {
-            deg.events.push(DegradationEvent {
-                partition: label.clone(),
-                depth,
-                bytes,
-                budget,
-                kind: DegradationKind::Repartition { fanout, seed },
-            });
-            if let Some(m) = crate::telemetry::disk_metrics() {
-                m.degradation_depth.set_max(depth as u64 + 1);
-            }
-            // code 0 = recursive repartition step.
-            phj_flightrec::event(
-                phj_flightrec::EventKind::Degrade,
-                0,
-                depth as u64 + 1,
-                fanout as u64,
-            );
-            let span = obs::span_begin(rec, native, "repartition");
-            obs::span_meta(rec, "partition", &label);
-            obs::span_meta(rec, "fanout", fanout);
-            let sub_p = repartition_spill(
-                cfg, probe_schema, pspill, part, &format!("rp{tag}_p"), fanout, seed,
-            )?;
-            let mut res = Ok(());
-            for sp in 0..fanout {
-                res = join_partition_pair(
-                    cfg,
-                    budget,
-                    params,
-                    native,
-                    build_schema,
-                    probe_schema,
-                    &sub_b,
-                    &sub_p,
-                    sp,
-                    format!("{label}.{sp}"),
-                    depth + 1,
-                    top_p,
-                    sink,
-                    deg,
-                    rec,
-                );
-                if res.is_err() {
-                    break;
-                }
-            }
-            obs::span_end(rec, native, span);
-            cleanup_spill(&sub_b);
-            cleanup_spill(&sub_p);
-            return res;
+impl Ladder<'_> {
+    /// Join one (build, probe) partition pair, degrading as needed.
+    /// `label` is the hierarchical partition name for diagnostics;
+    /// `budget` is the [`LiveBudget`] limit *at this pair*, so degradation
+    /// events attribute against what the run actually had.
+    #[allow(clippy::too_many_arguments)]
+    fn join_pair(
+        &mut self,
+        budget: u64,
+        bspill: &Spilled,
+        pspill: &Spilled,
+        part: usize,
+        label: String,
+        depth: u32,
+        rec: &mut Option<&mut Recorder>,
+    ) -> Result<()> {
+        let cfg = self.cfg;
+        let budget = budget.max(PAGE_SIZE as u64);
+        let bpages = bspill.part_pages[part].len();
+        let bytes = (bpages * PAGE_SIZE) as u64;
+        if bytes <= budget {
+            let b = load_partition(bspill, part, self.build_schema, cfg.read_ahead)?;
+            let pr = load_partition(pspill, part, self.probe_schema, cfg.read_ahead)?;
+            debug_assert_eq!(b.num_tuples() as u64, bspill.part_tuples[part]);
+            debug_assert_eq!(pr.num_tuples() as u64, pspill.part_tuples[part]);
+            join_pair(&mut NativeModel, self.params, &b, &pr, self.top_p, self.sink, None);
+            return Ok(());
         }
-        // Repartitioning did not reduce the partition (one dominant key):
-        // drop the useless sub-spill and fall through to the next rung.
-        cleanup_spill(&sub_b);
+
+        // Oversized build partition: walk the degradation ladder.
+        if depth < cfg.max_repartition_depth {
+            let fanout = plan::num_partitions(bytes as usize, budget as usize).max(2);
+            let seed = depth + 1;
+            self.spill_counter += 1;
+            let tag = self.spill_counter;
+            let sub_b = repartition_spill(
+                cfg, self.build_schema, bspill, part, &format!("rp{tag}_b"), fanout, seed,
+            )?;
+            let max_sub = sub_b.part_pages.iter().map(Vec::len).max().unwrap_or(0);
+            if max_sub < bpages {
+                let kind = DegradationKind::Repartition { fanout, seed };
+                self.record(label.clone(), depth, bytes, budget, kind);
+                let span = obs::span_begin(rec, &NativeModel, "repartition");
+                obs::span_meta(rec, "partition", &label);
+                obs::span_meta(rec, "fanout", fanout);
+                let sub_p = repartition_spill(
+                    cfg, self.probe_schema, pspill, part, &format!("rp{tag}_p"), fanout, seed,
+                )?;
+                let mut res = Ok(());
+                for sp in 0..fanout {
+                    let sub_label = format!("{label}.{sp}");
+                    res = self.join_pair(budget, &sub_b, &sub_p, sp, sub_label, depth + 1, rec);
+                    if res.is_err() {
+                        break;
+                    }
+                }
+                obs::span_end(rec, &NativeModel, span);
+                cleanup_spill(&sub_b);
+                cleanup_spill(&sub_p);
+                return res;
+            }
+            // Repartitioning did not reduce the partition (one dominant key):
+            // drop the useless sub-spill and fall through to the next rung.
+            cleanup_spill(&sub_b);
+        }
+
+        if cfg.nlj_fallback {
+            let span = obs::span_begin(rec, &NativeModel, "nlj_fallback");
+            obs::span_meta(rec, "partition", &label);
+            let chunks = self.block_nlj(budget, bspill, pspill, part)?;
+            obs::span_end(rec, &NativeModel, span);
+            self.record(label, depth, bytes, budget, DegradationKind::NljFallback { chunks });
+            return Ok(());
+        }
+
+        Err(PhjError::PartitionOverflow { partition: part, depth, bytes, budget })
     }
 
-    if cfg.nlj_fallback {
-        let span = obs::span_begin(rec, native, "nlj_fallback");
-        obs::span_meta(rec, "partition", &label);
-        let chunks = block_nlj(
-            budget, params, native, build_schema, probe_schema, bspill, pspill, part, top_p, sink,
-        )?;
-        obs::span_end(rec, native, span);
-        deg.events.push(DegradationEvent {
-            partition: label,
-            depth,
-            bytes,
-            budget,
-            kind: DegradationKind::NljFallback { chunks },
-        });
+    /// Log one ladder step: the report trail, the depth gauge, and the
+    /// flight recorder (code 0 = recursive repartition with its fan-out,
+    /// code 1 = block nested-loop fallback with its chunk count).
+    fn record(
+        &mut self,
+        partition: String,
+        depth: u32,
+        bytes: u64,
+        budget: u64,
+        kind: DegradationKind,
+    ) {
+        let (code, detail) = match kind {
+            DegradationKind::Repartition { fanout, .. } => (0, fanout),
+            DegradationKind::NljFallback { chunks } => (1, chunks),
+        };
+        self.events.push(DegradationEvent { partition, depth, bytes, budget, kind });
         if let Some(m) = crate::telemetry::disk_metrics() {
             m.degradation_depth.set_max(depth as u64 + 1);
         }
-        // code 1 = block nested-loop fallback.
         phj_flightrec::event(
             phj_flightrec::EventKind::Degrade,
-            1,
+            code,
             depth as u64 + 1,
-            chunks as u64,
+            detail as u64,
         );
-        return Ok(());
     }
 
-    Err(PhjError::PartitionOverflow { partition: part, depth, bytes, budget })
+    /// Streaming block nested-loop join over one oversized partition
+    /// pair: the build side is processed in chunks of at most the memory
+    /// budget; for each chunk, the probe side streams past in bounded
+    /// batches. Joins any build partition in bounded memory at the cost
+    /// of re-reading the probe partition once per chunk. Returns the
+    /// number of build chunks.
+    fn block_nlj(
+        &mut self,
+        budget: u64,
+        bspill: &Spilled,
+        pspill: &Spilled,
+        part: usize,
+    ) -> Result<usize> {
+        let chunk_pages = (budget as usize / PAGE_SIZE).max(1);
+        let bpages = &bspill.part_pages[part];
+        let ppages = &pspill.part_pages[part];
+        let mut chunks = 0usize;
+        for bchunk in bpages.chunks(chunk_pages) {
+            let mut brel = Relation::new(self.build_schema.clone());
+            for &pid in bchunk {
+                brel.push_page(bspill.stripes.read_page_verified(pid)?);
+            }
+            chunks += 1;
+            if brel.num_tuples() == 0 {
+                continue;
+            }
+            let buckets = plan::hash_table_buckets(brel.num_tuples(), self.top_p);
+            let mut table = HashTable::new(buckets, brel.num_tuples());
+            dispatch_build(&mut NativeModel, self.params, &mut table, &brel);
+            table.assert_quiescent();
+            for pbatch in ppages.chunks(chunk_pages) {
+                let mut prel = Relation::new(self.probe_schema.clone());
+                for &pid in pbatch {
+                    prel.push_page(pspill.stripes.read_page_verified(pid)?);
+                }
+                dispatch_probe(&mut NativeModel, self.params, &table, &brel, &prel, self.sink);
+            }
+        }
+        Ok(chunks)
+    }
 }
 
 /// Remove a recursive sub-spill's files once its partitions are joined
 /// (best-effort; the working directory is the caller's to delete anyway).
-pub(crate) fn cleanup_spill(spill: &Spilled) {
+fn cleanup_spill(spill: &Spilled) {
     for path in spill.stripes.paths() {
         let _ = std::fs::remove_file(path);
     }
 }
 
-/// Streaming block nested-loop join over one oversized partition pair:
-/// the build side is processed in chunks of at most the memory budget;
-/// for each chunk, the probe side streams past in bounded batches. Joins
-/// any build partition in bounded memory at the cost of re-reading the
-/// probe partition once per chunk. Returns the number of build chunks.
-#[allow(clippy::too_many_arguments)]
-fn block_nlj(
-    budget: u64,
-    params: &JoinParams,
-    native: &mut NativeModel,
-    build_schema: &Schema,
-    probe_schema: &Schema,
-    bspill: &Spilled,
-    pspill: &Spilled,
-    part: usize,
-    top_p: usize,
-    sink: &mut DiskSink,
-) -> Result<usize> {
-    let chunk_pages = (budget as usize / PAGE_SIZE).max(1);
-    let bpages = &bspill.part_pages[part];
-    let ppages = &pspill.part_pages[part];
-    let mut chunks = 0usize;
-    for bchunk in bpages.chunks(chunk_pages) {
-        let mut brel = Relation::new(build_schema.clone());
-        for &pid in bchunk {
-            brel.push_page(bspill.stripes.read_page_verified(pid)?);
-        }
-        chunks += 1;
-        if brel.num_tuples() == 0 {
-            continue;
-        }
-        let buckets = plan::hash_table_buckets(brel.num_tuples(), top_p);
-        let mut table = HashTable::new(buckets, brel.num_tuples());
-        dispatch_build(native, params, &mut table, &brel);
-        table.assert_quiescent();
-        for pbatch in ppages.chunks(chunk_pages) {
-            let mut prel = Relation::new(probe_schema.clone());
-            for &pid in pbatch {
-                prel.push_page(pspill.stripes.read_page_verified(pid)?);
-            }
-            dispatch_probe(native, params, &table, &brel, &prel, sink);
-        }
-    }
-    Ok(chunks)
-}
-
-/// Run the GRACE hash join over two file relations, writing the output
-/// to `<dir>/out.N`.
+/// Run the disk hash join over two file relations under
+/// [`DiskGraceConfig::mode`], writing the output to `<dir>/out.N`.
 pub fn grace_join_files(
     cfg: &DiskGraceConfig,
     build: &FileRelation,
@@ -742,107 +798,120 @@ pub fn grace_join_files(
     grace_join_files_rec(cfg, build, probe, None)
 }
 
-/// [`grace_join_files`] with an optional span recorder: the partition
-/// and join phases get top-level spans, and every degradation step
-/// (repartition, nested-loop fallback) gets its own nested span.
+/// [`grace_join_files`] with an optional span recorder: the build pass
+/// (`"partition"`) and the probe pass plus pair joins (`"join"`) get
+/// top-level spans, and every degradation step (repartition, nested-loop
+/// fallback) gets its own nested span.
 pub fn grace_join_files_rec(
     cfg: &DiskGraceConfig,
     build: &FileRelation,
     probe: &FileRelation,
     mut rec: Option<&mut Recorder>,
 ) -> Result<DiskGraceReport> {
-    if cfg.mode != DiskJoinMode::Grace {
-        return crate::hybrid::hybrid_join_files_rec(cfg, build, probe, rec);
-    }
-    let p = plan::num_partitions(build.size_bytes() as usize, cfg.mem_budget).max(1);
-    let mut native = NativeModel;
-    // Journal the memory budget this run operates under (the ladder
-    // never renegotiates, it degrades instead). `a` carries the host's
-    // query id in full; `code` is the grant operation.
+    let live: Arc<LiveBudget> = cfg
+        .live_budget
+        .clone()
+        .unwrap_or_else(|| Arc::new(LiveBudget::new(cfg.mem_budget as u64)));
+    let budget0 = live.limit().max(PAGE_SIZE as u64);
+    let reserve = plan::hybrid_reserve(budget0 as usize) as u64;
+    let p = cfg.mode.fanout(build.size_bytes() as usize, budget0 as usize);
+    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
+    let (bschema, pschema) = (build.schema().clone(), probe.schema().clone());
+
+    // Journal the memory budget this run starts under. `a` carries the
+    // host's query id in full; `code` is the grant operation.
     phj_flightrec::event(
         phj_flightrec::EventKind::Grant,
         phj_flightrec::grant_op::BUDGET,
         cfg.grant_tag,
-        cfg.mem_budget as u64,
+        budget0,
     );
 
+    // ---- Build pass: stream the build side into its partitions —
+    // resident ones evict victims whenever residency outgrows the live
+    // budget, spilled ones go straight to the build spill file.
     let t0 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "partition");
+    let span = obs::span_begin(&mut rec, &NativeModel, "partition");
     obs::span_meta(&mut rec, "partitions", p);
-    let (build_spill, bstall) = partition_to_spill(cfg, build, "build_spill", p)?;
-    let (probe_spill, pstall) = partition_to_spill(cfg, probe, "probe_spill", p)?;
-    obs::span_end(&mut rec, &native, span);
-    let partition_s = t0.elapsed().as_secs_f64();
-
-    let out_schema = Schema::join_output(build.schema(), probe.schema());
-    let out_stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
-        .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
-        .with_faults(cfg.fault.clone(), cfg.retry);
-    let mut sink = DiskSink {
-        build_schema: build.schema().clone(),
-        probe_schema: probe.schema().clone(),
-        writer: BackgroundWriter::start(out_stripes.clone(), cfg.write_window),
-        page: Page::new(),
-        next_page: 0,
-        buf: Vec::new(),
-        tuples: 0,
-        count: CountSink::new(),
-        error: None,
-    };
-    let t1 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "join");
-    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
-    let mut deg = Degrade { events: Vec::new(), spill_counter: 0 };
-    for part in 0..p {
-        join_partition_pair(
-            cfg,
-            cfg.mem_budget as u64,
-            &params,
-            &mut native,
-            build.schema(),
-            probe.schema(),
-            &build_spill,
-            &probe_spill,
-            part,
-            part.to_string(),
-            0,
-            p,
-            &mut sink,
-            &mut deg,
-            &mut rec,
-        )?;
-        if let Some(e) = sink.error.take() {
-            return Err(e);
+    obs::span_meta(&mut rec, "mode", cfg.mode.label());
+    let mut bp = BuildPass::new(cfg, &live, reserve, p)?;
+    let mut bscan = build.scan(cfg.read_ahead);
+    while let Some(page) = bscan.next_page()? {
+        for (_, tuple, _) in page.iter() {
+            let h = hash::hash_key(key_bytes_of(&bschema, tuple));
+            bp.push(hash::partition_of(h, p), tuple, h)?;
         }
     }
-    obs::span_end(&mut rec, &native, span);
-    // Flush the output tail and stop the writer.
-    if sink.page.nslots() > 0 {
-        sink.writer.write(sink.next_page, sink.page.sealed_image())?;
-        sink.next_page += 1;
+    let bstall = bscan.stall_seconds();
+    bp.finish_scan(cfg.mode.absorbs())?;
+    obs::span_end(&mut rec, &NativeModel, span);
+    let partition_s = t0.elapsed().as_secs_f64();
+
+    // ---- Table build: every resident partition becomes (relation,
+    // hash table); spilled partitions keep their page lists.
+    let mut pp = bp.into_probe_pass(cfg, &params, &bschema, &pschema)?;
+    let mut sink = DiskSink::create(cfg, &bschema, &pschema)?;
+
+    // ---- Probe pass: resident partitions join on the fly; tuples for
+    // spilled partitions go to the probe spill file.
+    let t1 = Instant::now();
+    let span = obs::span_begin(&mut rec, &NativeModel, "join");
+    let mut pscan = probe.scan(cfg.read_ahead);
+    while let Some(page) = pscan.next_page()? {
+        for (_, tuple, _) in page.iter() {
+            let h = hash::hash_key(key_bytes_of(&pschema, tuple));
+            pp.push(hash::partition_of(h, p), tuple, h, &params, &mut sink)?;
+        }
     }
-    let (matches, tuples, out_pages, count, writer) =
-        (sink.matches(), sink.tuples, sink.next_page, sink.count, sink.writer);
-    writer.finish()?;
+    let pstall = pscan.stall_seconds();
+    let probed = pp.finish(&params, &mut sink)?;
+
+    // ---- Disk pairs: whatever spilled runs through the degradation
+    // ladder, budgeted by the live limit at each pair.
+    let mut ladder = Ladder {
+        cfg,
+        params: &params,
+        build_schema: &bschema,
+        probe_schema: &pschema,
+        top_p: p,
+        sink: &mut sink,
+        events: Vec::new(),
+        spill_counter: 0,
+    };
+    for part in 0..p {
+        if probed.build.part_tuples[part] == 0 || probed.probe.part_tuples[part] == 0 {
+            continue; // one side empty: no matches possible
+        }
+        let pair_budget = live.limit();
+        live.ack(pair_budget.max(reserve));
+        let label = part.to_string();
+        ladder.join_pair(pair_budget, &probed.build, &probed.probe, part, label, 0, &mut rec)?;
+        ladder.sink.check()?;
+    }
+    let degradation = ladder.events;
+    obs::span_end(&mut rec, &NativeModel, span);
+    let (output, count) = sink.finish()?;
     let join_s = t1.elapsed().as_secs_f64();
+    let final_budget = live.limit();
+    live.ack(final_budget);
 
     let stats = cfg.fault.stats();
     Ok(DiskGraceReport {
-        output: FileRelation::from_parts(out_schema, out_stripes, out_pages, tuples),
+        output,
         num_partitions: p,
         partition_s,
         join_s,
         input_stall_s: bstall + pstall,
-        matches,
+        matches: count.matches(),
         checksum: count.checksum(),
-        degradation: deg.events,
+        degradation,
         read_retries: stats.read_retries.load(Ordering::Relaxed),
         write_retries: stats.write_retries.load(Ordering::Relaxed),
         faults_injected: stats.total_injected(),
         slow_stall_us: stats.slow_stall_us.load(Ordering::Relaxed),
-        transitions: Vec::new(),
-        resident_partitions: 0,
-        final_budget: cfg.mem_budget as u64,
+        transitions: probed.transitions,
+        resident_partitions: probed.resident_partitions,
+        final_budget,
     })
 }
 

@@ -1,310 +1,278 @@
-//! Hybrid and dynamic hybrid hash join over file relations.
+//! Partition residency for the disk join driver
+//! ([`crate::grace::grace_join_files_rec`]): which build partitions live
+//! in memory, when they are evicted, and how probe tuples meet them.
 //!
-//! Classic GRACE ([`crate::grace`]) writes *every* partition to disk
-//! and reads it all back, even when the build side nearly fits in
-//! memory — the I/O bill is flat across the budget axis. The hybrid
-//! join instead keeps as many build partitions memory-resident as the
+//! A classic GRACE run writes *every* partition to disk and reads it all
+//! back, even when the build side nearly fits in memory — the I/O bill
+//! is flat across the budget axis. Under the resident-born policies the
+//! driver instead keeps as many build partitions memory-resident as the
 //! budget allows and joins their probe tuples on the fly; only the
 //! overflow partitions round-trip through the spill file. With a
 //! generous budget it converges on a single in-memory join; with a
 //! starved one it converges on GRACE (with a finer fanout), and in
 //! between it degrades *linearly* instead of falling off a cliff.
+//! [`DiskJoinMode::Grace`] is the zero-residency point of the same
+//! code: every partition is born [`BPart::Spilled`], so the pressure
+//! checks below never find a victim.
 //!
 //! **Residency protocol.** The build pass appends tuples into
 //! per-partition page lists and checks, at page granularity, whether
 //! `resident_bytes + reserve` still fits the live budget. When it does
 //! not, the **largest** resident partition is evicted — its pages
-//! stream to the spill file through a [`BackgroundWriter`], a
-//! [`MemTransition`] records the partition's byte size and the live
-//! budget at the moment of the decision, and the partition's future
-//! tuples route straight to disk. The same check runs during the probe
-//! pass (evicting there first drains the partition's pending probe
-//! batch through its hash table, then serializes the build pages back
-//! out), so a mid-run budget shrink from a [`LiveBudget`] grantor is
-//! honored within one page's worth of work. [`DiskJoinMode::Dynamic`]
-//! additionally *re-absorbs* spilled partitions (smallest-first) at the
-//! build→probe phase boundary when the budget has headroom again —
-//! e.g. after a neighboring query finished and the grantor raised the
-//! limit.
+//! stream to the spill file, a [`MemTransition`] records the
+//! partition's byte size and the live budget at the moment of the
+//! decision, and the partition's future tuples route straight to disk.
+//! The same check runs during the probe pass (evicting there first
+//! drains the partition's pending probe batch through its hash table,
+//! then serializes the build pages back out), so a mid-run budget
+//! shrink from a [`LiveBudget`] grantor is honored within one page's
+//! worth of work. [`DiskJoinMode::Dynamic`] additionally *re-absorbs*
+//! spilled partitions (smallest-first) at the build→probe phase
+//! boundary when the budget has headroom again — e.g. after a
+//! neighboring query finished and the grantor raised the limit.
 //!
 //! The `reserve` slice ([`plan::hybrid_reserve`]) is held back from
 //! residency to cover the probe-side batch buffers, hash-table
 //! overhead, and the join-phase working space for spilled pairs.
 //!
-//! **Composition with the ladder.** Spilled pairs run through the
-//! exact same [`join_partition_pair`] the GRACE path uses — recursive
-//! reseeded repartition, block-NLJ fallback, typed overflow, fault
-//! plans and retries all compose unchanged underneath, with each
-//! pair's budget sampled from the live budget at pair start.
-//!
-//! [`LiveBudget`]: crate::budget::LiveBudget
+//! [`DiskJoinMode::Grace`]: crate::grace::DiskJoinMode::Grace
 //! [`DiskJoinMode::Dynamic`]: crate::grace::DiskJoinMode::Dynamic
-//! [`MemTransition`]: crate::grace::MemTransition
-
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
+//! [`plan::hybrid_reserve`]: phj::plan::hybrid_reserve
 
 use phj::join::{dispatch_build, dispatch_probe, JoinParams};
-use phj::sink::{CountSink, JoinSink};
+use phj::plan;
 use phj::table::HashTable;
-use phj::{hash, plan};
 use phj_memsim::NativeModel;
-use phj_obs::{self as obs, Recorder};
-use phj_storage::{
-    tuple::key_bytes_of, Page, Relation, RelationBuilder, Schema, PAGE_SIZE,
-};
+use phj_storage::{Page, Relation, RelationBuilder, Schema, PAGE_SIZE};
 
 use crate::budget::LiveBudget;
 use crate::error::{PhjError, Result};
 use crate::grace::{
-    join_partition_pair, Degrade, DiskGraceConfig, DiskGraceReport, DiskJoinMode, DiskSink,
-    MemTransition, Spilled, TransitionKind,
+    DiskGraceConfig, DiskSink, MemTransition, SpillFile, Spilled, TransitionKind,
 };
-use crate::stripe::StripeSet;
-use crate::writer::BackgroundWriter;
-use crate::FileRelation;
 
 /// Probe tuples for a resident partition accumulate in a small batch
 /// before flushing through the partition's hash table, so the probe
 /// loop amortizes dispatch overhead without holding unbounded memory.
 const PROBE_BATCH_BYTES: usize = PAGE_SIZE;
 
-/// A spill file whose background writer can be stopped (so pages can
-/// be read back) and lazily restarted (so a later victim eviction can
-/// keep appending). GRACE's one-shot `SpillBuilder` finishes its writer
-/// exactly once; the hybrid join crosses the write→read boundary twice
-/// (absorb at the phase boundary, pair joins at the end).
-struct SpillFile {
-    stripes: StripeSet,
-    writer: Option<BackgroundWriter>,
-    next_page: u64,
-    window: usize,
+/// The byte ledger both passes run their pressure checks against, and
+/// the transition trail they leave.
+struct Ledger<'a> {
+    live: &'a LiveBudget,
+    reserve: u64,
+    /// Bytes held by resident partitions, counting each open page as a
+    /// full page. Hash tables and batch buffers ride on `reserve`.
+    resident_bytes: u64,
+    /// Residency transitions of both passes, in decision order.
+    transitions: Vec<MemTransition>,
 }
 
-impl SpillFile {
-    fn new(cfg: &DiskGraceConfig, name: &str) -> Result<SpillFile> {
-        let stripes = StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
-            .map_err(|e| PhjError::io(cfg.dir.join(name), e))?
-            .with_faults(cfg.fault.clone(), cfg.retry);
-        Ok(SpillFile { stripes, writer: None, next_page: 0, window: cfg.write_window })
+impl Ledger<'_> {
+    fn over(&self, limit: u64) -> bool {
+        self.resident_bytes + self.reserve > limit
     }
 
-    /// Append one sealed page image; returns its page id.
-    fn write(&mut self, image: Box<[u8; PAGE_SIZE]>) -> Result<u64> {
-        let writer = self
-            .writer
-            .get_or_insert_with(|| BackgroundWriter::start(self.stripes.clone(), self.window));
-        let id = self.next_page;
-        writer.write(id, image)?;
-        self.next_page += 1;
-        Ok(id)
-    }
-
-    /// Stop the writer and wait for in-flight pages — required before
-    /// any page written so far may be read back.
-    fn sync(&mut self) -> Result<()> {
-        match self.writer.take() {
-            Some(w) => w.finish(),
-            None => Ok(()),
+    /// Safe-point entry: the live limit if residency has outgrown it.
+    /// When it has not, acks a shrink the run never had to act on.
+    fn pressure(&self) -> Option<u64> {
+        let limit = self.live.limit();
+        if self.over(limit) {
+            return Some(limit);
         }
+        if self.live.acked() > limit {
+            self.live.ack(limit);
+        }
+        None
     }
+
+    /// Ack what the run holds against `limit`. Floor: with everything
+    /// spilled it still holds the reserve.
+    fn ack(&self, limit: u64) {
+        self.live.ack(limit.max(self.resident_bytes + self.reserve));
+    }
+
+    /// Move `bytes` of partition `v` across the memory/disk boundary and
+    /// record it in the report trail and the flight recorder.
+    fn transition(
+        &mut self,
+        v: usize,
+        bytes: u64,
+        limit: u64,
+        kind: TransitionKind,
+        phase: &'static str,
+    ) {
+        let op = match kind {
+            TransitionKind::SpillVictim => {
+                self.resident_bytes -= bytes;
+                phj_flightrec::grant_op::SPILL_VICTIM
+            }
+            TransitionKind::Absorb => {
+                self.resident_bytes += bytes;
+                phj_flightrec::grant_op::ABSORB
+            }
+        };
+        self.transitions.push(MemTransition { partition: v, bytes, budget: limit, kind, phase });
+        phj_flightrec::event(phj_flightrec::EventKind::Grant, op, v as u64, bytes);
+    }
+}
+
+/// The largest candidate, lowest index on ties — the eviction victim.
+fn largest(candidates: impl Iterator<Item = (usize, u64)>) -> Option<(usize, u64)> {
+    candidates.max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)))
 }
 
 /// One build partition during the build pass.
 enum BPart {
     /// Memory-resident: sealed-full pages plus the open append page.
     Res { pages: Vec<Page>, open: Page },
-    /// On disk: tuples route through a one-page spill buffer.
-    Spilled { buf: Page },
+    /// On disk: tuples route through the spill file's buffer page.
+    Spilled,
 }
 
-/// Build-pass state: partition residency, the shared build spill file,
-/// and the byte ledger the pressure checks run against.
-struct BuildPass<'a> {
-    live: &'a LiveBudget,
-    reserve: u64,
+/// Build-pass state: partition residency and the build spill file.
+pub(crate) struct BuildPass<'a> {
+    ledger: Ledger<'a>,
     parts: Vec<BPart>,
     file: SpillFile,
-    /// Spill-file pages per partition (empty while resident).
-    part_pages: Vec<Vec<u64>>,
-    /// Total build tuples routed to each partition (resident or not).
-    tuples: Vec<u64>,
-    /// Bytes held by resident partitions, counting each open page as a
-    /// full page. Hash tables and batch buffers ride on `reserve`.
-    resident_bytes: u64,
-    transitions: Vec<MemTransition>,
 }
 
 impl<'a> BuildPass<'a> {
-    fn new(cfg: &DiskGraceConfig, live: &'a LiveBudget, reserve: u64, p: usize) -> Result<Self> {
+    pub(crate) fn new(
+        cfg: &DiskGraceConfig,
+        live: &'a LiveBudget,
+        reserve: u64,
+        p: usize,
+    ) -> Result<Self> {
+        let resident = cfg.mode.starts_resident();
+        let res = || BPart::Res { pages: Vec::new(), open: Page::new() };
+        let resident_bytes = if resident { (p * PAGE_SIZE) as u64 } else { 0 };
         Ok(BuildPass {
-            live,
-            reserve,
-            parts: (0..p).map(|_| BPart::Res { pages: Vec::new(), open: Page::new() }).collect(),
-            file: SpillFile::new(cfg, "hyb_bspill")?,
-            part_pages: vec![Vec::new(); p],
-            tuples: vec![0; p],
-            resident_bytes: (p * PAGE_SIZE) as u64,
-            transitions: Vec::new(),
+            ledger: Ledger { live, reserve, resident_bytes, transitions: Vec::new() },
+            parts: (0..p).map(|_| if resident { res() } else { BPart::Spilled }).collect(),
+            file: SpillFile::new(cfg, "build_spill", p)?,
         })
     }
 
-    fn push(&mut self, part: usize, tuple: &[u8], h: u32) -> Result<()> {
+    pub(crate) fn push(&mut self, part: usize, tuple: &[u8], h: u32) -> Result<()> {
         match &mut self.parts[part] {
             BPart::Res { pages, open } => {
                 if !open.fits(tuple.len()) {
                     pages.push(std::mem::replace(open, Page::new()));
-                    self.resident_bytes += PAGE_SIZE as u64;
+                    self.ledger.resident_bytes += PAGE_SIZE as u64;
                 }
                 open.insert(tuple, h)
                     .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
             }
-            BPart::Spilled { buf } => {
-                if !buf.fits(tuple.len()) {
-                    let id = self.file.write(buf.sealed_image())?;
-                    self.part_pages[part].push(id);
-                    buf.reset();
-                    phj_flightrec::event_full(
-                        phj_flightrec::EventKind::Spill,
-                        part.min(u16::MAX as usize) as u16,
-                        self.part_pages[part].len() as u64,
-                        self.tuples[part],
-                    );
-                }
-                buf.insert(tuple, h)
-                    .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-            }
+            BPart::Spilled => self.file.push(part, tuple, h)?,
         }
-        self.tuples[part] += 1;
-        self.enforce("build")
+        self.enforce()
     }
 
     /// Page-granular safe point: spill largest-first victims until
     /// residency (plus the reserve) fits the live budget, then ack.
-    fn enforce(&mut self, phase: &'static str) -> Result<()> {
-        let limit = self.live.limit();
-        if self.resident_bytes + self.reserve <= limit {
-            if self.live.acked() > limit {
-                // Already compliant with a shrink we never had to act on.
-                self.live.ack(limit);
+    fn enforce(&mut self) -> Result<()> {
+        let Some(limit) = self.ledger.pressure() else { return Ok(()) };
+        while self.ledger.over(limit) {
+            let victim = largest(self.parts.iter().enumerate().filter_map(|(i, bp)| match bp {
+                BPart::Res { pages, .. } => Some((i, ((pages.len() + 1) * PAGE_SIZE) as u64)),
+                BPart::Spilled => None,
+            }));
+            let Some((v, bytes)) = victim else { break };
+            // Evict: stream the full pages out; the open page becomes
+            // the partition's spill buffer and keeps appending.
+            let BPart::Res { pages, open } = std::mem::replace(&mut self.parts[v], BPart::Spilled)
+            else {
+                unreachable!("victim selection only returns resident partitions");
+            };
+            for page in &pages {
+                self.file.push_page(v, page)?;
             }
+            self.file.adopt_buf(v, open);
+            self.ledger.transition(v, bytes, limit, TransitionKind::SpillVictim, "build");
+        }
+        self.ledger.ack(limit);
+        Ok(())
+    }
+
+    /// End of the build scan: complete the spill file so its pages can
+    /// be read back, then (when `absorb`) pull spilled partitions back
+    /// into memory, smallest-first, while the live budget has headroom —
+    /// the grantor may have freed memory since the victims spilled.
+    pub(crate) fn finish_scan(&mut self, absorb: bool) -> Result<()> {
+        self.file.flush_bufs()?;
+        self.file.sync()?;
+        if !absorb {
             return Ok(());
         }
-        while self.resident_bytes + self.reserve > limit {
-            let victim = self
-                .parts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, bp)| match bp {
-                    BPart::Res { pages, .. } => {
-                        Some((i, ((pages.len() + 1) * PAGE_SIZE) as u64))
-                    }
-                    BPart::Spilled { .. } => None,
-                })
-                .max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)));
-            let Some((v, bytes)) = victim else { break };
-            self.spill_victim(v, bytes, limit, phase)?;
-        }
-        // Floor: with everything spilled we still hold the reserve.
-        self.live.ack(limit.max(self.resident_bytes + self.reserve));
-        Ok(())
-    }
-
-    /// Evict one resident partition: stream its pages to the spill
-    /// file and route its future tuples to a spill buffer.
-    fn spill_victim(
-        &mut self,
-        v: usize,
-        bytes: u64,
-        limit: u64,
-        phase: &'static str,
-    ) -> Result<()> {
-        let BPart::Res { pages, open } =
-            std::mem::replace(&mut self.parts[v], BPart::Spilled { buf: Page::new() })
-        else {
-            unreachable!("victim selection only returns resident partitions");
-        };
-        for page in &pages {
-            let id = self.file.write(page.sealed_image())?;
-            self.part_pages[v].push(id);
-        }
-        // Keep appending into the former open page as the spill buffer
-        // — its contents flush with the next seal or at pass end.
-        self.parts[v] = BPart::Spilled { buf: open };
-        self.resident_bytes -= bytes;
-        self.transitions.push(MemTransition {
-            partition: v,
-            bytes,
-            budget: limit,
-            kind: TransitionKind::SpillVictim,
-            phase,
-        });
-        phj_flightrec::event(
-            phj_flightrec::EventKind::Grant,
-            phj_flightrec::grant_op::SPILL_VICTIM,
-            v as u64,
-            bytes,
-        );
-        Ok(())
-    }
-
-    /// Flush every spilled partition's buffer page so the spill file
-    /// holds each spilled partition completely.
-    fn flush_spilled_bufs(&mut self) -> Result<()> {
-        for (part, bp) in self.parts.iter_mut().enumerate() {
-            if let BPart::Spilled { buf } = bp {
-                if buf.nslots() > 0 {
-                    let id = self.file.write(buf.sealed_image())?;
-                    self.part_pages[part].push(id);
-                    buf.reset();
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase-boundary re-absorption ([`DiskJoinMode::Dynamic`] only):
-    /// pull spilled partitions back into memory, smallest-first, while
-    /// the live budget has headroom. Requires the spill writer synced.
-    fn absorb(&mut self) -> Result<()> {
+        let ledger = &mut self.ledger;
+        let map = &mut self.file.map;
         loop {
-            let limit = self.live.limit();
-            let headroom = limit.saturating_sub(self.resident_bytes + self.reserve);
-            let cand = self
-                .parts
-                .iter()
-                .enumerate()
-                .filter(|(i, bp)| {
-                    matches!(bp, BPart::Spilled { .. }) && !self.part_pages[*i].is_empty()
-                })
-                .map(|(i, _)| (i, ((self.part_pages[i].len() + 1) * PAGE_SIZE) as u64))
+            let limit = ledger.live.limit();
+            let headroom = limit.saturating_sub(ledger.resident_bytes + ledger.reserve);
+            let cand = (0..self.parts.len())
+                .filter(|&i| !map.part_pages[i].is_empty())
+                .map(|i| (i, ((map.part_pages[i].len() + 1) * PAGE_SIZE) as u64))
                 .filter(|&(_, bytes)| bytes <= headroom)
                 .min_by_key(|&(i, bytes)| (bytes, i));
             let Some((v, bytes)) = cand else { break };
-            let mut pages = Vec::with_capacity(self.part_pages[v].len());
-            for &pid in &self.part_pages[v] {
-                pages.push(self.file.stripes.read_page_verified(pid)?);
+            let mut pages = Vec::with_capacity(map.part_pages[v].len());
+            for &pid in &map.part_pages[v] {
+                pages.push(map.stripes.read_page_verified(pid)?);
             }
-            self.part_pages[v].clear();
+            map.part_pages[v].clear();
+            map.part_tuples[v] = 0;
             self.parts[v] = BPart::Res { pages, open: Page::new() };
-            self.resident_bytes += bytes;
-            self.transitions.push(MemTransition {
-                partition: v,
-                bytes,
-                budget: limit,
-                kind: TransitionKind::Absorb,
-                phase: "absorb",
-            });
-            phj_flightrec::event(
-                phj_flightrec::EventKind::Grant,
-                phj_flightrec::grant_op::ABSORB,
-                v as u64,
-                bytes,
-            );
+            ledger.transition(v, bytes, limit, TransitionKind::Absorb, "absorb");
         }
-        self.live.ack(self.live.limit().max(self.resident_bytes + self.reserve));
+        ledger.ack(ledger.live.limit());
         Ok(())
+    }
+
+    /// Table build: turn every resident partition into (relation, hash
+    /// table) and hand the ledger on to the probe pass.
+    pub(crate) fn into_probe_pass(
+        mut self,
+        cfg: &DiskGraceConfig,
+        params: &JoinParams,
+        build_schema: &Schema,
+        probe_schema: &Schema,
+    ) -> Result<ProbePass<'a>> {
+        let p = self.parts.len();
+        let mut built: Vec<Option<BuiltPart>> = Vec::with_capacity(p);
+        for part in self.parts {
+            let BPart::Res { pages, open } = part else {
+                built.push(None);
+                continue;
+            };
+            let mut rel = Relation::new(build_schema.clone());
+            for page in pages {
+                rel.push_page(page);
+            }
+            if open.nslots() > 0 {
+                rel.push_page(open);
+            } else {
+                // The empty open page leaves residency with its owner.
+                self.ledger.resident_bytes -= PAGE_SIZE as u64;
+            }
+            let n = rel.num_tuples();
+            let mut table = HashTable::new(plan::hash_table_buckets(n, p), n);
+            dispatch_build(&mut NativeModel, params, &mut table, &rel);
+            table.assert_quiescent();
+            built.push(Some(BuiltPart {
+                rel,
+                table,
+                batch: RelationBuilder::new(probe_schema.clone()),
+                batch_bytes: 0,
+            }));
+        }
+        Ok(ProbePass {
+            ledger: self.ledger,
+            built,
+            bfile: self.file,
+            pfile: SpillFile::new(cfg, "probe_spill", p)?,
+            probe_schema: probe_schema.clone(),
+        })
     }
 }
 
@@ -317,61 +285,52 @@ struct BuiltPart {
     batch_bytes: usize,
 }
 
-/// Probe-pass state. Owns what the build pass left resident plus the
-/// probe-side spill bookkeeping.
-struct ProbePass<'a> {
-    live: &'a LiveBudget,
-    reserve: u64,
+/// Probe-pass state. Owns what the build pass left resident plus both
+/// spill files.
+pub(crate) struct ProbePass<'a> {
+    ledger: Ledger<'a>,
     built: Vec<Option<BuiltPart>>,
-    resident_bytes: u64,
     /// Build-side spill file (victims evicted mid-probe append here).
     bfile: SpillFile,
-    bpart_pages: Vec<Vec<u64>>,
     /// Probe-side spill file for tuples routed to spilled partitions.
     pfile: SpillFile,
-    pbufs: Vec<Page>,
-    ppart_pages: Vec<Vec<u64>>,
-    ptuples: Vec<u64>,
-    transitions: Vec<MemTransition>,
     probe_schema: Schema,
 }
 
-impl<'a> ProbePass<'a> {
+/// What the two passes leave for the spilled-pair joins and the report.
+pub(crate) struct Probed {
+    pub(crate) build: Spilled,
+    pub(crate) probe: Spilled,
+    /// Build partitions still memory-resident when the probe scan ended.
+    pub(crate) resident_partitions: usize,
+    /// Residency transitions of both passes, in decision order.
+    pub(crate) transitions: Vec<MemTransition>,
+}
+
+impl ProbePass<'_> {
     /// Route one probe tuple: batch-join against a resident partition,
     /// spill it for a disk pair, or drop it when the spilled build
     /// partition is empty (no match possible).
-    #[allow(clippy::too_many_arguments)]
-    fn push(
+    pub(crate) fn push(
         &mut self,
         part: usize,
         tuple: &[u8],
         h: u32,
-        build_tuples: u64,
-        native: &mut NativeModel,
         params: &JoinParams,
         sink: &mut DiskSink,
     ) -> Result<()> {
-        if self.built[part].is_some() {
-            let bp = self.built[part].as_mut().unwrap();
+        if let Some(bp) = self.built[part].as_mut() {
             bp.batch.push_hashed(tuple, h);
             bp.batch_bytes += tuple.len();
             if bp.batch_bytes >= PROBE_BATCH_BYTES {
-                self.flush_batch(part, native, params, sink)?;
+                self.flush_batch(part, params, sink)?;
             }
-        } else if build_tuples > 0 {
-            let buf = &mut self.pbufs[part];
-            if !buf.fits(tuple.len()) {
-                let id = self.pfile.write(buf.sealed_image())?;
-                self.ppart_pages[part].push(id);
-                buf.reset();
-            }
-            buf.insert(tuple, h)
-                .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-            self.ptuples[part] += 1;
+        } else if self.bfile.map.part_tuples[part] > 0 {
+            self.pfile.push(part, tuple, h)?;
         }
         // else: the build partition is on disk *and* empty — an inner
         // join can never match this tuple, so it is dropped here.
-        self.enforce(native, params, sink)
+        self.enforce(params, sink)
     }
 
     /// Join a resident partition's pending probe batch through its
@@ -379,342 +338,71 @@ impl<'a> ProbePass<'a> {
     fn flush_batch(
         &mut self,
         part: usize,
-        native: &mut NativeModel,
         params: &JoinParams,
         sink: &mut DiskSink,
     ) -> Result<()> {
-        let schema = self.probe_schema.clone();
         let Some(bp) = self.built[part].as_mut() else { return Ok(()) };
         if bp.batch_bytes == 0 {
             return Ok(());
         }
-        let batch = std::mem::replace(&mut bp.batch, RelationBuilder::new(schema));
+        let fresh = RelationBuilder::new(self.probe_schema.clone());
+        let prel = std::mem::replace(&mut bp.batch, fresh).finish();
         bp.batch_bytes = 0;
-        let prel = batch.finish();
         if prel.num_tuples() > 0 {
-            dispatch_probe(native, params, &bp.table, &bp.rel, &prel, sink);
+            dispatch_probe(&mut NativeModel, params, &bp.table, &bp.rel, &prel, sink);
         }
-        if let Some(e) = sink.error.take() {
-            return Err(e);
-        }
-        Ok(())
+        sink.check()
     }
 
     /// Probe-pass safe point: evict largest-first resident partitions
     /// until residency fits the live budget. Eviction first drains the
     /// partition's pending probe batch (every probe tuple is joined
     /// exactly once), then serializes the build relation back out.
-    fn enforce(
-        &mut self,
-        native: &mut NativeModel,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        let limit = self.live.limit();
-        if self.resident_bytes + self.reserve <= limit {
-            if self.live.acked() > limit {
-                self.live.ack(limit);
-            }
-            return Ok(());
-        }
-        while self.resident_bytes + self.reserve > limit {
-            let victim = self
-                .built
-                .iter()
-                .enumerate()
-                .filter_map(|(i, bp)| {
-                    bp.as_ref()
-                        .map(|b| (i, (b.rel.pages().len() * PAGE_SIZE) as u64))
-                })
-                .max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)));
+    fn enforce(&mut self, params: &JoinParams, sink: &mut DiskSink) -> Result<()> {
+        let Some(limit) = self.ledger.pressure() else { return Ok(()) };
+        while self.ledger.over(limit) {
+            let victim = largest(self.built.iter().enumerate().filter_map(|(i, bp)| {
+                bp.as_ref().map(|b| (i, (b.rel.pages().len() * PAGE_SIZE) as u64))
+            }));
             let Some((v, bytes)) = victim else { break };
-            self.flush_batch(v, native, params, sink)?;
+            self.flush_batch(v, params, sink)?;
             let bp = self.built[v].take().expect("victim is resident");
             for page in bp.rel.pages() {
-                let id = self.bfile.write(page.sealed_image())?;
-                self.bpart_pages[v].push(id);
+                self.bfile.push_page(v, page)?;
             }
-            self.resident_bytes -= bytes;
-            self.transitions.push(MemTransition {
-                partition: v,
-                bytes,
-                budget: limit,
-                kind: TransitionKind::SpillVictim,
-                phase: "probe",
-            });
-            phj_flightrec::event(
-                phj_flightrec::EventKind::Grant,
-                phj_flightrec::grant_op::SPILL_VICTIM,
-                v as u64,
-                bytes,
-            );
+            self.ledger.transition(v, bytes, limit, TransitionKind::SpillVictim, "probe");
         }
-        self.live.ack(self.live.limit().max(self.resident_bytes + self.reserve));
+        self.ledger.ack(self.ledger.live.limit());
         Ok(())
     }
 
-    /// Drain every resident partition's pending batch, then flush the
-    /// probe-side spill buffers.
-    fn finish_scan(
-        &mut self,
-        native: &mut NativeModel,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
+    /// End of the probe scan: drain every resident partition's pending
+    /// batch, release the resident partitions (they are fully joined,
+    /// and the disk pairs want the whole budget as working memory), and
+    /// complete both spill files.
+    pub(crate) fn finish(mut self, params: &JoinParams, sink: &mut DiskSink) -> Result<Probed> {
         for part in 0..self.built.len() {
-            self.flush_batch(part, native, params, sink)?;
+            self.flush_batch(part, params, sink)?;
         }
-        for part in 0..self.pbufs.len() {
-            if self.pbufs[part].nslots() > 0 {
-                let image = self.pbufs[part].sealed_image();
-                let id = self.pfile.write(image)?;
-                self.ppart_pages[part].push(id);
-                self.pbufs[part].reset();
-            }
-        }
-        Ok(())
+        let resident_partitions = self.built.iter().filter(|b| b.is_some()).count();
+        self.built.clear();
+        Ok(Probed {
+            build: self.bfile.finish()?,
+            probe: self.pfile.finish()?,
+            resident_partitions,
+            transitions: self.ledger.transitions,
+        })
     }
-}
-
-/// Run the hybrid (or dynamic hybrid) hash join. Entered from
-/// [`crate::grace::grace_join_files_rec`] when
-/// [`DiskGraceConfig::mode`] is not [`DiskJoinMode::Grace`].
-pub(crate) fn hybrid_join_files_rec(
-    cfg: &DiskGraceConfig,
-    build: &FileRelation,
-    probe: &FileRelation,
-    mut rec: Option<&mut Recorder>,
-) -> Result<DiskGraceReport> {
-    let live: Arc<LiveBudget> = cfg
-        .live_budget
-        .clone()
-        .unwrap_or_else(|| Arc::new(LiveBudget::new(cfg.mem_budget as u64)));
-    let budget0 = live.limit().max(PAGE_SIZE as u64);
-    let reserve = plan::hybrid_reserve(budget0 as usize) as u64;
-    let p = plan::hybrid_fanout(build.size_bytes() as usize, budget0 as usize).max(1);
-    let mut native = NativeModel;
-    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
-
-    phj_flightrec::event(
-        phj_flightrec::EventKind::Grant,
-        phj_flightrec::grant_op::BUDGET,
-        cfg.grant_tag,
-        budget0,
-    );
-
-    // ---- Build pass: stream the build side into resident partitions,
-    // evicting victims whenever residency outgrows the live budget.
-    let t0 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "partition");
-    obs::span_meta(&mut rec, "partitions", p);
-    obs::span_meta(&mut rec, "mode", cfg.mode.label());
-    let bschema = build.schema().clone();
-    let pschema = probe.schema().clone();
-    let mut bp = BuildPass::new(cfg, &live, reserve, p)?;
-    let mut bscan = build.scan(cfg.read_ahead);
-    while let Some(page) = bscan.next_page()? {
-        for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&bschema, tuple));
-            bp.push(hash::partition_of(h, p), tuple, h)?;
-        }
-    }
-    let bstall = bscan.stall_seconds();
-    bp.flush_spilled_bufs()?;
-    bp.file.sync()?;
-    if cfg.mode == DiskJoinMode::Dynamic {
-        // The grantor may have freed memory since the victims spilled;
-        // pull the cheapest ones back before building tables.
-        bp.absorb()?;
-    }
-    obs::span_end(&mut rec, &native, span);
-    let partition_s = t0.elapsed().as_secs_f64();
-
-    // ---- Table build: turn every resident partition into (relation,
-    // hash table); spilled partitions keep their page lists.
-    let BuildPass {
-        parts,
-        file: bfile,
-        part_pages: bpart_pages,
-        tuples: btuples,
-        mut resident_bytes,
-        transitions,
-        ..
-    } = bp;
-    let mut built: Vec<Option<BuiltPart>> = Vec::with_capacity(p);
-    for part in parts {
-        match part {
-            BPart::Res { pages, open } => {
-                let mut rel = Relation::new(bschema.clone());
-                let open_live = open.nslots() > 0;
-                for page in pages {
-                    rel.push_page(page);
-                }
-                if open_live {
-                    rel.push_page(open);
-                } else {
-                    // The empty open page leaves residency with its owner.
-                    resident_bytes -= PAGE_SIZE as u64;
-                }
-                let n = rel.num_tuples();
-                let buckets = plan::hash_table_buckets(n, p);
-                let mut table = HashTable::new(buckets, n);
-                dispatch_build(&mut native, &params, &mut table, &rel);
-                table.assert_quiescent();
-                built.push(Some(BuiltPart {
-                    rel,
-                    table,
-                    batch: RelationBuilder::new(pschema.clone()),
-                    batch_bytes: 0,
-                }));
-            }
-            BPart::Spilled { buf } => {
-                debug_assert_eq!(buf.nslots(), 0, "spill buffers flushed before table build");
-                built.push(None);
-            }
-        }
-    }
-
-    let out_schema = Schema::join_output(build.schema(), probe.schema());
-    let out_stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
-        .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
-        .with_faults(cfg.fault.clone(), cfg.retry);
-    let mut sink = DiskSink {
-        build_schema: bschema.clone(),
-        probe_schema: pschema.clone(),
-        writer: BackgroundWriter::start(out_stripes.clone(), cfg.write_window),
-        page: Page::new(),
-        next_page: 0,
-        buf: Vec::new(),
-        tuples: 0,
-        count: CountSink::new(),
-        error: None,
-    };
-
-    // ---- Probe pass: resident partitions join on the fly; tuples for
-    // spilled partitions go to the probe spill file.
-    let t1 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "join");
-    let mut pp = ProbePass {
-        live: &live,
-        reserve,
-        built,
-        resident_bytes,
-        bfile,
-        bpart_pages,
-        pfile: SpillFile::new(cfg, "hyb_pspill")?,
-        pbufs: (0..p).map(|_| Page::new()).collect(),
-        ppart_pages: vec![Vec::new(); p],
-        ptuples: vec![0; p],
-        transitions,
-        probe_schema: pschema.clone(),
-    };
-    let mut pscan = probe.scan(cfg.read_ahead);
-    while let Some(page) = pscan.next_page()? {
-        for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&pschema, tuple));
-            let part = hash::partition_of(h, p);
-            pp.push(part, tuple, h, btuples[part], &mut native, &params, &mut sink)?;
-        }
-    }
-    let pstall = pscan.stall_seconds();
-    pp.finish_scan(&mut native, &params, &mut sink)?;
-    let resident_partitions = pp.built.iter().filter(|b| b.is_some()).count();
-    // Resident partitions are fully joined; release them before the
-    // disk pairs so pair working memory has the whole budget.
-    pp.built.clear();
-    pp.bfile.sync()?;
-    pp.pfile.sync()?;
-
-    // ---- Disk pairs: whatever spilled runs through the classic
-    // degradation ladder, budgeted by the live limit at each pair.
-    let ProbePass {
-        bfile, bpart_pages, pfile, ppart_pages, ptuples, mut transitions, ..
-    } = pp;
-    let bspill = Spilled {
-        stripes: bfile.stripes,
-        part_tuples: (0..p)
-            .map(|i| if bpart_pages[i].is_empty() { 0 } else { btuples[i] })
-            .collect(),
-        part_pages: bpart_pages,
-    };
-    let pspill = Spilled {
-        stripes: pfile.stripes,
-        part_pages: ppart_pages,
-        part_tuples: ptuples.clone(),
-    };
-    let mut deg = Degrade { events: Vec::new(), spill_counter: 0 };
-    for part in 0..p {
-        if bspill.part_tuples[part] == 0 || pspill.part_tuples[part] == 0 {
-            continue; // one side empty: no matches possible
-        }
-        let pair_budget = live.limit();
-        live.ack(pair_budget.max(reserve));
-        join_partition_pair(
-            cfg,
-            pair_budget,
-            &params,
-            &mut native,
-            &bschema,
-            &pschema,
-            &bspill,
-            &pspill,
-            part,
-            part.to_string(),
-            0,
-            p,
-            &mut sink,
-            &mut deg,
-            &mut rec,
-        )?;
-        if let Some(e) = sink.error.take() {
-            return Err(e);
-        }
-    }
-    obs::span_end(&mut rec, &native, span);
-
-    if sink.page.nslots() > 0 {
-        sink.writer.write(sink.next_page, sink.page.sealed_image())?;
-        sink.next_page += 1;
-    }
-    let (matches, tuples, out_pages, count, writer) =
-        (sink.matches(), sink.tuples, sink.next_page, sink.count, sink.writer);
-    writer.finish()?;
-    let join_s = t1.elapsed().as_secs_f64();
-    let final_budget = live.limit();
-    live.ack(final_budget);
-    // Keep the transitions in decision order across both passes.
-    transitions.sort_by_key(|t| match t.phase {
-        "build" => 0u8,
-        "absorb" => 1,
-        _ => 2,
-    });
-
-    let stats = cfg.fault.stats();
-    Ok(DiskGraceReport {
-        output: FileRelation::from_parts(out_schema, out_stripes, out_pages, tuples),
-        num_partitions: p,
-        partition_s,
-        join_s,
-        input_stall_s: bstall + pstall,
-        matches,
-        checksum: count.checksum(),
-        degradation: deg.events,
-        read_retries: stats.read_retries.load(Ordering::Relaxed),
-        write_retries: stats.write_retries.load(Ordering::Relaxed),
-        faults_injected: stats.total_injected(),
-        slow_stall_us: stats.slow_stall_us.load(Ordering::Relaxed),
-        transitions,
-        resident_partitions,
-        final_budget,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grace::{grace_join_files, DiskGraceConfig};
+    use crate::grace::{grace_join_files, DiskGraceReport, DiskJoinMode};
+    use crate::FileRelation;
     use phj_workload::JoinSpec;
     use std::path::{Path, PathBuf};
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("phj-hybrid-{tag}-{}", std::process::id()));

@@ -22,11 +22,12 @@
 //!   blocked (the "main thread stall" of Fig 9);
 //! * [`writer::BackgroundWriter`] — background write-back with a bounded
 //!   in-flight window;
-//! * [`grace`] — the GRACE hash join over [`FileRelation`]s: the
-//!   partition phase streams the input through the reader and spills
-//!   partitions through the writer; the join phase loads each build
-//!   partition into memory and streams its probe partition, joining with
-//!   any of the in-memory schemes.
+//! * [`grace`] — the one partition → build → probe join driver over
+//!   [`FileRelation`]s: inputs stream through the reader, spilled
+//!   partitions go out through the writer, and each spilled pair is
+//!   loaded back and joined with any of the in-memory schemes. GRACE,
+//!   hybrid and dynamic hybrid are residency policies of that driver
+//!   ([`DiskJoinMode`]), not separate code paths.
 
 pub mod budget;
 pub mod catalog;

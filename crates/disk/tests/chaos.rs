@@ -1,4 +1,4 @@
-//! Chaos harness: GRACE joins under randomized fault plans.
+//! Chaos harness: disk joins under randomized fault plans.
 //!
 //! 100 proptest-generated fault plans (transient errors, short reads,
 //! torn writes, slow disks, permanent failures — alone and combined)
@@ -16,9 +16,11 @@
 //!   reaches the answer (equal checksum) or surfaces as a
 //!   corruption-typed error.
 //!
-//! The dynamic hybrid path runs the same gauntlet with a mid-run
-//! budget revocation layered on top, so victim spilling under pressure
-//! and fault recovery are proven to compose.
+//! The first gauntlet pins the GRACE policy (everything spills, so every
+//! plan exercises the spill files and the ladder); the second runs the
+//! dynamic policy with a mid-run budget revocation layered on top, so
+//! victim spilling under pressure and fault recovery are proven to
+//! compose.
 
 use std::sync::{Arc, OnceLock};
 
@@ -114,6 +116,7 @@ proptest! {
         fp.set_faults(plan.clone(), retry);
         let cfg = DiskGraceConfig {
             mem_budget: budget_pages * PAGE_SIZE,
+            mode: DiskJoinMode::Grace,
             num_stripes: 2,
             stripe_pages: 2,
             fault: plan.clone(),
@@ -147,7 +150,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // The dynamic hybrid path under the same fire, plus memory
+    // The dynamic policy under the same fire, plus memory
     // pressure: every plan also carries a mid-run budget revocation (a
     // shrink request the join observes at its first safe point), so
     // victim spilling and the fault machinery are exercised *together*.

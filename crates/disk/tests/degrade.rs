@@ -4,12 +4,14 @@
 //! nested-loop fallback when it cannot (one dominant key), and via a
 //! typed [`PhjError::PartitionOverflow`] when the fallback is disabled.
 //! Correctness is checked against the in-memory engine on both the match
-//! count and the order-insensitive pair checksum.
+//! count and the order-insensitive pair checksum. The tests pin the GRACE
+//! policy: it sends every partition down the ladder, so the shapes
+//! asserted here do not depend on what happens to stay resident.
 
 use phj::grace::{grace_join_with_sink, GraceConfig};
 use phj::sink::{CountSink, JoinSink};
 use phj_disk::{
-    grace_join_files, DegradationKind, DiskGraceConfig, FileRelation, PhjError,
+    grace_join_files, DegradationKind, DiskGraceConfig, DiskJoinMode, FileRelation, PhjError,
 };
 use phj_memsim::NativeModel;
 use phj_storage::{Relation, RelationBuilder, Schema, PAGE_SIZE};
@@ -65,6 +67,7 @@ fn all_same_key_falls_back_to_block_nlj() {
         mem_budget: 4 * PAGE_SIZE,
         num_stripes: 2,
         stripe_pages: 2,
+        mode: DiskJoinMode::Grace,
         ..DiskGraceConfig::new(&dir)
     };
     let report = grace_join_files(&cfg, &fb, &fp).unwrap();
@@ -104,6 +107,7 @@ fn hot_key_degrades_recursively_then_falls_back() {
         mem_budget: 4 * PAGE_SIZE,
         num_stripes: 2,
         stripe_pages: 2,
+        mode: DiskJoinMode::Grace,
         ..DiskGraceConfig::new(&dir)
     };
     let report = grace_join_files(&cfg, &fb, &fp).unwrap();
@@ -151,6 +155,7 @@ fn lumpy_keys_complete_via_recursive_repartition() {
         mem_budget: 3 * PAGE_SIZE,
         num_stripes: 2,
         stripe_pages: 2,
+        mode: DiskJoinMode::Grace,
         ..DiskGraceConfig::new(&dir)
     };
     let report = grace_join_files(&cfg, &fb, &fp).unwrap();
@@ -183,6 +188,7 @@ fn overflow_without_fallback_is_a_typed_error() {
         num_stripes: 2,
         stripe_pages: 2,
         nlj_fallback: false,
+        mode: DiskJoinMode::Grace,
         ..DiskGraceConfig::new(&dir)
     };
     let err = grace_join_files(&cfg, &fb, &fp).unwrap_err();
@@ -216,6 +222,7 @@ fn checksum_is_degradation_invariant() {
             mem_budget: budget,
             num_stripes: 2,
             stripe_pages: 2,
+            mode: DiskJoinMode::Grace,
             ..DiskGraceConfig::new(&d)
         };
         let report = grace_join_files(&cfg, &fb, &fp).unwrap();

@@ -1,11 +1,16 @@
 //! Property-based tests for the disk substrate: arbitrary relations,
 //! stripe geometries, and read-ahead windows must round-trip exactly,
-//! and the on-disk GRACE must agree with the in-memory engine.
+//! and the on-disk join — under every residency policy — must agree with
+//! the in-memory engine.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use phj_disk::{grace_join_files, DiskGraceConfig, FileRelation, StripeSet};
+use phj::grace::{grace_join_with_sink, GraceConfig};
+use phj::plan;
+use phj::sink::{CountSink, JoinSink};
+use phj_disk::{grace_join_files, DiskGraceConfig, DiskJoinMode, FileRelation, StripeSet};
+use phj_memsim::NativeModel;
 use phj_storage::{Page, Relation, RelationBuilder, Schema, PAGE_SIZE};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -104,6 +109,80 @@ proptest! {
         prop_assert_eq!(report.matches, want);
         prop_assert_eq!(report.output.num_tuples(), want);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // GRACE, hybrid and dynamic are policies of one driver: on any input
+    // and budget they must produce the oracle's answer, and each policy's
+    // residency contract must hold.
+    #[test]
+    fn policies_agree_with_each_other_and_the_memory_oracle(
+        seed in any::<u32>(),
+        size in 8usize..120,
+        multiplicity in 1u32..4,
+        // 0: ordinary, 1: empty build, 2: empty probe, 3: all one key.
+        shape in 0u8..4,
+    ) {
+        let key = |i: u32| (i / multiplicity).wrapping_mul(0x9E37_79B1) ^ seed;
+        let (build_keys, probe_keys): (Vec<u32>, Vec<u32>) = match shape {
+            1 => (Vec::new(), (0..300).map(key).collect()),
+            2 => ((0..600).map(key).collect(), Vec::new()),
+            3 => (vec![seed; 600], vec![seed; 5]),
+            _ => ((0..600).map(key).collect(), (300..900).map(key).collect()),
+        };
+        let build = rel_from_keys(&build_keys, size);
+        let probe = rel_from_keys(&probe_keys, size);
+        let mut oracle = CountSink::new();
+        grace_join_with_sink(
+            &mut NativeModel,
+            &GraceConfig { mem_budget: 1 << 30, ..Default::default() },
+            &build,
+            &probe,
+            &mut oracle,
+        );
+
+        // One page, a few pages, half the build, and roomy: twice the
+        // build plus slack, so the quarter-budget reserve and the open
+        // append pages fit beside a fully resident build side.
+        let roomy = 2 * build.size_bytes() + 8 * PAGE_SIZE;
+        for budget in [PAGE_SIZE, 3 * PAGE_SIZE, (build.size_bytes() / 2).max(PAGE_SIZE), roomy] {
+            for mode in [DiskJoinMode::Grace, DiskJoinMode::Hybrid, DiskJoinMode::Dynamic] {
+                let dir = temp_dir("policy");
+                let fb = FileRelation::create(&dir, "b", &build, 2, 2).unwrap();
+                let fp = FileRelation::create(&dir, "p", &probe, 2, 2).unwrap();
+                let cfg = DiskGraceConfig {
+                    mem_budget: budget,
+                    mode,
+                    num_stripes: 2,
+                    stripe_pages: 2,
+                    ..DiskGraceConfig::new(&dir)
+                };
+                let r = grace_join_files(&cfg, &fb, &fp).unwrap();
+                prop_assert_eq!(
+                    (r.matches, r.checksum),
+                    (oracle.matches(), oracle.checksum()),
+                    "{} at budget {}", mode.label(), budget
+                );
+                if mode == DiskJoinMode::Grace {
+                    prop_assert_eq!(r.resident_partitions, 0);
+                    prop_assert!(r.transitions.is_empty());
+                    prop_assert_eq!(
+                        r.num_partitions,
+                        plan::num_partitions(fb.size_bytes() as usize, budget)
+                    );
+                }
+                if mode == DiskJoinMode::Dynamic && budget == roomy {
+                    prop_assert_eq!(r.resident_partitions, r.num_partitions);
+                    let spilled_bytes: u64 = std::fs::read_dir(&dir)
+                        .unwrap()
+                        .map(|e| e.unwrap())
+                        .filter(|e| e.file_name().to_string_lossy().contains("_spill."))
+                        .map(|e| e.metadata().unwrap().len())
+                        .sum();
+                    prop_assert_eq!(spilled_bytes, 0, "a fully resident run wrote spill pages");
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! ([`aggregate_page_range`]); the per-morsel tables are folded together
 //! at the barrier with [`AggTable::merge_from`] (COUNT and SUM are
 //! commutative and associative, so the merged table equals the
-//! sequential one for any morsel split). The simulated driver mirrors
-//! [`parallel_join_sim`](crate::join::parallel_join_sim): static LPT
-//! lanes, critical-path cycles, summed event counts.
+//! sequential one for any morsel split). The driver is written once
+//! over the join's `Lanes` executors: real threads natively, static
+//! LPT lanes with critical-path cycles and summed event counts under
+//! the simulator.
 
 use phj::aggregate::{aggregate, aggregate_page_range, AggScheme, AggTable};
-use phj_memsim::{NativeModel, SimEngine, Snapshot};
+use phj_memsim::{MemoryModel, NativeModel, Snapshot};
 use phj_obs::{Recorder, RegionsSection};
 use phj_storage::Relation;
 
-use crate::join::LaneStats;
-use crate::pool::{self, WorkerStats};
-use crate::schedule::{lpt_assign, page_morsels};
-
-/// Morsels per worker (over-decomposed for stealing, as in the join).
-const MORSELS_PER_WORKER: usize = 4;
+use crate::join::{
+    close_span, open_span, LaneStats, Lanes, ThreadLanes, VirtualLanes, MORSELS_PER_WORKER,
+};
+use crate::pool::WorkerStats;
+use crate::schedule::page_morsels;
 
 /// Result of [`parallel_agg_native`].
 pub struct NativeAggOutcome {
@@ -99,6 +99,46 @@ fn debug_check_against_sequential<F>(
     }
 }
 
+/// The morsel aggregation over `threads` (≥ 1) lanes: one `"aggregate"`
+/// phase of page-range morsels into private tables, folded together at
+/// the barrier. `start` and the return value are as in the join driver.
+fn run_agg<L: Lanes, F>(
+    start: impl FnOnce() -> L,
+    threads: usize,
+    scheme: AggScheme,
+    input: &Relation,
+    buckets: usize,
+    extract: &F,
+    want_obs: bool,
+) -> (L, AggTable, Option<Recorder>)
+where
+    F: Fn(&[u8]) -> i64 + Sync,
+{
+    let mut rec = want_obs.then(Recorder::new);
+    let root = open_span(&mut rec, "run", Snapshot::default(), &[("threads", threads)]);
+    let mut lanes = start();
+    let pass = open_span(&mut rec, "aggregate", lanes.cursor(), &[("threads", threads)]);
+    let tasks = page_morsels(input.num_pages(), threads, MORSELS_PER_WORKER);
+    let weights: Vec<u64> = tasks.iter().map(|r| r.len() as u64).collect();
+    let parts = lanes.run_phase(&mut rec, &tasks, &weights, |mem, mut lane_rec, range| {
+        let span = lane_rec.as_mut().map(|r| {
+            let id = r.begin("agg_morsel", mem.snapshot());
+            r.meta("pages", range.len());
+            id
+        });
+        let t = aggregate_page_range(mem, scheme, input, range.clone(), buckets, extract);
+        if let (Some(r), Some(id)) = (lane_rec, span) {
+            r.end(id, mem.snapshot());
+        }
+        t
+    });
+    close_span(&mut rec, pass, lanes.cursor());
+    let table = merge_tables(buckets, parts);
+    close_span(&mut rec, root, lanes.cursor());
+    debug_check_against_sequential(scheme, input, buckets, extract, &table);
+    (lanes, table, rec)
+}
+
 /// Parallel aggregation on real threads (native model).
 pub fn parallel_agg_native<F>(
     scheme: AggScheme,
@@ -112,51 +152,11 @@ where
     F: Fn(&[u8]) -> i64 + Sync,
 {
     let threads = threads.max(1);
-    let mut rec = want_obs.then(Recorder::new);
-    let origin = rec.as_ref().map(|r| r.origin());
-    let root = rec.as_mut().map(|r| {
-        let id = r.begin("run", Snapshot::default());
-        r.meta("threads", threads);
-        id
-    });
-    let pass = rec.as_mut().map(|r| {
-        let id = r.begin("aggregate", Snapshot::default());
-        r.meta("threads", threads);
-        id
-    });
-    let tasks = page_morsels(input.num_pages(), threads, MORSELS_PER_WORKER);
-    let weights: Vec<u64> = tasks.iter().map(|r| r.len() as u64).collect();
-    let states: Vec<(NativeModel, Option<Recorder>)> = (0..threads)
-        .map(|_| (NativeModel, origin.map(Recorder::with_origin)))
-        .collect();
-    let (parts, states, stats) = pool::execute(states, &tasks, &weights, |st, _i, range| {
-        let span = st.1.as_mut().map(|r| {
-            let id = r.begin("agg_morsel", Snapshot::default());
-            r.meta("pages", range.len());
-            id
-        });
-        let t = aggregate_page_range(&mut st.0, scheme, input, range.clone(), buckets, &extract);
-        if let (Some(r), Some(id)) = (st.1.as_mut(), span) {
-            r.end(id, Snapshot::default());
-        }
-        t
-    });
-    if let Some(r) = rec.as_mut() {
-        for (w, (_, wrec)) in states.into_iter().enumerate() {
-            if let Some(wr) = wrec {
-                r.graft(w, Snapshot::default(), wr.finish());
-            }
-        }
-    }
-    if let (Some(r), Some(id)) = (rec.as_mut(), pass) {
-        r.end(id, Snapshot::default());
-    }
-    let table = merge_tables(buckets, parts);
-    if let (Some(r), Some(id)) = (rec.as_mut(), root) {
-        r.end(id, Snapshot::default());
-    }
-    debug_check_against_sequential(scheme, input, buckets, &extract, &table);
-    NativeAggOutcome { table, recorder: rec, stats }
+    let start = || ThreadLanes::new(threads);
+    let (mut lanes, table, recorder) =
+        run_agg(start, threads, scheme, input, buckets, &extract, want_obs);
+    let stats = lanes.phase_stats.pop().expect("the aggregation runs one phase");
+    NativeAggOutcome { table, recorder, stats }
 }
 
 /// Parallel aggregation under the cycle simulator on `threads`
@@ -171,76 +171,14 @@ pub fn parallel_agg_sim<F>(
     want_regions: bool,
 ) -> SimAggOutcome
 where
-    F: Fn(&[u8]) -> i64,
+    F: Fn(&[u8]) -> i64 + Sync,
 {
     let threads = threads.max(1);
-    let mut rec = want_obs.then(Recorder::new);
-    let root = rec.as_mut().map(|r| {
-        let id = r.begin("run", Snapshot::default());
-        r.meta("threads", threads);
-        id
-    });
-    let pass = rec.as_mut().map(|r| {
-        let id = r.begin("aggregate", Snapshot::default());
-        r.meta("threads", threads);
-        id
-    });
-    let tasks = page_morsels(input.num_pages(), threads, MORSELS_PER_WORKER);
-    let weights: Vec<u64> = tasks.iter().map(|r| r.len() as u64).collect();
-    let assignment = lpt_assign(&weights, threads);
-    let mut regions = want_regions.then(RegionsSection::default);
-    let mut lanes: Vec<LaneStats> =
-        (0..threads).map(|lane| LaneStats { lane, ..Default::default() }).collect();
-    let mut slots: Vec<Option<AggTable>> = (0..tasks.len()).map(|_| None).collect();
-    let mut phase = Snapshot::default();
-    for (w, list) in assignment.iter().enumerate() {
-        let mut engine = SimEngine::paper();
-        if want_regions {
-            engine.enable_region_profiling();
-        }
-        let mut lane_rec = rec.as_ref().map(|_| Recorder::new());
-        for &i in list {
-            let span = lane_rec.as_mut().map(|r| {
-                let id = r.begin("agg_morsel", engine.snapshot());
-                r.meta("pages", tasks[i].len());
-                id
-            });
-            let t = aggregate_page_range(
-                &mut engine,
-                scheme,
-                input,
-                tasks[i].clone(),
-                buckets,
-                &extract,
-            );
-            if let (Some(r), Some(id)) = (lane_rec.as_mut(), span) {
-                r.end(id, engine.snapshot());
-            }
-            slots[i] = Some(t);
-        }
-        let snap = engine.snapshot();
-        lanes[w].tasks += list.len() as u64;
-        lanes[w].cycles += snap.breakdown.total();
-        phase.stats = phase.stats + snap.stats;
-        if snap.breakdown.total() > phase.breakdown.total() {
-            phase.breakdown = snap.breakdown;
-        }
-        if let (Some(reg), Some(prof)) = (regions.as_mut(), engine.region_profile()) {
-            reg.merge(&RegionsSection::from_profiler(prof));
-        }
-        if let (Some(r), Some(lr)) = (rec.as_mut(), lane_rec) {
-            r.graft(w, Snapshot::default(), lr.finish());
-        }
-    }
-    if let (Some(r), Some(id)) = (rec.as_mut(), pass) {
-        r.end(id, phase);
-    }
-    let table = merge_tables(buckets, slots.into_iter().map(|t| t.expect("morsel ran")).collect());
-    if let (Some(r), Some(id)) = (rec.as_mut(), root) {
-        r.end(id, phase);
-    }
-    debug_check_against_sequential(scheme, input, buckets, &extract, &table);
-    SimAggOutcome { table, totals: phase, recorder: rec, regions, lanes }
+    let start = || VirtualLanes::new(threads, want_regions);
+    let (lanes, table, recorder) =
+        run_agg(start, threads, scheme, input, buckets, &extract, want_obs);
+    let VirtualLanes { cursor: totals, regions, lanes, .. } = lanes;
+    SimAggOutcome { table, totals, recorder, regions, lanes }
 }
 
 #[cfg(test)]

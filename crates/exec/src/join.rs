@@ -1,39 +1,34 @@
-//! Morsel-driven parallel GRACE join drivers.
+//! Morsel-driven parallel GRACE join, and the lane executors it (and the
+//! parallel aggregation in [`crate::agg`]) runs on.
 //!
 //! Both phases parallelize without touching the single-threaded kernels:
 //!
 //! * **Partition**: the input is split into page-range morsels
-//!   ([`page_morsels`]); each worker runs
+//!   ([`page_morsels`]); each lane runs
 //!   the ordinary partition loop over its morsels into *private* output
-//!   buffers, and the per-worker partition outputs are concatenated (a
+//!   buffers, and the per-morsel partition outputs are concatenated (a
 //!   page move, not a copy) at the phase barrier. Tuple placement depends
 //!   only on the hash, so the concatenation reproduces a sequential
 //!   partitioning's per-partition tuple multisets.
 //! * **Build + probe**: partition pairs are scheduled largest-first
 //!   ([`lpt_assign`] over pair bytes — the
-//!   skew data the partition phase just produced); each worker joins its
-//!   pairs with the unmodified sequential kernel into a private
+//!   skew data the partition phase just produced); each pair is joined
+//!   with the unmodified sequential kernel into a private
 //!   [`CountSink`], merged at the end (XOR checksum and match count are
 //!   order-independent). An oversized (skewed) pair recursively
-//!   re-partitions inside its task via
-//!   [`grace_join_pair_rec`].
+//!   re-partitions inside its task via [`grace_join_pair`].
 //!
-//! **Native** ([`parallel_join_native`]) runs real threads with work
-//! stealing. **Simulated** ([`parallel_join_sim`]) runs no threads at
-//! all: tasks are statically LPT-assigned to `threads` virtual lanes and
-//! each lane executes sequentially on its own fresh
-//! [`SimEngine`], so repeated runs are
-//! deterministic. The merged simulated cost of a phase is the **critical
-//! path** — the slowest lane's breakdown — while event counters (cache
-//! hits, misses, prefetches) are *summed* over lanes, so region
-//! conservation checks keep holding on merged reports.
+//! The driver is written once, generic over a `Lanes` executor with
+//! exactly two implementations: `ThreadLanes` (real threads with work
+//! stealing, behind [`parallel_join_native`]) and `VirtualLanes`
+//! (deterministic simulated lanes, behind [`parallel_join_sim`]).
 
-use phj::grace::{grace_join_pair_rec, grace_join_with_sink, GraceConfig};
-use phj::partition::partition_page_range_rec;
+use phj::grace::{grace_join_pair, grace_join_with_sink, GraceConfig};
+use phj::partition::partition_page_range;
 use phj::plan;
 use phj::sink::{CountSink, JoinSink};
-use phj_memsim::{NativeModel, SimEngine, Snapshot};
-use phj_obs::{Recorder, RegionsSection};
+use phj_memsim::{MemoryModel, NativeModel, SimEngine, Snapshot};
+use phj_obs::{Recorder, RegionsSection, SpanId};
 use phj_storage::{Relation, RelationBuilder};
 
 use crate::pool::{self, WorkerStats};
@@ -42,7 +37,7 @@ use crate::schedule::{lpt_assign, page_morsels};
 /// Morsels per worker per relation: enough over-decomposition that
 /// stealing can rebalance, small enough that per-morsel overhead stays
 /// negligible.
-const MORSELS_PER_WORKER: usize = 4;
+pub(crate) const MORSELS_PER_WORKER: usize = 4;
 
 /// One virtual lane's share of a simulated parallel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,6 +78,176 @@ pub struct SimJoinOutcome {
     pub regions: Option<RegionsSection>,
     /// Per-lane share of the simulated work.
     pub lanes: Vec<LaneStats>,
+}
+
+/// Runs a phase's tasks over a fixed number of lanes and merges what the
+/// lanes recorded. The parallel drivers are generic over this; the two
+/// implementations are real threads and deterministic virtual lanes.
+pub(crate) trait Lanes {
+    /// The memory model each lane's kernels run against.
+    type Model: MemoryModel;
+
+    /// Position of the phase barrier on the merged timeline — the
+    /// snapshot a driver-level span opens or closes at.
+    fn cursor(&self) -> Snapshot;
+
+    /// Run every task exactly once, heaviest first by `weights`, and
+    /// return the results indexed like `tasks`. When `rec` is recording
+    /// (its phase span must be open), each lane records into its own
+    /// recorder, grafted under that span tagged `worker=N`.
+    fn run_phase<T: Sync, R: Send>(
+        &mut self,
+        rec: &mut Option<Recorder>,
+        tasks: &[T],
+        weights: &[u64],
+        f: impl Fn(&mut Self::Model, Option<&mut Recorder>, &T) -> R + Sync,
+    ) -> Vec<R>;
+}
+
+/// Real threads over [`pool::execute`] (native model, real prefetches,
+/// work stealing). Worker recorders share the driving recorder's
+/// wall-clock origin, so the merged trace shows genuine overlap.
+pub(crate) struct ThreadLanes {
+    threads: usize,
+    /// Per-worker counters, one entry per phase run so far.
+    pub(crate) phase_stats: Vec<Vec<WorkerStats>>,
+}
+
+impl ThreadLanes {
+    pub(crate) fn new(threads: usize) -> Self {
+        ThreadLanes { threads, phase_stats: Vec::new() }
+    }
+}
+
+impl Lanes for ThreadLanes {
+    type Model = NativeModel;
+
+    fn cursor(&self) -> Snapshot {
+        Snapshot::default()
+    }
+
+    fn run_phase<T: Sync, R: Send>(
+        &mut self,
+        rec: &mut Option<Recorder>,
+        tasks: &[T],
+        weights: &[u64],
+        f: impl Fn(&mut NativeModel, Option<&mut Recorder>, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let origin = rec.as_ref().map(|r| r.origin());
+        let states: Vec<Option<Recorder>> =
+            (0..self.threads).map(|_| origin.map(Recorder::with_origin)).collect();
+        let (results, states, stats) = pool::execute(states, tasks, weights, |wrec, _i, task| {
+            f(&mut NativeModel, wrec.as_mut(), task)
+        });
+        if let Some(r) = rec.as_mut() {
+            for (w, wrec) in states.into_iter().enumerate() {
+                if let Some(wr) = wrec {
+                    r.graft(w, Snapshot::default(), wr.finish());
+                }
+            }
+        }
+        self.phase_stats.push(stats);
+        results
+    }
+}
+
+/// Deterministic virtual lanes under the cycle simulator (no OS threads
+/// — byte-identical breakdowns across repeated runs): tasks are
+/// statically LPT-assigned, each lane runs sequentially on a fresh
+/// engine per phase, and a phase advances the merged timeline by its
+/// **critical path** (the slowest lane's breakdown) while event counters
+/// are *summed* over lanes, so region conservation checks keep holding
+/// on merged reports.
+pub(crate) struct VirtualLanes {
+    threads: usize,
+    want_regions: bool,
+    /// Merged run totals so far.
+    pub(crate) cursor: Snapshot,
+    /// Merged per-region attribution (present when profiling is on).
+    pub(crate) regions: Option<RegionsSection>,
+    /// Per-lane share of the simulated work.
+    pub(crate) lanes: Vec<LaneStats>,
+}
+
+impl VirtualLanes {
+    pub(crate) fn new(threads: usize, want_regions: bool) -> Self {
+        VirtualLanes {
+            threads,
+            want_regions,
+            cursor: Snapshot::default(),
+            regions: want_regions.then(RegionsSection::default),
+            lanes: (0..threads).map(|lane| LaneStats { lane, ..Default::default() }).collect(),
+        }
+    }
+}
+
+impl Lanes for VirtualLanes {
+    type Model = SimEngine;
+
+    fn cursor(&self) -> Snapshot {
+        self.cursor
+    }
+
+    fn run_phase<T: Sync, R: Send>(
+        &mut self,
+        rec: &mut Option<Recorder>,
+        tasks: &[T],
+        weights: &[u64],
+        f: impl Fn(&mut SimEngine, Option<&mut Recorder>, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let assignment = lpt_assign(weights, self.threads);
+        let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
+        let mut phase = Snapshot::default();
+        for (w, list) in assignment.iter().enumerate() {
+            let mut engine = SimEngine::paper();
+            if self.want_regions {
+                engine.enable_region_profiling();
+            }
+            let mut lane_rec = rec.as_ref().map(|_| Recorder::new());
+            for &i in list {
+                slots[i] = Some(f(&mut engine, lane_rec.as_mut(), &tasks[i]));
+            }
+            let snap = engine.snapshot();
+            self.lanes[w].tasks += list.len() as u64;
+            self.lanes[w].cycles += snap.breakdown.total();
+            phase.stats = phase.stats + snap.stats;
+            if snap.breakdown.total() > phase.breakdown.total() {
+                phase.breakdown = snap.breakdown;
+            }
+            if let (Some(reg), Some(prof)) = (self.regions.as_mut(), engine.region_profile()) {
+                reg.merge(&RegionsSection::from_profiler(prof));
+            }
+            // Lane spans start at the phase start on the merged timeline.
+            if let (Some(r), Some(lr)) = (rec.as_mut(), lane_rec) {
+                r.graft(w, self.cursor, lr.finish());
+            }
+        }
+        self.cursor = self.cursor + phase;
+        slots.into_iter().map(|r| r.expect("task assigned")).collect()
+    }
+}
+
+/// Open a driver-level span at the barrier position `at`.
+pub(crate) fn open_span(
+    rec: &mut Option<Recorder>,
+    name: &str,
+    at: Snapshot,
+    meta: &[(&str, usize)],
+) -> Option<SpanId> {
+    rec.as_mut().map(|r| {
+        let id = r.begin(name, at);
+        for (key, value) in meta {
+            r.meta(key, value);
+        }
+        id
+    })
+}
+
+/// Close a span opened by [`open_span`].
+pub(crate) fn close_span(rec: &mut Option<Recorder>, id: Option<SpanId>, at: Snapshot) {
+    if let (Some(r), Some(id)) = (rec.as_mut(), id) {
+        r.end(id, at);
+    }
 }
 
 /// First-pass fan-out: what the memory budget needs, but at least two
@@ -135,7 +300,7 @@ fn concat_parts(
 }
 
 /// In debug builds, replay the join sequentially and require the exact
-/// same match count and checksum — the parallel drivers' correctness
+/// same match count and checksum — the parallel driver's correctness
 /// invariant, enforced on every debug-build run.
 fn debug_check_against_sequential(cfg: &GraceConfig, build: &Relation, probe: &Relation, got: &CountSink) {
     if cfg!(debug_assertions) {
@@ -147,6 +312,62 @@ fn debug_check_against_sequential(cfg: &GraceConfig, build: &Relation, probe: &R
             "parallel join diverged from sequential"
         );
     }
+}
+
+/// The parallel GRACE join over `threads` (≥ 1) lanes: partition pass →
+/// concat → LPT join pass. Returns the executor, the merged sink, the
+/// first-pass fan-out, and the merged recorder (when `want_obs`): a
+/// `"run"` span over `"partition_pass"` and `"join_pass"` spans holding
+/// their lanes' span trees. `start` creates the executor once the root
+/// span is open: the simulator's set-indexed caches key on heap
+/// addresses, and this allocation order keeps `--sim --threads N`
+/// reports byte-stable.
+fn run_join<L: Lanes>(
+    start: impl FnOnce() -> L,
+    threads: usize,
+    cfg: &GraceConfig,
+    build: &Relation,
+    probe: &Relation,
+    want_obs: bool,
+) -> (L, CountSink, usize, Option<Recorder>) {
+    let p = fanout(cfg, build, threads);
+    let mut rec = want_obs.then(Recorder::new);
+    let root = open_span(&mut rec, "run", Snapshot::default(), &[("threads", threads)]);
+    let mut lanes = start();
+
+    // Phase 1: partition both relations from page-range morsels into
+    // per-task private buffers.
+    let (tasks, weights) = partition_tasks(build, probe, threads);
+    let meta = [("fanout", p), ("moduli", 1), ("threads", threads)];
+    let pass = open_span(&mut rec, "partition_pass", lanes.cursor(), &meta);
+    let scheme = cfg.partition_scheme;
+    let outputs = lanes.run_phase(&mut rec, &tasks, &weights, |mem, lane_rec, (is_build, range)| {
+        let rel = if *is_build { build } else { probe };
+        partition_page_range(mem, scheme, rel, range.clone(), p, false, lane_rec)
+    });
+    close_span(&mut rec, pass, lanes.cursor());
+    let (bp, pp) = concat_parts(build, probe, p, &tasks, outputs);
+
+    // Phase 2: join pairs, heaviest first, into per-pair sinks.
+    let pairs: Vec<(Relation, Relation, usize)> =
+        bp.into_iter().zip(pp).enumerate().map(|(i, (b, q))| (b, q, i)).collect();
+    let weights: Vec<u64> =
+        pairs.iter().map(|(b, q, _)| (b.size_bytes() + q.size_bytes()).max(1) as u64).collect();
+    let meta = [("pairs", pairs.len()), ("threads", threads)];
+    let pass = open_span(&mut rec, "join_pass", lanes.cursor(), &meta);
+    let sinks = lanes.run_phase(&mut rec, &pairs, &weights, |mem, lane_rec, (b, q, idx)| {
+        let mut s = CountSink::new();
+        grace_join_pair(mem, cfg, b, q, &mut s, p, *idx, lane_rec);
+        s
+    });
+    close_span(&mut rec, pass, lanes.cursor());
+    let mut sink = CountSink::new();
+    for s in sinks {
+        sink.merge(s);
+    }
+    close_span(&mut rec, root, lanes.cursor());
+    debug_check_against_sequential(cfg, build, probe, &sink);
+    (lanes, sink, p, rec)
 }
 
 /// Parallel GRACE join on real threads (native model, real prefetches).
@@ -164,131 +385,11 @@ pub fn parallel_join_native(
     want_obs: bool,
 ) -> NativeJoinOutcome {
     let threads = threads.max(1);
-    let p = fanout(cfg, build, threads);
-    let mut rec = want_obs.then(Recorder::new);
-    let origin = rec.as_ref().map(|r| r.origin());
-    let root = rec.as_mut().map(|r| {
-        let id = r.begin("run", Snapshot::default());
-        r.meta("threads", threads);
-        id
-    });
-
-    // Phase 1: partition both relations from page-range morsels into
-    // per-worker private buffers.
-    let (tasks, weights) = partition_tasks(build, probe, threads);
-    let pass = rec.as_mut().map(|r| {
-        let id = r.begin("partition_pass", Snapshot::default());
-        r.meta("fanout", p);
-        r.meta("moduli", 1);
-        r.meta("threads", threads);
-        id
-    });
-    let states: Vec<(NativeModel, Option<Recorder>)> = (0..threads)
-        .map(|_| (NativeModel, origin.map(Recorder::with_origin)))
-        .collect();
-    let scheme = cfg.partition_scheme;
-    let (outputs, states, partition_stats) =
-        pool::execute(states, &tasks, &weights, |st, _i, (is_build, range)| {
-            let rel = if *is_build { build } else { probe };
-            partition_page_range_rec(&mut st.0, scheme, rel, range.clone(), p, false, st.1.as_mut())
-        });
-    if let Some(r) = rec.as_mut() {
-        for (w, (_, wrec)) in states.into_iter().enumerate() {
-            if let Some(wr) = wrec {
-                r.graft(w, Snapshot::default(), wr.finish());
-            }
-        }
-    }
-    if let (Some(r), Some(id)) = (rec.as_mut(), pass) {
-        r.end(id, Snapshot::default());
-    }
-    let (bp, pp) = concat_parts(build, probe, p, &tasks, outputs);
-
-    // Phase 2: join pairs, heaviest first, into per-worker sinks.
-    let pairs: Vec<(Relation, Relation, usize)> =
-        bp.into_iter().zip(pp).enumerate().map(|(i, (b, q))| (b, q, i)).collect();
-    let weights: Vec<u64> =
-        pairs.iter().map(|(b, q, _)| (b.size_bytes() + q.size_bytes()).max(1) as u64).collect();
-    let pass = rec.as_mut().map(|r| {
-        let id = r.begin("join_pass", Snapshot::default());
-        r.meta("pairs", pairs.len());
-        r.meta("threads", threads);
-        id
-    });
-    let states: Vec<(NativeModel, CountSink, Option<Recorder>)> = (0..threads)
-        .map(|_| (NativeModel, CountSink::new(), origin.map(Recorder::with_origin)))
-        .collect();
-    let (_, states, join_stats) =
-        pool::execute(states, &pairs, &weights, |st, _i, (b, q, idx)| {
-            grace_join_pair_rec(&mut st.0, cfg, b, q, &mut st.1, p, *idx, st.2.as_mut());
-        });
-    let mut sink = CountSink::new();
-    for (w, (_, s, wrec)) in states.into_iter().enumerate() {
-        sink.merge(s);
-        if let Some(r) = rec.as_mut() {
-            if let Some(wr) = wrec {
-                r.graft(w, Snapshot::default(), wr.finish());
-            }
-        }
-    }
-    if let (Some(r), Some(id)) = (rec.as_mut(), pass) {
-        r.end(id, Snapshot::default());
-    }
-    if let (Some(r), Some(id)) = (rec.as_mut(), root) {
-        r.end(id, Snapshot::default());
-    }
-    debug_check_against_sequential(cfg, build, probe, &sink);
-    NativeJoinOutcome { sink, partitions: p, recorder: rec, partition_stats, join_stats }
-}
-
-/// One simulated phase: statically LPT-assign tasks to lanes, run each
-/// lane sequentially on a fresh engine, merge lane recorders/regions,
-/// and return the phase delta (critical-path breakdown, summed stats).
-/// `rec` must have the phase span open — lane spans graft under it at
-/// `cursor`, the merged timeline's phase start.
-#[allow(clippy::too_many_arguments)]
-fn run_sim_phase<T, R, F>(
-    threads: usize,
-    tasks: &[T],
-    weights: &[u64],
-    want_regions: bool,
-    regions: &mut Option<RegionsSection>,
-    lanes_out: &mut [LaneStats],
-    rec: &mut Option<Recorder>,
-    cursor: Snapshot,
-    mut f: F,
-) -> (Vec<R>, Snapshot)
-where
-    F: FnMut(&mut SimEngine, Option<&mut Recorder>, usize, &T) -> R,
-{
-    let assignment = lpt_assign(weights, threads);
-    let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-    let mut phase = Snapshot::default();
-    for (w, list) in assignment.iter().enumerate() {
-        let mut engine = SimEngine::paper();
-        if want_regions {
-            engine.enable_region_profiling();
-        }
-        let mut lane_rec = rec.as_ref().map(|_| Recorder::new());
-        for &i in list {
-            slots[i] = Some(f(&mut engine, lane_rec.as_mut(), i, &tasks[i]));
-        }
-        let snap = engine.snapshot();
-        lanes_out[w].tasks += list.len() as u64;
-        lanes_out[w].cycles += snap.breakdown.total();
-        phase.stats = phase.stats + snap.stats;
-        if snap.breakdown.total() > phase.breakdown.total() {
-            phase.breakdown = snap.breakdown;
-        }
-        if let (Some(reg), Some(prof)) = (regions.as_mut(), engine.region_profile()) {
-            reg.merge(&RegionsSection::from_profiler(prof));
-        }
-        if let (Some(r), Some(lr)) = (rec.as_mut(), lane_rec) {
-            r.graft(w, cursor, lr.finish());
-        }
-    }
-    let results = slots.into_iter().map(|r| r.expect("task assigned")).collect();
-    (results, phase)
+    let (lanes, sink, partitions, recorder) =
+        run_join(|| ThreadLanes::new(threads), threads, cfg, build, probe, want_obs);
+    let [partition_stats, join_stats] =
+        <[_; 2]>::try_from(lanes.phase_stats).expect("the join runs two phases");
+    NativeJoinOutcome { sink, partitions, recorder, partition_stats, join_stats }
 }
 
 /// Parallel GRACE join under the cycle simulator, with `threads`
@@ -303,94 +404,10 @@ pub fn parallel_join_sim(
     want_regions: bool,
 ) -> SimJoinOutcome {
     let threads = threads.max(1);
-    let p = fanout(cfg, build, threads);
-    let mut rec = want_obs.then(Recorder::new);
-    let root = rec.as_mut().map(|r| {
-        let id = r.begin("run", Snapshot::default());
-        r.meta("threads", threads);
-        id
-    });
-    let mut cursor = Snapshot::default();
-    let mut regions = want_regions.then(RegionsSection::default);
-    let mut lanes: Vec<LaneStats> =
-        (0..threads).map(|lane| LaneStats { lane, ..Default::default() }).collect();
-
-    // Phase 1: partition.
-    let (tasks, weights) = partition_tasks(build, probe, threads);
-    let pass = rec.as_mut().map(|r| {
-        let id = r.begin("partition_pass", cursor);
-        r.meta("fanout", p);
-        r.meta("moduli", 1);
-        r.meta("threads", threads);
-        id
-    });
-    let (outputs, phase) = run_sim_phase(
-        threads,
-        &tasks,
-        &weights,
-        want_regions,
-        &mut regions,
-        &mut lanes,
-        &mut rec,
-        cursor,
-        |engine, lane_rec, _i, (is_build, range)| {
-            let rel = if *is_build { build } else { probe };
-            partition_page_range_rec(
-                engine,
-                cfg.partition_scheme,
-                rel,
-                range.clone(),
-                p,
-                false,
-                lane_rec,
-            )
-        },
-    );
-    cursor = cursor + phase;
-    if let (Some(r), Some(id)) = (rec.as_mut(), pass) {
-        r.end(id, cursor);
-    }
-    let (bp, pp) = concat_parts(build, probe, p, &tasks, outputs);
-
-    // Phase 2: join pairs.
-    let pairs: Vec<(Relation, Relation, usize)> =
-        bp.into_iter().zip(pp).enumerate().map(|(i, (b, q))| (b, q, i)).collect();
-    let weights: Vec<u64> =
-        pairs.iter().map(|(b, q, _)| (b.size_bytes() + q.size_bytes()).max(1) as u64).collect();
-    let pass = rec.as_mut().map(|r| {
-        let id = r.begin("join_pass", cursor);
-        r.meta("pairs", pairs.len());
-        r.meta("threads", threads);
-        id
-    });
-    let (task_sinks, phase) = run_sim_phase(
-        threads,
-        &pairs,
-        &weights,
-        want_regions,
-        &mut regions,
-        &mut lanes,
-        &mut rec,
-        cursor,
-        |engine, lane_rec, _i, (b, q, idx)| {
-            let mut s = CountSink::new();
-            grace_join_pair_rec(engine, cfg, b, q, &mut s, p, *idx, lane_rec);
-            s
-        },
-    );
-    cursor = cursor + phase;
-    if let (Some(r), Some(id)) = (rec.as_mut(), pass) {
-        r.end(id, cursor);
-    }
-    let mut sink = CountSink::new();
-    for s in task_sinks {
-        sink.merge(s);
-    }
-    if let (Some(r), Some(id)) = (rec.as_mut(), root) {
-        r.end(id, cursor);
-    }
-    debug_check_against_sequential(cfg, build, probe, &sink);
-    SimJoinOutcome { sink, partitions: p, totals: cursor, recorder: rec, regions, lanes }
+    let start = || VirtualLanes::new(threads, want_regions);
+    let (lanes, sink, partitions, recorder) = run_join(start, threads, cfg, build, probe, want_obs);
+    let VirtualLanes { cursor: totals, regions, lanes, .. } = lanes;
+    SimJoinOutcome { sink, partitions, totals, recorder, regions, lanes }
 }
 
 #[cfg(test)]

@@ -158,8 +158,10 @@ pub struct Admission {
     /// Called with the victim query id each time a shed request is
     /// issued — the server wires this to the live query registry so
     /// `/queries` can show which query absorbed the pressure.
-    shed_observer: Mutex<Option<Box<dyn Fn(u64) + Send + Sync>>>,
+    shed_observer: Mutex<Option<ShedObserver>>,
 }
+
+type ShedObserver = Box<dyn Fn(u64) + Send + Sync>;
 
 impl Admission {
     /// A fresh table with the full budget available.

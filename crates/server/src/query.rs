@@ -298,14 +298,29 @@ fn run_disk(
     let gen = spec.generate();
     // Each query stages its relations and spill files in its own
     // scratch directory so concurrent disk queries never collide.
-    let dir = scratch
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!("phj-serve-disk-{}-{query_id}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("scratch dir: {e}"))?;
-    let out = run_disk_in(query_id, dj, &spec, &gen, &dir, live);
-    let _ = std::fs::remove_dir_all(&dir);
-    out
+    let base = scratch.map(std::path::Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
+    let dir = ScratchDir::create(&base, query_id).map_err(|e| format!("scratch dir: {e}"))?;
+    run_disk_in(query_id, dj, &spec, &gen, &dir.0, live)
+}
+
+/// A disk query's private scratch directory, removed on drop — on the
+/// normal return, on an error return, and when a panic unwinds out of
+/// staging or the join (the pool catches it and the daemon lives on, so
+/// nothing else would ever clean up the stripe files).
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn create(base: &std::path::Path, query_id: u64) -> std::io::Result<ScratchDir> {
+        let dir = base.join(format!("phj-serve-disk-{}-{query_id}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        Ok(ScratchDir(dir))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn run_disk_in(
@@ -465,6 +480,21 @@ mod tests {
         assert_ne!(out.checksum, 0);
         // The join acked compliance with the shrunken limit.
         assert!(live.acked() <= 16 << 10);
+    }
+
+    #[test]
+    fn scratch_dir_is_removed_when_the_query_panics() {
+        let base = std::env::temp_dir().join(format!("phj-scratch-guard-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let unwound = std::panic::catch_unwind(|| {
+            let dir = ScratchDir::create(&base, 99).unwrap();
+            std::fs::write(dir.0.join("build.0"), b"staged stripe").unwrap();
+            panic!("join blew up mid-query");
+        });
+        assert!(unwound.is_err());
+        let left: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
+        assert!(left.is_empty(), "scratch leaked past the panic: {left:?}");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -45,6 +45,7 @@ fn main() {
             &gen.probe,
             1,
             &mut sink,
+            None,
         );
         assert_eq!(sink.matches(), gen.expected_matches);
         let b = mem.breakdown();

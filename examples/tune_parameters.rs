@@ -31,6 +31,7 @@ fn measure(gen: &phj_workload::GeneratedJoin, scheme: JoinScheme) -> f64 {
                 &gen.probe,
                 1,
                 &mut sink,
+                None,
             );
             assert_eq!(sink.matches(), gen.expected_matches);
             t0.elapsed().as_secs_f64()

@@ -41,6 +41,7 @@ fn run(gen: &GeneratedJoin, scheme: JoinScheme, use_stored: bool) -> CountSink {
         &gen.probe,
         1,
         &mut sink,
+        None,
     );
     sink
 }
@@ -167,6 +168,7 @@ fn skewed_duplicate_keys_all_pairs_produced() {
             &probe,
             1,
             &mut sink,
+            None,
         );
         assert_eq!(sink.matches(), 5000, "{scheme:?}");
     }

@@ -20,6 +20,7 @@ fn time(gen: &phj_workload::GeneratedJoin, scheme: JoinScheme, cfg: MemConfig) -
         &gen.probe,
         1,
         &mut sink,
+        None,
     );
     assert_eq!(sink.matches(), gen.expected_matches);
     mem.breakdown().total()

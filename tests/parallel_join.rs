@@ -49,6 +49,8 @@ fn parallel_join_matches_sequential_for_threads_1_to_8() {
         assert_eq!(nat.sink, seq, "native threads={threads}");
         let sim = parallel_join_sim(&cfg, &build, &probe, threads, false, false);
         assert_eq!(sim.sink, seq, "sim threads={threads}");
+        // One driver behind both: same fan-out, not just the same answer.
+        assert_eq!(nat.partitions, sim.partitions, "threads={threads}");
     }
 }
 

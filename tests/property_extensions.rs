@@ -79,7 +79,7 @@ proptest! {
         let cfg = HybridConfig { mem_budget: budget_pages * 8192, g, ..Default::default() };
         let mut mem = NativeModel;
         let mut hybrid_sink = CountSink::new();
-        hybrid_join(&mut mem, &cfg, &build, &probe, &mut hybrid_sink);
+        hybrid_join(&mut mem, &cfg, &build, &probe, &mut hybrid_sink, None);
         let mut grace_sink = CountSink::new();
         grace_equivalent(&mut mem, &cfg, &build, &probe, &mut grace_sink);
         prop_assert_eq!(hybrid_sink, grace_sink);
@@ -92,6 +92,7 @@ proptest! {
             &probe,
             1,
             &mut plain,
+            None,
         );
         prop_assert_eq!(hybrid_sink.matches(), plain.matches());
     }
@@ -116,7 +117,7 @@ proptest! {
         probe_chained_group(&mut mem, &params, &table, &build, &probe, g, &mut b);
         prop_assert_eq!(a, b);
         let mut reference = CountSink::new();
-        join_pair(&mut mem, &params, &build, &probe, 1, &mut reference);
+        join_pair(&mut mem, &params, &build, &probe, 1, &mut reference, None);
         prop_assert_eq!(a, reference);
     }
 }

@@ -70,6 +70,7 @@ proptest! {
             &probe,
             1,
             &mut sink,
+            None,
         );
         prop_assert_eq!(sink.matches(), expected_pairs(&build_keys, &probe_keys));
         // And the exact pair multiset matches the baseline's.
@@ -81,6 +82,7 @@ proptest! {
             &probe,
             1,
             &mut base,
+            None,
         );
         prop_assert_eq!(sink, base);
     }

@@ -4,7 +4,7 @@
 //! phase's misses land on the hash-table regions).
 
 use phj::grace::{grace_join_with_sink_rec, GraceConfig};
-use phj::hybrid::{hybrid_join_rec, HybridConfig};
+use phj::hybrid::{hybrid_join, HybridConfig};
 use phj::profile::skew_profile;
 use phj::sink::CountSink;
 use phj_memsim::{RegionKind, SimEngine};
@@ -148,7 +148,7 @@ fn hybrid_regions_stay_consistent() {
     let mut sink = CountSink::new();
     let cfg = HybridConfig { mem_budget: 32 * 1024, ..Default::default() };
     let root = rec.begin_profiled("run", mem.snapshot(), mem.latency_hist());
-    let p = hybrid_join_rec(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
+    let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
     rec.end_profiled(root, mem.snapshot(), mem.latency_hist());
     assert!(p > 1, "expected spill partitions");
     let mut report = RunReport::from_recorder("join", rec, mem.snapshot(), 1);

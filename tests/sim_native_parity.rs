@@ -29,10 +29,10 @@ fn sim_and_native_produce_identical_results() {
     ] {
         let params = JoinParams { scheme, use_stored_hash: true };
         let mut native_sink = CountSink::new();
-        join_pair(&mut NativeModel, &params, &gen.build, &gen.probe, 1, &mut native_sink);
+        join_pair(&mut NativeModel, &params, &gen.build, &gen.probe, 1, &mut native_sink, None);
         let mut sim = SimEngine::paper();
         let mut sim_sink = CountSink::new();
-        join_pair(&mut sim, &params, &gen.build, &gen.probe, 1, &mut sim_sink);
+        join_pair(&mut sim, &params, &gen.build, &gen.probe, 1, &mut sim_sink, None);
         assert_eq!(native_sink, sim_sink, "{scheme:?}");
         assert!(sim.now() > 0, "simulation advanced time");
     }
@@ -51,6 +51,7 @@ fn simulated_orderings_match_paper() {
             &gen.probe,
             1,
             &mut sink,
+            None,
         );
         assert_eq!(sink.matches(), gen.expected_matches);
         sim.breakdown()
@@ -88,6 +89,7 @@ fn t1000_prefetching_keeps_up() {
             &gen.probe,
             1,
             &mut sink,
+            None,
         );
         sim.breakdown().total()
     };
@@ -119,6 +121,7 @@ fn flush_robustness_ordering() {
             &gen.probe,
             1,
             &mut sink,
+            None,
         );
         sim.breakdown().total()
     };

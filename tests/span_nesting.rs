@@ -4,7 +4,7 @@
 //! account for the whole simulated run.
 
 use phj::grace::{grace_join_with_sink_rec, GraceConfig};
-use phj::hybrid::{hybrid_join_rec, HybridConfig};
+use phj::hybrid::{hybrid_join, HybridConfig};
 use phj::sink::{CountSink, JoinSink};
 use phj_memsim::SimEngine;
 use phj_obs::{Recorder, RunReport, SpanRecord};
@@ -86,7 +86,7 @@ fn hybrid_spans_follow_phase_structure() {
     let mut rec = Recorder::new();
     let mut sink = CountSink::new();
     let cfg = HybridConfig { mem_budget: 32 * 1024, g: 8, ..Default::default() };
-    let p = hybrid_join_rec(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
+    let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
     let spans = rec.finish();
     assert!(p > 1);
     assert_eq!(sink.matches(), gen.expected_matches);

@@ -91,6 +91,7 @@ fn varlen_keys_all_schemes_agree() {
             &probe,
             1,
             &mut sink,
+            None,
         );
         assert_eq!(sink.matches(), want, "{scheme:?}");
     }
@@ -152,6 +153,7 @@ fn empty_string_keys_join() {
         &probe,
         1,
         &mut sink,
+        None,
     );
     assert_eq!(sink.matches(), 2);
 }
