@@ -5,10 +5,12 @@
 //! ```
 //!
 //! One report per bottleneck class plus a minimal native report with no
-//! optional sections. Every fixture is deterministic (fixed counters, no
-//! clocks), so the committed `.json` and `.txt` files only change when
-//! the diagnosis engine itself does — which is exactly when the golden
-//! test should fail and force a deliberate re-commit.
+//! optional sections. Every fixture is deterministic (fixed counters, span
+//! clocks overwritten with `start_ns = 1000 * index`, `wall_ns = 1000`),
+//! so the committed `.json` and `.txt` files only change when the
+//! diagnosis engine or `RunReport::render` itself does — which is exactly
+//! when the golden test (and CI's `git diff --exit-code` on this
+//! directory) should fail and force a deliberate re-commit.
 
 use phj::cost::CostModel;
 use phj_analyze::{analyze, render};
@@ -160,7 +162,13 @@ pub fn fixtures() -> Vec<(&'static str, RunReport)> {
 fn main() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     std::fs::create_dir_all(&dir).expect("create fixtures dir");
-    for (name, report) in fixtures() {
+    for (name, mut report) in fixtures() {
+        // The recorder stamps real clocks; pin them so regeneration is a
+        // no-op unless the writer or the engine changed.
+        for (i, span) in report.spans.iter_mut().enumerate() {
+            span.start_ns = 1_000 * i as u64;
+            span.wall_ns = 1_000;
+        }
         report.validate().expect("fixture validates");
         let sec = analyze(&report, &CostModel::default());
         std::fs::write(dir.join(format!("{name}.json")), report.render()).unwrap();

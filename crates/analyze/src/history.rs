@@ -12,7 +12,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use phj_obs::{Json, RunReport};
+use phj_obs::json::{FromJson, ToJson};
+use phj_obs::{json_record, RunReport};
 
 /// Format version stamped into every record.
 pub const HISTORY_VERSION: u64 = 1;
@@ -22,7 +23,7 @@ pub const DEFAULT_WINDOW: usize = 3;
 
 /// One archived run: identity (slug + config fingerprint + timestamp)
 /// and the headline metrics the trend detector watches.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistoryRecord {
     /// Record format version ([`HISTORY_VERSION`]).
     pub version: u64,
@@ -44,6 +45,22 @@ pub struct HistoryRecord {
     pub coverage: f64,
     /// Measured pollution rate in `[0, 1]`.
     pub pollution: f64,
+}
+
+// One archive line, key by key.
+json_record! {
+    impl HistoryRecord {
+        "v" => rw(version),
+        "slug" => rw(slug),
+        "fingerprint" => rw(fingerprint),
+        "unix_s" => rw(unix_s),
+        "simulated" => rw(simulated),
+        "cycles" => rw(cycles),
+        "wall_ns" => rw(wall_ns),
+        "tuples" => rw(tuples),
+        "coverage" => rw(coverage),
+        "pollution" => rw(pollution),
+    }
 }
 
 /// FNV-1a 64 over a run's identity: command, simulated flag, and every
@@ -116,52 +133,17 @@ impl HistoryRecord {
 
     /// Serialize as one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        Json::obj(vec![
-            ("v", Json::U64(self.version)),
-            ("slug", Json::Str(self.slug.clone())),
-            ("fingerprint", Json::Str(self.fingerprint.clone())),
-            ("unix_s", Json::U64(self.unix_s)),
-            ("simulated", Json::Bool(self.simulated)),
-            ("cycles", Json::U64(self.cycles)),
-            ("wall_ns", Json::U64(self.wall_ns)),
-            ("tuples", Json::U64(self.tuples)),
-            ("coverage", Json::F64(self.coverage)),
-            ("pollution", Json::F64(self.pollution)),
-        ])
-        .render()
+        self.to_json().render()
     }
 
     /// Parse one archive line.
     pub fn parse_line(line: &str) -> Result<HistoryRecord, String> {
         let doc = phj_obs::json::parse(line).map_err(|e| e.to_string())?;
-        let u = |k: &str| {
-            doc.get(k).and_then(Json::as_u64).ok_or_else(|| format!("missing u64 '{k}'"))
-        };
-        let f = |k: &str| {
-            doc.get(k).and_then(Json::as_f64).ok_or_else(|| format!("missing f64 '{k}'"))
-        };
-        let s = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string '{k}'"))
-        };
-        let version = u("v")?;
-        if version != HISTORY_VERSION {
-            return Err(format!("unsupported history version {version}"));
+        let rec = HistoryRecord::from_json(&doc)?;
+        if rec.version != HISTORY_VERSION {
+            return Err(format!("unsupported history version {}", rec.version));
         }
-        Ok(HistoryRecord {
-            version,
-            slug: s("slug")?,
-            fingerprint: s("fingerprint")?,
-            unix_s: u("unix_s")?,
-            simulated: matches!(doc.get("simulated"), Some(Json::Bool(true))),
-            cycles: u("cycles")?,
-            wall_ns: u("wall_ns")?,
-            tuples: u("tuples")?,
-            coverage: f("coverage")?,
-            pollution: f("pollution")?,
-        })
+        Ok(rec)
     }
 }
 

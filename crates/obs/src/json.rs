@@ -446,6 +446,297 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A value with a JSON form. Together with [`FromJson`] and
+/// [`json_record!`](crate::json_record) this is the workspace's one
+/// (de)serialiser: reports, postmortems and history lines all go
+/// through it.
+pub trait ToJson {
+    /// The value's JSON form.
+    fn to_json(&self) -> Json;
+}
+
+/// A value that can be rebuilt from its JSON form.
+pub trait FromJson: Sized {
+    /// Rebuild the value; the error says what was expected instead.
+    fn from_json(doc: &Json) -> Result<Self, String>;
+
+    /// What a record field of this type reads as when its key is absent;
+    /// `None` (the default) makes the key required.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+/// Read member `key` of the object `doc`. Errors name the key, so a
+/// failure deep in a document reads as a path (`field 'spans': [3]:
+/// missing field 'depth'`).
+pub fn field<T: FromJson>(doc: &Json, key: &str) -> Result<T, String> {
+    match doc.get(key) {
+        Some(v) => T::from_json(v).map_err(|e| format!("field '{key}': {e}")),
+        None => T::absent().ok_or_else(|| format!("missing field '{key}'")),
+    }
+}
+
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+}
+
+macro_rules! json_uint {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+        }
+        impl FromJson for $t {
+            fn from_json(doc: &Json) -> Result<Self, String> {
+                let v = doc.as_u64().ok_or("expected a non-negative integer")?;
+                <$t>::try_from(v).map_err(|_| format!("{v} overflows {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+json_uint!(u64, usize, u16);
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::F64(*self)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        doc.as_f64().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+/// Flags read leniently, as every reader in the workspace always has:
+/// anything but `true` — an absent key included — is `false`.
+impl FromJson for bool {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        Ok(matches!(doc, Json::Bool(true)))
+    }
+
+    fn absent() -> Option<Self> {
+        Some(false)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        doc.as_str().map(str::to_string).ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+/// `None` is `null`; an absent key also reads as `None`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        match doc {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        let items = doc.as_arr().ok_or("expected an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| T::from_json(v).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// A fixed-size array is an array of exactly `N` items.
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        let items = Vec::<T>::from_json(doc)?;
+        let n = items.len();
+        items.try_into().map_err(|_| format!("array has {n} items, expected {N}"))
+    }
+}
+
+/// String-keyed pairs are an object, in insertion order.
+impl<T: ToJson> ToJson for Vec<(String, T)> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<(String, T)> {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        let Json::Obj(members) = doc else { return Err("expected an object".to_string()) };
+        members
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), T::from_json(v).map_err(|e| format!("'{k}': {e}"))?)))
+            .collect()
+    }
+}
+
+/// A `(t, value)` sample is a two-item array.
+impl ToJson for (u64, u64) {
+    fn to_json(&self) -> Json {
+        [self.0, self.1].to_json()
+    }
+}
+
+impl FromJson for (u64, u64) {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        <[u64; 2]>::from_json(doc).map(|[t, v]| (t, v))
+    }
+}
+
+/// Declare a record's JSON form **once**: the declaration yields the
+/// [`ToJson`] writer and the [`FromJson`] reader, so a key cannot be
+/// written under one name and read under another, and adding a field is
+/// one line.
+///
+/// *Struct form* — declares the struct itself (or several, one after
+/// another); each field's key is its name, written in declaration order,
+/// required on read (subject to [`FromJson::absent`]):
+///
+/// ```
+/// phj_obs::json_record! {
+///     /// A point.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Point {
+///         /// Abscissa.
+///         pub x: u64,
+///         /// Label.
+///         pub label: String,
+///     }
+/// }
+/// use phj_obs::json::{FromJson, ToJson};
+/// let p = Point { x: 3, label: "a".into() };
+/// assert_eq!(p.to_json().render(), r#"{"x":3,"label":"a"}"#);
+/// assert_eq!(Point::from_json(&p.to_json()), Ok(p));
+/// ```
+///
+/// *Table form* — `impl Type { "key" => mode(..), .. }` for a type
+/// declared elsewhere (another crate's, or one whose JSON shape is not
+/// its Rust shape). Reading starts from `Type::default()`, or from
+/// `seed` when written `impl Type [seed] { .. }`, and assigns entry by
+/// entry. Modes:
+///
+/// * `rw(path)` — required field at `self.path` (`a` or `a.b`);
+/// * `opt(path)` — an `Option` field whose key is omitted when `None`
+///   and, when present, must hold a value (`null` is rejected);
+/// * `emit(r => expr)` — a derived, write-only key (`r` is `&self`);
+///   ignored on read;
+/// * `with(path, put, get)` — a field with its own codec:
+///   `put(&field) -> Json`, `get(doc, key) -> Result<Field, String>`.
+#[macro_export]
+macro_rules! json_record {
+    ($(
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+    )+) => {$(
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $fty, )*
+        }
+        impl $crate::json::ToJson for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Obj(vec![$(
+                    (stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)),
+                )*])
+            }
+        }
+        impl $crate::json::FromJson for $name {
+            fn from_json(doc: &$crate::json::Json) -> Result<Self, String> {
+                Ok($name { $( $field: $crate::json::field(doc, stringify!($field))?, )* })
+            }
+        }
+    )+};
+    ( impl $ty:ty { $($entries:tt)* } ) => {
+        $crate::json_record! { impl $ty [<$ty>::default()] { $($entries)* } }
+    };
+    ( impl $ty:ty [$seed:expr] { $( $key:expr => $mode:ident ( $($arg:tt)* ) ),* $(,)? } ) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let members = [$( $crate::json_record!(@put $mode self $key, $($arg)*), )*];
+                $crate::json::Json::Obj(members.into_iter().flatten().collect())
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(doc: &$crate::json::Json) -> Result<Self, String> {
+                let mut out: $ty = $seed;
+                $( $crate::json_record!(@get $mode out doc $key, $($arg)*); )*
+                Ok(out)
+            }
+        }
+    };
+    (@put rw $s:ident $key:expr, $f:ident $(. $r:ident)*) => {
+        Some(($key.to_string(), $crate::json::ToJson::to_json(&$s.$f$(.$r)*)))
+    };
+    (@get rw $out:ident $doc:ident $key:expr, $f:ident $(. $r:ident)*) => {
+        $out.$f$(.$r)* = $crate::json::field($doc, $key)?;
+    };
+    (@put opt $s:ident $key:expr, $f:ident $(. $r:ident)*) => {
+        $s.$f$(.$r)*.as_ref().map(|v| ($key.to_string(), $crate::json::ToJson::to_json(v)))
+    };
+    (@get opt $out:ident $doc:ident $key:expr, $f:ident $(. $r:ident)*) => {
+        $out.$f$(.$r)* = match $doc.get($key) {
+            Some(v) => Some(
+                $crate::json::FromJson::from_json(v)
+                    .map_err(|e| format!("field '{}': {e}", $key))?,
+            ),
+            None => None,
+        };
+    };
+    (@put emit $s:ident $key:expr, $r:ident => $value:expr) => {{
+        let $r = $s;
+        Some(($key.to_string(), $crate::json::ToJson::to_json(&$value)))
+    }};
+    (@get emit $out:ident $doc:ident $key:expr, $r:ident => $value:expr) => {};
+    (@put with $s:ident $key:expr, $f:ident $(. $r:ident)*, $put:expr, $get:expr) => {
+        Some(($key.to_string(), $put(&$s.$f$(.$r)*)))
+    };
+    (@get with $out:ident $doc:ident $key:expr, $f:ident $(. $r:ident)*, $put:expr, $get:expr) => {
+        $out.$f$(.$r)* = $get($doc, $key)?;
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,8 @@
 //! events as Perfetto instant/flow/span events alongside the existing
 //! trace path.
 
-use crate::json::{self, Json};
+use crate::json::{self, field, FromJson, Json, ToJson};
+use crate::json_record;
 use phj_flightrec::{phase_name, EventKind};
 
 /// Fault-kind names, indexed by the `code` the disk instrumentation
@@ -19,34 +20,50 @@ pub const FAULT_NAMES: &[&str] = &["transient", "short_read", "torn_write", "slo
 /// Batch-stage names, indexed by the `code` on [`EventKind::Batch`].
 pub const BATCH_STAGES: &[&str] = &["partition", "build", "probe"];
 
-/// Per-thread accounting row of a postmortem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmThread {
-    /// Ring thread id.
-    pub tid: u64,
-    /// Events written by this thread.
-    pub written: u64,
-    /// Events recovered into the timeline.
-    pub recovered: u64,
-    /// Events lost to ring wrap.
-    pub dropped: u64,
+json_record! {
+    /// Per-thread accounting row of a postmortem.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PmThread {
+        /// Ring thread id.
+        pub tid: u64,
+        /// Events written by this thread.
+        pub written: u64,
+        /// Events recovered into the timeline.
+        pub recovered: u64,
+        /// Events lost to ring wrap.
+        pub dropped: u64,
+    }
+
+    /// One timeline event of a postmortem.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PmEvent {
+        /// Nanoseconds since recorder install.
+        pub t_ns: u64,
+        /// Recording thread.
+        pub tid: u64,
+        /// Event kind.
+        pub kind: EventKind,
+        /// Per-kind discriminant.
+        pub code: u16,
+        /// First payload word.
+        pub a: u64,
+        /// Second payload word.
+        pub b: u64,
+    }
 }
 
-/// One timeline event of a postmortem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmEvent {
-    /// Nanoseconds since recorder install.
-    pub t_ns: u64,
-    /// Recording thread.
-    pub tid: u64,
-    /// Event kind.
-    pub kind: EventKind,
-    /// Per-kind discriminant.
-    pub code: u16,
-    /// First payload word.
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
+/// Event kinds travel by name.
+impl ToJson for EventKind {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
+}
+
+impl FromJson for EventKind {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        let name = String::from_json(doc)?;
+        EventKind::from_name(&name).ok_or(format!("unknown event kind '{name}'"))
+    }
 }
 
 /// A parsed `postmortem.json` (schema v1).
@@ -72,17 +89,6 @@ pub struct Postmortem {
     pub context: Vec<(String, String)>,
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key).and_then(Json::as_u64).ok_or(format!("missing or non-integer '{key}'"))
-}
-
-fn field_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or(format!("missing or non-string '{key}'"))
-}
-
 impl Postmortem {
     /// Parse a postmortem dump. Structural errors (wrong schema
     /// version, missing fields, unknown event kinds) are reported with
@@ -90,68 +96,26 @@ impl Postmortem {
     /// semantic checks.
     pub fn parse(text: &str) -> Result<Postmortem, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let version = field_u64(&doc, "schema_version")?;
+        let version: u64 = field(&doc, "schema_version")?;
         if version != 1 {
             return Err(format!("unsupported postmortem schema_version {version}"));
         }
         let cause = doc.get("cause").ok_or("missing 'cause'")?;
-        let threads = doc
-            .get("threads")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'threads' array")?
-            .iter()
-            .map(|t| {
-                Ok(PmThread {
-                    tid: field_u64(t, "tid")?,
-                    written: field_u64(t, "written")?,
-                    recovered: field_u64(t, "recovered")?,
-                    dropped: field_u64(t, "dropped")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let counts = match doc.get("counts") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("non-integer count")?)))
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("missing 'counts' object".into()),
-        };
-        let timeline = doc
-            .get("timeline")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'timeline' array")?
-            .iter()
-            .map(|e| {
-                let kind_name = field_str(e, "kind")?;
-                let kind = EventKind::from_name(&kind_name)
-                    .ok_or(format!("unknown event kind '{kind_name}'"))?;
-                let code = field_u64(e, "code")?;
-                Ok(PmEvent {
-                    t_ns: field_u64(e, "t_ns")?,
-                    tid: field_u64(e, "tid")?,
-                    kind,
-                    code: u16::try_from(code).map_err(|_| format!("code {code} overflows u16"))?,
-                    a: field_u64(e, "a")?,
-                    b: field_u64(e, "b")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let context = match doc.get("context") {
-            Some(Json::Obj(pairs)) => {
-                pairs.iter().map(|(k, v)| (k.clone(), v.render())).collect()
-            }
-            Some(_) => return Err("'context' is not an object".into()),
-            None => Vec::new(),
-        };
         Ok(Postmortem {
-            cause_kind: field_str(cause, "kind")?,
-            cause_message: field_str(cause, "message")?,
-            mode: field_str(&doc, "mode")?,
-            capacity: field_u64(&doc, "capacity")?,
-            threads,
-            counts,
-            timeline,
-            context,
+            cause_kind: field(cause, "kind")?,
+            cause_message: field(cause, "message")?,
+            mode: field(&doc, "mode")?,
+            capacity: field(&doc, "capacity")?,
+            threads: field(&doc, "threads")?,
+            counts: field(&doc, "counts")?,
+            timeline: field(&doc, "timeline")?,
+            context: match doc.get("context") {
+                Some(Json::Obj(pairs)) => {
+                    pairs.iter().map(|(k, v)| (k.clone(), v.render())).collect()
+                }
+                Some(_) => return Err("'context' is not an object".into()),
+                None => Vec::new(),
+            },
         })
     }
 

@@ -1,17 +1,16 @@
 //! Structured run reports: config fingerprint + per-span metrics +
 //! derived rates, serialized as JSON.
 
-use crate::json::{self, Json};
+use crate::json::{self, FromJson, Json, ToJson};
+use crate::json_record;
 use crate::span::{Recorder, SpanRecord};
-use phj_memsim::{
-    Breakdown, CacheStats, LatencyHistogram, RegionStats, Snapshot, LATENCY_BUCKETS,
-};
+use phj_memsim::{Breakdown, CacheStats, LatencyHistogram, RegionStats, Snapshot};
 
 /// Report format version (bump on breaking layout changes).
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// One region's attribution entry in a report's `regions` section.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegionReport {
     /// Region kind name (`"hash_bucket_headers"`, `"hash_cells"`, …).
     pub name: String,
@@ -21,34 +20,60 @@ pub struct RegionReport {
     pub hist: LatencyHistogram,
 }
 
-/// One partition's row of the skew profile: how unevenly the partition
-/// phase spread work, and which pairs drove the misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SkewRow {
-    /// Partition index (the `index` meta of its `pair` span).
-    pub index: u64,
-    /// Build tuples in the pair.
-    pub build_tuples: u64,
-    /// Probe tuples in the pair.
-    pub probe_tuples: u64,
-    /// Simulated cycles the pair took.
-    pub cycles: u64,
-    /// L2 hits (L1 misses served from L2) in the pair.
-    pub l2_hits: u64,
-    /// Full memory misses in the pair.
-    pub mem_misses: u64,
+// A region is one flat object: its name, the `RegionStats` counters
+// (this is their field table) and the histogram.
+json_record! {
+    impl RegionReport {
+        "name" => rw(name),
+        "l1_hits" => rw(stats.l1_hits),
+        "l1_inflight_hits" => rw(stats.l1_inflight_hits),
+        "l2_hits" => rw(stats.l2_hits),
+        "mem_misses" => rw(stats.mem_misses),
+        "demand_lines" => emit(r => r.stats.demand_lines()),
+        "tlb_demand_walks" => rw(stats.tlb_demand_walks),
+        "stall_cycles" => rw(stats.stall_cycles),
+        "prefetches" => rw(stats.prefetches),
+        "pf_dropped" => rw(stats.pf_dropped),
+        "tlb_prefetch_walks" => rw(stats.tlb_prefetch_walks),
+        "pf_hidden" => rw(stats.pf_hidden),
+        "pf_partial" => rw(stats.pf_partial),
+        "pf_late" => rw(stats.pf_late),
+        "pf_polluting" => rw(stats.pf_polluting),
+        "pf_hidden_cycles" => rw(stats.pf_hidden_cycles),
+        "hist" => rw(hist),
+    }
 }
 
-/// The optional memory-access attribution section of a [`RunReport`]:
-/// per-region counters/histograms plus the per-partition skew profile.
-/// Present only when the run profiled regions (`--profile-regions`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RegionsSection {
-    /// Per-region attribution, in [`RegionKind`](phj_memsim::RegionKind)
-    /// order.
-    pub regions: Vec<RegionReport>,
-    /// Per-partition skew rows (empty when the run had no `pair` spans).
-    pub skew: Vec<SkewRow>,
+json_record! {
+    /// One partition's row of the skew profile: how unevenly the partition
+    /// phase spread work, and which pairs drove the misses.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct SkewRow {
+        /// Partition index (the `index` meta of its `pair` span).
+        pub index: u64,
+        /// Build tuples in the pair.
+        pub build_tuples: u64,
+        /// Probe tuples in the pair.
+        pub probe_tuples: u64,
+        /// Simulated cycles the pair took.
+        pub cycles: u64,
+        /// L2 hits (L1 misses served from L2) in the pair.
+        pub l2_hits: u64,
+        /// Full memory misses in the pair.
+        pub mem_misses: u64,
+    }
+
+    /// The optional memory-access attribution section of a [`RunReport`]:
+    /// per-region counters/histograms plus the per-partition skew profile.
+    /// Present only when the run profiled regions (`--profile-regions`).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RegionsSection {
+        /// Per-region attribution, in [`RegionKind`](phj_memsim::RegionKind)
+        /// order.
+        pub regions: Vec<RegionReport>,
+        /// Per-partition skew rows (empty when the run had no `pair` spans).
+        pub skew: Vec<SkewRow>,
+    }
 }
 
 impl RegionsSection {
@@ -95,98 +120,104 @@ impl RegionsSection {
     }
 }
 
-/// One degradation-ladder step in a report's `faults` section: what the
-/// disk engine did about a build partition that outgrew the memory
-/// budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradationRow {
-    /// Hierarchical partition label (`"3"`, `"3.1"`, …).
-    pub partition: String,
-    /// Repartition depth at which the step was taken.
-    pub depth: u64,
-    /// Size of the oversized partition in bytes.
-    pub bytes: u64,
-    /// The memory budget it failed to fit.
-    pub budget: u64,
-    /// The step taken: `"repartition"` or `"nlj_fallback"`.
-    pub action: String,
-    /// Action parameter: repartition fanout, or nested-loop chunk count.
-    pub detail: u64,
+json_record! {
+    /// One degradation-ladder step in a report's `faults` section: what the
+    /// disk engine did about a build partition that outgrew the memory
+    /// budget.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DegradationRow {
+        /// Hierarchical partition label (`"3"`, `"3.1"`, …).
+        pub partition: String,
+        /// Repartition depth at which the step was taken.
+        pub depth: u64,
+        /// Size of the oversized partition in bytes.
+        pub bytes: u64,
+        /// The memory budget it failed to fit.
+        pub budget: u64,
+        /// The step taken: `"repartition"` or `"nlj_fallback"`.
+        pub action: String,
+        /// Action parameter: repartition fanout, or nested-loop chunk count.
+        pub detail: u64,
+    }
+
+    /// The optional fault-and-resilience section of a [`RunReport`]:
+    /// injected-fault and retry counters from a fault-injecting disk run,
+    /// plus any degradation-ladder events. Present only when the run
+    /// attached a fault plan or degraded; like `regions`, the JSON key is
+    /// omitted entirely when absent so undisturbed reports stay
+    /// byte-identical to older ones.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct FaultsSection {
+        /// Total faults injected across all fault kinds.
+        pub faults_injected: u64,
+        /// Read attempts repeated after retryable failures.
+        pub read_retries: u64,
+        /// Write attempts repeated after retryable failures.
+        pub write_retries: u64,
+        /// Microseconds of injected slow-disk stall.
+        pub slow_stall_us: u64,
+        /// Degradation steps taken for oversized partitions.
+        pub degradation: Vec<DegradationRow>,
+    }
 }
 
-/// The optional fault-and-resilience section of a [`RunReport`]:
-/// injected-fault and retry counters from a fault-injecting disk run,
-/// plus any degradation-ladder events. Present only when the run
-/// attached a fault plan or degraded; like `regions`, the JSON key is
-/// omitted entirely when absent so undisturbed reports stay
-/// byte-identical to older ones.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultsSection {
-    /// Total faults injected across all fault kinds.
-    pub faults_injected: u64,
-    /// Read attempts repeated after retryable failures.
-    pub read_retries: u64,
-    /// Write attempts repeated after retryable failures.
-    pub write_retries: u64,
-    /// Microseconds of injected slow-disk stall.
-    pub slow_stall_us: u64,
-    /// Degradation steps taken for oversized partitions.
-    pub degradation: Vec<DegradationRow>,
+json_record! {
+    /// One sampled metric series in a report's `timeseries` section.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct TimeseriesRow {
+        /// Metric family name (`phj_exec_tasks_total`, …).
+        pub name: String,
+        /// Smallest sampled value.
+        pub min: u64,
+        /// Largest sampled value.
+        pub max: u64,
+        /// Final sampled value.
+        pub last: u64,
+        /// `(t_ns, value)` samples, oldest first (`t_ns` relative to the
+        /// sampler's start).
+        pub points: Vec<(u64, u64)>,
+    }
+
+    /// The optional live-telemetry section of a [`RunReport`]: the sampler
+    /// ring's contents at end of run, one row per metric family. Present
+    /// only when the run enabled telemetry sampling (`--sample-interval` /
+    /// `--metrics-addr` / `--dashboard`); like `regions` and `faults`, the
+    /// JSON key is omitted entirely when absent so untelemetered reports
+    /// stay byte-identical to older ones.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct TimeseriesSection {
+        /// Sampling interval in milliseconds.
+        pub interval_ms: u64,
+        /// Ring capacity in samples (rows hold at most this many points).
+        pub capacity: u64,
+        /// Per-metric series, in scrape (name) order.
+        pub series: Vec<TimeseriesRow>,
+    }
 }
 
-/// One sampled metric series in a report's `timeseries` section.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TimeseriesRow {
-    /// Metric family name (`phj_exec_tasks_total`, …).
-    pub name: String,
-    /// Smallest sampled value.
-    pub min: u64,
-    /// Largest sampled value.
-    pub max: u64,
-    /// Final sampled value.
-    pub last: u64,
-    /// `(t_ns, value)` samples, oldest first (`t_ns` relative to the
-    /// sampler's start).
-    pub points: Vec<(u64, u64)>,
-}
-
-/// The optional live-telemetry section of a [`RunReport`]: the sampler
-/// ring's contents at end of run, one row per metric family. Present
-/// only when the run enabled telemetry sampling (`--sample-interval` /
-/// `--metrics-addr` / `--dashboard`); like `regions` and `faults`, the
-/// JSON key is omitted entirely when absent so untelemetered reports
-/// stay byte-identical to older ones.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TimeseriesSection {
-    /// Sampling interval in milliseconds.
-    pub interval_ms: u64,
-    /// Ring capacity in samples (rows hold at most this many points).
-    pub capacity: u64,
-    /// Per-metric series, in scrape (name) order.
-    pub series: Vec<TimeseriesRow>,
-}
-
-/// The optional flight-recorder summary section of a [`RunReport`]:
-/// per-kind event totals and exact ring-wrap drop accounting from the
-/// process flight recorder (`phj-flightrec`). Deliberately carries no
-/// timestamps, so two identical deterministic runs summarize
-/// byte-identically (the `setarch -R` byte-identity gate runs with the
-/// recorder on). Like the other optional sections, the JSON key is
-/// omitted entirely when absent.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FlightrecSection {
-    /// Recording granularity (`"phase"` or `"full"`).
-    pub mode: String,
-    /// Per-thread ring capacity in events.
-    pub capacity: u64,
-    /// Threads that recorded at least one event.
-    pub threads: u64,
-    /// Total events written across all rings.
-    pub written: u64,
-    /// Events lost to ring wrap (`written - recovered`).
-    pub dropped: u64,
-    /// Nonzero per-kind totals, in event-kind order.
-    pub counts: Vec<(String, u64)>,
+json_record! {
+    /// The optional flight-recorder summary section of a [`RunReport`]:
+    /// per-kind event totals and exact ring-wrap drop accounting from the
+    /// process flight recorder (`phj-flightrec`). Deliberately carries no
+    /// timestamps, so two identical deterministic runs summarize
+    /// byte-identically (the `setarch -R` byte-identity gate runs with the
+    /// recorder on). Like the other optional sections, the JSON key is
+    /// omitted entirely when absent.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct FlightrecSection {
+        /// Recording granularity (`"phase"` or `"full"`).
+        pub mode: String,
+        /// Per-thread ring capacity in events.
+        pub capacity: u64,
+        /// Threads that recorded at least one event.
+        pub threads: u64,
+        /// Total events written across all rings.
+        pub written: u64,
+        /// Events lost to ring wrap (`written - recovered`).
+        pub dropped: u64,
+        /// Nonzero per-kind totals, in event-kind order.
+        pub counts: Vec<(String, u64)>,
+    }
 }
 
 /// Internal consistency of a `flightrec` section: known mode, known
@@ -266,6 +297,39 @@ pub struct QueryTraceSection {
     pub states: Vec<(String, u64)>,
 }
 
+json_record! {
+    impl QueryTraceSection {
+        "trace_id" => rw(trace_id),
+        "query_id" => rw(query_id),
+        "queue_wait_ns" => rw(queue_wait_ns),
+        "grant_wait_ns" => rw(grant_wait_ns),
+        "exec_ns" => rw(exec_ns),
+        "serialize_ns" => rw(serialize_ns),
+        "shed_count" => rw(shed_count),
+        "states" => with(states, stamps_to_json, stamps_from_json),
+    }
+}
+
+json_record! {
+    /// One `states` entry as it appears in the JSON (the section itself
+    /// keeps plain `(state, t_ns)` pairs).
+    struct StateStamp {
+        state: String,
+        t_ns: u64,
+    }
+}
+
+fn stamps_to_json(states: &[(String, u64)]) -> Json {
+    let stamps: Vec<StateStamp> =
+        states.iter().map(|(state, t_ns)| StateStamp { state: state.clone(), t_ns: *t_ns }).collect();
+    stamps.to_json()
+}
+
+fn stamps_from_json(doc: &Json, key: &str) -> Result<Vec<(String, u64)>, String> {
+    let stamps: Vec<StateStamp> = json::field(doc, key)?;
+    Ok(stamps.into_iter().map(|s| (s.state, s.t_ns)).collect())
+}
+
 /// Internal consistency of a `query_trace` section: every state is a
 /// known [`QUERY_STATES`] name, the transition timestamps are monotone,
 /// and the machine starts where every query starts — at `received`.
@@ -303,85 +367,87 @@ pub const BOTTLENECK_CLASSES: [&str; 7] = [
     "compute_bound",
 ];
 
-/// One phase's Theorem-1/2 prediction in a report's `analysis` section:
-/// the stage-cost vector the prediction was computed from, the minimal
-/// group size and prefetch distance that fully hide misses, and the
-/// coverage the configured scheme should reach under the first-order
-/// hiding model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhasePrediction {
-    /// Phase name (`"probe"`, `"build"`, `"partition"`).
-    pub phase: String,
-    /// Stage costs `[C_0, ..., C_k]` (cycles) used for the prediction.
-    pub stage_costs: Vec<u64>,
-    /// Theorem 1's minimal fully-hiding group size.
-    pub g_min: u64,
-    /// Whether group prefetching can hide the first miss (`C_0 > 0`).
-    pub first_miss_hidden: bool,
-    /// Theorem 2's minimal fully-hiding prefetch distance.
-    pub d_min: u64,
-    /// Predicted hidden-latency fraction for the run's configured scheme
-    /// and parameter (1.0 at or past the theorem prediction).
-    pub predicted_coverage: f64,
-}
+json_record! {
+    /// One phase's Theorem-1/2 prediction in a report's `analysis` section:
+    /// the stage-cost vector the prediction was computed from, the minimal
+    /// group size and prefetch distance that fully hide misses, and the
+    /// coverage the configured scheme should reach under the first-order
+    /// hiding model.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhasePrediction {
+        /// Phase name (`"probe"`, `"build"`, `"partition"`).
+        pub phase: String,
+        /// Stage costs `[C_0, ..., C_k]` (cycles) used for the prediction.
+        pub stage_costs: Vec<u64>,
+        /// Theorem 1's minimal fully-hiding group size.
+        pub g_min: u64,
+        /// Whether group prefetching can hide the first miss (`C_0 > 0`).
+        pub first_miss_hidden: bool,
+        /// Theorem 2's minimal fully-hiding prefetch distance.
+        pub d_min: u64,
+        /// Predicted hidden-latency fraction for the run's configured scheme
+        /// and parameter (1.0 at or past the theorem prediction).
+        pub predicted_coverage: f64,
+    }
 
-/// One predicted-vs-measured row in a report's `analysis` section.
-/// `residual` is always `measured - predicted`, so a negative residual
-/// on a coverage metric reads "prefetching hid less than the model
-/// promised".
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResidualRow {
-    /// Metric name (`"prefetch_coverage"`, `"pf_hidden_cycles"`,
-    /// `"miss_share.hash_cells"`, …).
-    pub metric: String,
-    /// Model-predicted value.
-    pub predicted: f64,
-    /// Measured value from the report.
-    pub measured: f64,
-    /// `measured - predicted`.
-    pub residual: f64,
-}
+    /// One predicted-vs-measured row in a report's `analysis` section.
+    /// `residual` is always `measured - predicted`, so a negative residual
+    /// on a coverage metric reads "prefetching hid less than the model
+    /// promised".
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ResidualRow {
+        /// Metric name (`"prefetch_coverage"`, `"pf_hidden_cycles"`,
+        /// `"miss_share.hash_cells"`, …).
+        pub metric: String,
+        /// Model-predicted value.
+        pub predicted: f64,
+        /// Measured value from the report.
+        pub measured: f64,
+        /// `measured - predicted`.
+        pub residual: f64,
+    }
 
-/// One rule's outcome in the bottleneck classifier: whether it fired and
-/// the evidence lines (human-readable, one observation each) behind the
-/// decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleOutcome {
-    /// Class this rule argues for (a [`BOTTLENECK_CLASSES`] entry).
-    pub class: String,
-    /// Whether the rule's conditions held on this report.
-    pub fired: bool,
-    /// The observations that made (or would have made) the call.
-    pub evidence: Vec<String>,
-}
+    /// One rule's outcome in the bottleneck classifier: whether it fired and
+    /// the evidence lines (human-readable, one observation each) behind the
+    /// decision.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RuleOutcome {
+        /// Class this rule argues for (a [`BOTTLENECK_CLASSES`] entry).
+        pub class: String,
+        /// Whether the rule's conditions held on this report.
+        pub fired: bool,
+        /// The observations that made (or would have made) the call.
+        pub evidence: Vec<String>,
+    }
 
-/// The optional model-vs-measured diagnosis section of a [`RunReport`],
-/// produced by `phj-analyze`: Theorem-1/2 predictions recomputed from
-/// the config fingerprint, predicted-vs-measured residuals, and a
-/// rule-engine bottleneck classification. Like `regions`/`faults`/
-/// `timeseries`, the JSON key is omitted entirely when absent.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AnalysisSection {
-    /// Full miss latency `T` the predictions assumed (cycles).
-    pub t_full: u64,
-    /// Pipelined additional-miss latency `T_next` assumed (cycles).
-    pub t_next: u64,
-    /// The scheme string the predictions were evaluated for.
-    pub scheme: String,
-    /// The calibration constants used (after any `--cost-model`
-    /// overrides), for provenance.
-    pub cost_model: Vec<(String, u64)>,
-    /// Per-phase theorem predictions (empty for native runs, where the
-    /// simulator's cost model does not apply).
-    pub predictions: Vec<PhasePrediction>,
-    /// Predicted-vs-measured rows.
-    pub residuals: Vec<ResidualRow>,
-    /// The one primary bottleneck class assigned to the run.
-    pub primary: String,
-    /// Evidence lines behind the primary classification.
-    pub evidence: Vec<String>,
-    /// Every rule's outcome, in evaluation (priority) order.
-    pub rules: Vec<RuleOutcome>,
+    /// The optional model-vs-measured diagnosis section of a [`RunReport`],
+    /// produced by `phj-analyze`: Theorem-1/2 predictions recomputed from
+    /// the config fingerprint, predicted-vs-measured residuals, and a
+    /// rule-engine bottleneck classification. Like `regions`/`faults`/
+    /// `timeseries`, the JSON key is omitted entirely when absent.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct AnalysisSection {
+        /// Full miss latency `T` the predictions assumed (cycles).
+        pub t_full: u64,
+        /// Pipelined additional-miss latency `T_next` assumed (cycles).
+        pub t_next: u64,
+        /// The scheme string the predictions were evaluated for.
+        pub scheme: String,
+        /// The calibration constants used (after any `--cost-model`
+        /// overrides), for provenance.
+        pub cost_model: Vec<(String, u64)>,
+        /// Per-phase theorem predictions (empty for native runs, where the
+        /// simulator's cost model does not apply).
+        pub predictions: Vec<PhasePrediction>,
+        /// Predicted-vs-measured rows.
+        pub residuals: Vec<ResidualRow>,
+        /// The one primary bottleneck class assigned to the run.
+        pub primary: String,
+        /// Evidence lines behind the primary classification.
+        pub evidence: Vec<String>,
+        /// Every rule's outcome, in evaluation (priority) order.
+        pub rules: Vec<RuleOutcome>,
+    }
 }
 
 /// Internal consistency of an `analysis` section: the primary class must
@@ -452,7 +518,7 @@ fn validate_analysis(sec: &AnalysisSection) -> Result<(), String> {
 }
 
 /// A complete, serializable description of one pipeline run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// What ran (`"join"`, `"agg"`, `"tune"`, or a bench slug).
     pub command: String,
@@ -499,6 +565,39 @@ pub struct RunReport {
     pub query_trace: Option<QueryTraceSection>,
 }
 
+// Written by the table below, gated on by `RunReport::parse`.
+const VERSION_KEY: &str = "schema_version";
+
+// The document layout, top to bottom. The six optional sections are the
+// `opt` entries: their key is omitted entirely when the section is
+// `None`, so reports without one stay byte-identical to older ones.
+json_record! {
+    impl RunReport {
+        VERSION_KEY => emit(_r => SCHEMA_VERSION),
+        "command" => rw(command),
+        "simulated" => rw(simulated),
+        "config" => rw(config),
+        "wall_ns" => rw(wall_ns),
+        "tuples" => rw(tuples),
+        "matches" => rw(matches),
+        "breakdown" => rw(totals.breakdown),
+        "cache" => rw(totals.stats),
+        "derived" => emit(r => Json::obj(vec![
+            ("tuples_per_sec", r.tuples_per_sec().to_json()),
+            ("cycles_per_tuple", r.cycles_per_tuple().to_json()),
+            ("prefetch_coverage", r.prefetch_coverage().to_json()),
+            ("pollution_rate", r.pollution_rate().to_json()),
+        ])),
+        "spans" => rw(spans),
+        "regions" => opt(regions),
+        "faults" => opt(faults),
+        "timeseries" => opt(timeseries),
+        "analysis" => opt(analysis),
+        "flightrec" => opt(flightrec),
+        "query_trace" => opt(query_trace),
+    }
+}
+
 impl RunReport {
     /// Build a report from a finished recorder. `totals` is the
     /// whole-run snapshot delta (typically the engine's final snapshot,
@@ -511,19 +610,10 @@ impl RunReport {
     ) -> Self {
         RunReport {
             command: command.to_string(),
-            config: Vec::new(),
-            simulated: false,
             totals,
             wall_ns,
-            tuples: 0,
-            matches: 0,
             spans: recorder.finish(),
-            regions: None,
-            faults: None,
-            timeseries: None,
-            analysis: None,
-            flightrec: None,
-            query_trace: None,
+            ..Default::default()
         }
     }
 
@@ -568,102 +658,7 @@ impl RunReport {
 
     /// Serialize to a JSON document.
     pub fn to_json(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                let mut pairs = vec![
-                    ("name", Json::Str(s.name.clone())),
-                    (
-                        "parent",
-                        s.parent.map_or(Json::Null, |p| Json::U64(p as u64)),
-                    ),
-                    ("depth", Json::U64(s.depth as u64)),
-                    ("start_ns", Json::U64(s.start_ns)),
-                    ("wall_ns", Json::U64(s.wall_ns)),
-                    ("breakdown", breakdown_json(&s.delta.breakdown)),
-                    ("cache", cache_json(&s.delta.stats)),
-                    ("prefetch_coverage", Json::F64(coverage(&s.delta))),
-                ];
-                // Only profiled runs carry the key at all.
-                if let Some(h) = &s.latency {
-                    pairs.push(("latency", hist_json(h)));
-                }
-                pairs.push((
-                    "meta",
-                    Json::Obj(
-                        s.meta
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                            .collect(),
-                    ),
-                ));
-                Json::obj(pairs)
-            })
-            .collect();
-        let mut doc = Json::obj(vec![
-            ("schema_version", Json::U64(SCHEMA_VERSION)),
-            ("command", Json::Str(self.command.clone())),
-            ("simulated", Json::Bool(self.simulated)),
-            (
-                "config",
-                Json::Obj(
-                    self.config
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
-            ),
-            ("wall_ns", Json::U64(self.wall_ns)),
-            ("tuples", Json::U64(self.tuples)),
-            ("matches", Json::U64(self.matches)),
-            ("breakdown", breakdown_json(&self.totals.breakdown)),
-            ("cache", cache_json(&self.totals.stats)),
-            (
-                "derived",
-                Json::obj(vec![
-                    ("tuples_per_sec", Json::F64(self.tuples_per_sec())),
-                    (
-                        "cycles_per_tuple",
-                        self.cycles_per_tuple().map_or(Json::Null, Json::F64),
-                    ),
-                    ("prefetch_coverage", Json::F64(self.prefetch_coverage())),
-                    ("pollution_rate", Json::F64(self.pollution_rate())),
-                ]),
-            ),
-            ("spans", Json::Arr(spans)),
-        ]);
-        if let Some(sec) = &self.regions {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("regions".into(), regions_json(sec)));
-            }
-        }
-        if let Some(sec) = &self.faults {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("faults".into(), faults_json(sec)));
-            }
-        }
-        if let Some(sec) = &self.timeseries {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("timeseries".into(), timeseries_json(sec)));
-            }
-        }
-        if let Some(sec) = &self.analysis {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("analysis".into(), analysis_json(sec)));
-            }
-        }
-        if let Some(sec) = &self.flightrec {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("flightrec".into(), flightrec_json(sec)));
-            }
-        }
-        if let Some(sec) = &self.query_trace {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("query_trace".into(), query_trace_json(sec)));
-            }
-        }
-        doc
+        ToJson::to_json(self)
     }
 
     /// Serialize to pretty-printed JSON text.
@@ -675,54 +670,11 @@ impl RunReport {
     /// for every field the report model carries).
     pub fn parse(text: &str) -> Result<RunReport, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let version = field_u64(&doc, "schema_version")?;
+        let version: u64 = json::field(&doc, VERSION_KEY)?;
         if version != SCHEMA_VERSION {
             return Err(format!("unsupported schema_version {version}"));
         }
-        let spans = doc
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or("missing spans array")?
-            .iter()
-            .map(parse_span)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RunReport {
-            command: field_str(&doc, "command")?,
-            config: parse_kv(&doc, "config")?,
-            simulated: matches!(doc.get("simulated"), Some(Json::Bool(true))),
-            totals: Snapshot {
-                breakdown: parse_breakdown(doc.get("breakdown").ok_or("missing breakdown")?)?,
-                stats: parse_cache(doc.get("cache").ok_or("missing cache")?)?,
-            },
-            wall_ns: field_u64(&doc, "wall_ns")?,
-            tuples: field_u64(&doc, "tuples")?,
-            matches: field_u64(&doc, "matches")?,
-            spans,
-            regions: match doc.get("regions") {
-                Some(sec) => Some(parse_regions(sec)?),
-                None => None,
-            },
-            faults: match doc.get("faults") {
-                Some(sec) => Some(parse_faults(sec)?),
-                None => None,
-            },
-            timeseries: match doc.get("timeseries") {
-                Some(sec) => Some(parse_timeseries(sec)?),
-                None => None,
-            },
-            analysis: match doc.get("analysis") {
-                Some(sec) => Some(parse_analysis(sec)?),
-                None => None,
-            },
-            flightrec: match doc.get("flightrec") {
-                Some(sec) => Some(parse_flightrec(sec)?),
-                None => None,
-            },
-            query_trace: match doc.get("query_trace") {
-                Some(sec) => Some(parse_query_trace(sec)?),
-                None => None,
-            },
-        })
+        RunReport::from_json(&doc)
     }
 
     /// Structural sanity checks; `Err` carries the first violation.
@@ -907,570 +859,77 @@ pub fn pollution(s: &CacheStats) -> f64 {
     }
 }
 
-fn breakdown_json(b: &Breakdown) -> Json {
-    Json::obj(vec![
-        ("busy", Json::U64(b.busy)),
-        ("dcache_stall", Json::U64(b.dcache_stall)),
-        ("dtlb_stall", Json::U64(b.dtlb_stall)),
-        ("other_stall", Json::U64(b.other_stall)),
-        ("total", Json::U64(b.total())),
-    ])
-}
-
-fn cache_json(s: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("visits", Json::U64(s.visits)),
-        ("visit_lines", Json::U64(s.visit_lines)),
-        ("l1_hits", Json::U64(s.l1_hits)),
-        ("l1_inflight_hits", Json::U64(s.l1_inflight_hits)),
-        ("l2_hits", Json::U64(s.l2_hits)),
-        ("mem_misses", Json::U64(s.mem_misses)),
-        ("l1_conflict_misses", Json::U64(s.l1_conflict_misses)),
-        ("prefetches", Json::U64(s.prefetches)),
-        ("pf_dropped", Json::U64(s.pf_dropped)),
-        ("pf_from_l2", Json::U64(s.pf_from_l2)),
-        ("pf_from_mem", Json::U64(s.pf_from_mem)),
-        ("pf_evicted_unused", Json::U64(s.pf_evicted_unused)),
-        ("pf_hidden_cycles", Json::U64(s.pf_hidden_cycles)),
-        ("tlb_demand_walks", Json::U64(s.tlb_demand_walks)),
-        ("tlb_prefetch_walks", Json::U64(s.tlb_prefetch_walks)),
-        ("hw_prefetches", Json::U64(s.hw_prefetches)),
-        ("writebacks", Json::U64(s.writebacks)),
-        ("flushes", Json::U64(s.flushes)),
-    ])
-}
-
-fn hist_json(h: &LatencyHistogram) -> Json {
-    let (p50, p95, p99) = h.percentiles();
-    Json::obj(vec![
-        ("count", Json::U64(h.count())),
-        ("p50", Json::U64(p50)),
-        ("p95", Json::U64(p95)),
-        ("p99", Json::U64(p99)),
-        ("buckets", Json::Arr(h.buckets.iter().map(|&c| Json::U64(c)).collect())),
-    ])
-}
-
-fn region_json(r: &RegionReport) -> Json {
-    let s = &r.stats;
-    Json::obj(vec![
-        ("name", Json::Str(r.name.clone())),
-        ("l1_hits", Json::U64(s.l1_hits)),
-        ("l1_inflight_hits", Json::U64(s.l1_inflight_hits)),
-        ("l2_hits", Json::U64(s.l2_hits)),
-        ("mem_misses", Json::U64(s.mem_misses)),
-        ("demand_lines", Json::U64(s.demand_lines())),
-        ("tlb_demand_walks", Json::U64(s.tlb_demand_walks)),
-        ("stall_cycles", Json::U64(s.stall_cycles)),
-        ("prefetches", Json::U64(s.prefetches)),
-        ("pf_dropped", Json::U64(s.pf_dropped)),
-        ("tlb_prefetch_walks", Json::U64(s.tlb_prefetch_walks)),
-        ("pf_hidden", Json::U64(s.pf_hidden)),
-        ("pf_partial", Json::U64(s.pf_partial)),
-        ("pf_late", Json::U64(s.pf_late)),
-        ("pf_polluting", Json::U64(s.pf_polluting)),
-        ("pf_hidden_cycles", Json::U64(s.pf_hidden_cycles)),
-        ("hist", hist_json(&r.hist)),
-    ])
-}
-
-fn skew_json(row: &SkewRow) -> Json {
-    Json::obj(vec![
-        ("index", Json::U64(row.index)),
-        ("build_tuples", Json::U64(row.build_tuples)),
-        ("probe_tuples", Json::U64(row.probe_tuples)),
-        ("cycles", Json::U64(row.cycles)),
-        ("l2_hits", Json::U64(row.l2_hits)),
-        ("mem_misses", Json::U64(row.mem_misses)),
-    ])
-}
-
-fn regions_json(sec: &RegionsSection) -> Json {
-    Json::obj(vec![
-        ("regions", Json::Arr(sec.regions.iter().map(region_json).collect())),
-        ("skew", Json::Arr(sec.skew.iter().map(skew_json).collect())),
-    ])
-}
-
-fn degradation_json(row: &DegradationRow) -> Json {
-    Json::obj(vec![
-        ("partition", Json::Str(row.partition.clone())),
-        ("depth", Json::U64(row.depth)),
-        ("bytes", Json::U64(row.bytes)),
-        ("budget", Json::U64(row.budget)),
-        ("action", Json::Str(row.action.clone())),
-        ("detail", Json::U64(row.detail)),
-    ])
-}
-
-fn faults_json(sec: &FaultsSection) -> Json {
-    Json::obj(vec![
-        ("faults_injected", Json::U64(sec.faults_injected)),
-        ("read_retries", Json::U64(sec.read_retries)),
-        ("write_retries", Json::U64(sec.write_retries)),
-        ("slow_stall_us", Json::U64(sec.slow_stall_us)),
-        (
-            "degradation",
-            Json::Arr(sec.degradation.iter().map(degradation_json).collect()),
-        ),
-    ])
-}
-
-fn timeseries_row_json(row: &TimeseriesRow) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(row.name.clone())),
-        ("min", Json::U64(row.min)),
-        ("max", Json::U64(row.max)),
-        ("last", Json::U64(row.last)),
-        (
-            "points",
-            Json::Arr(
-                row.points
-                    .iter()
-                    .map(|&(t, v)| Json::Arr(vec![Json::U64(t), Json::U64(v)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn timeseries_json(sec: &TimeseriesSection) -> Json {
-    Json::obj(vec![
-        ("interval_ms", Json::U64(sec.interval_ms)),
-        ("capacity", Json::U64(sec.capacity)),
-        ("series", Json::Arr(sec.series.iter().map(timeseries_row_json).collect())),
-    ])
-}
-
-fn parse_timeseries_row(doc: &Json) -> Result<TimeseriesRow, String> {
-    Ok(TimeseriesRow {
-        name: field_str(doc, "name")?,
-        min: field_u64(doc, "min")?,
-        max: field_u64(doc, "max")?,
-        last: field_u64(doc, "last")?,
-        points: doc
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("timeseries row missing points array")?
-            .iter()
-            .map(|p| match p.as_arr() {
-                Some([t, v]) => Ok((
-                    t.as_u64().ok_or("non-integer point timestamp")?,
-                    v.as_u64().ok_or("non-integer point value")?,
-                )),
-                _ => Err("timeseries point is not a [t, v] pair".to_string()),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn parse_timeseries(doc: &Json) -> Result<TimeseriesSection, String> {
-    Ok(TimeseriesSection {
-        interval_ms: field_u64(doc, "interval_ms")?,
-        capacity: field_u64(doc, "capacity")?,
-        series: doc
-            .get("series")
-            .and_then(Json::as_arr)
-            .ok_or("timeseries section missing series array")?
-            .iter()
-            .map(parse_timeseries_row)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn parse_hist(doc: &Json) -> Result<LatencyHistogram, String> {
-    let arr = doc
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or("histogram missing buckets array")?;
-    if arr.len() != LATENCY_BUCKETS {
-        return Err(format!("histogram has {} buckets, expected {LATENCY_BUCKETS}", arr.len()));
+// Field tables for the memory model's records: `phj-memsim` sits below
+// this crate and cannot name the traits, so their JSON form lives here.
+json_record! {
+    impl Breakdown {
+        "busy" => rw(busy),
+        "dcache_stall" => rw(dcache_stall),
+        "dtlb_stall" => rw(dtlb_stall),
+        "other_stall" => rw(other_stall),
+        "total" => emit(b => b.total()),
     }
-    let mut h = LatencyHistogram::default();
-    for (i, v) in arr.iter().enumerate() {
-        h.buckets[i] = v.as_u64().ok_or("non-integer histogram bucket")?;
+}
+
+json_record! {
+    impl CacheStats {
+        "visits" => rw(visits),
+        "visit_lines" => rw(visit_lines),
+        "l1_hits" => rw(l1_hits),
+        "l1_inflight_hits" => rw(l1_inflight_hits),
+        "l2_hits" => rw(l2_hits),
+        "mem_misses" => rw(mem_misses),
+        "l1_conflict_misses" => rw(l1_conflict_misses),
+        "prefetches" => rw(prefetches),
+        "pf_dropped" => rw(pf_dropped),
+        "pf_from_l2" => rw(pf_from_l2),
+        "pf_from_mem" => rw(pf_from_mem),
+        "pf_evicted_unused" => rw(pf_evicted_unused),
+        "pf_hidden_cycles" => rw(pf_hidden_cycles),
+        "tlb_demand_walks" => rw(tlb_demand_walks),
+        "tlb_prefetch_walks" => rw(tlb_prefetch_walks),
+        "hw_prefetches" => rw(hw_prefetches),
+        "writebacks" => rw(writebacks),
+        "flushes" => rw(flushes),
     }
-    Ok(h)
 }
 
-fn parse_region(doc: &Json) -> Result<RegionReport, String> {
-    Ok(RegionReport {
-        name: field_str(doc, "name")?,
-        stats: RegionStats {
-            l1_hits: field_u64(doc, "l1_hits")?,
-            l1_inflight_hits: field_u64(doc, "l1_inflight_hits")?,
-            l2_hits: field_u64(doc, "l2_hits")?,
-            mem_misses: field_u64(doc, "mem_misses")?,
-            tlb_demand_walks: field_u64(doc, "tlb_demand_walks")?,
-            stall_cycles: field_u64(doc, "stall_cycles")?,
-            prefetches: field_u64(doc, "prefetches")?,
-            pf_dropped: field_u64(doc, "pf_dropped")?,
-            tlb_prefetch_walks: field_u64(doc, "tlb_prefetch_walks")?,
-            pf_hidden: field_u64(doc, "pf_hidden")?,
-            pf_partial: field_u64(doc, "pf_partial")?,
-            pf_late: field_u64(doc, "pf_late")?,
-            pf_polluting: field_u64(doc, "pf_polluting")?,
-            pf_hidden_cycles: field_u64(doc, "pf_hidden_cycles")?,
-        },
-        hist: parse_hist(doc.get("hist").ok_or("region missing hist")?)?,
-    })
+json_record! {
+    impl LatencyHistogram {
+        "count" => emit(h => h.count()),
+        "p50" => emit(h => h.percentiles().0),
+        "p95" => emit(h => h.percentiles().1),
+        "p99" => emit(h => h.percentiles().2),
+        "buckets" => rw(buckets),
+    }
 }
 
-fn parse_skew(doc: &Json) -> Result<SkewRow, String> {
-    Ok(SkewRow {
-        index: field_u64(doc, "index")?,
-        build_tuples: field_u64(doc, "build_tuples")?,
-        probe_tuples: field_u64(doc, "probe_tuples")?,
-        cycles: field_u64(doc, "cycles")?,
-        l2_hits: field_u64(doc, "l2_hits")?,
-        mem_misses: field_u64(doc, "mem_misses")?,
-    })
+json_record! {
+    impl SpanRecord [SpanRecord::reconstruct(String::new(), None, 0, 0, 0, Snapshot::default())] {
+        "name" => rw(name),
+        "parent" => rw(parent),
+        "depth" => rw(depth),
+        "start_ns" => rw(start_ns),
+        "wall_ns" => rw(wall_ns),
+        "breakdown" => rw(delta.breakdown),
+        "cache" => rw(delta.stats),
+        "prefetch_coverage" => emit(s => coverage(&s.delta)),
+        // Only profiled runs carry the key at all.
+        "latency" => opt(latency),
+        "meta" => with(meta, ToJson::to_json, lenient_meta),
+    }
 }
 
-fn parse_regions(doc: &Json) -> Result<RegionsSection, String> {
-    Ok(RegionsSection {
-        regions: doc
-            .get("regions")
-            .and_then(Json::as_arr)
-            .ok_or("regions section missing regions array")?
-            .iter()
-            .map(parse_region)
-            .collect::<Result<Vec<_>, _>>()?,
-        skew: doc
-            .get("skew")
-            .and_then(Json::as_arr)
-            .ok_or("regions section missing skew array")?
-            .iter()
-            .map(parse_skew)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn parse_degradation(doc: &Json) -> Result<DegradationRow, String> {
-    Ok(DegradationRow {
-        partition: field_str(doc, "partition")?,
-        depth: field_u64(doc, "depth")?,
-        bytes: field_u64(doc, "bytes")?,
-        budget: field_u64(doc, "budget")?,
-        action: field_str(doc, "action")?,
-        detail: field_u64(doc, "detail")?,
-    })
-}
-
-fn parse_faults(doc: &Json) -> Result<FaultsSection, String> {
-    Ok(FaultsSection {
-        faults_injected: field_u64(doc, "faults_injected")?,
-        read_retries: field_u64(doc, "read_retries")?,
-        write_retries: field_u64(doc, "write_retries")?,
-        slow_stall_us: field_u64(doc, "slow_stall_us")?,
-        degradation: doc
-            .get("degradation")
-            .and_then(Json::as_arr)
-            .ok_or("faults section missing degradation array")?
-            .iter()
-            .map(parse_degradation)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn flightrec_json(sec: &FlightrecSection) -> Json {
-    Json::obj(vec![
-        ("mode", Json::Str(sec.mode.clone())),
-        ("capacity", Json::U64(sec.capacity)),
-        ("threads", Json::U64(sec.threads)),
-        ("written", Json::U64(sec.written)),
-        ("dropped", Json::U64(sec.dropped)),
-        (
-            "counts",
-            Json::Obj(
-                sec.counts.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect(),
-            ),
-        ),
-    ])
-}
-
-fn parse_flightrec(doc: &Json) -> Result<FlightrecSection, String> {
-    let counts = match doc.get("counts") {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, v)| {
-                Ok((k.clone(), v.as_u64().ok_or("non-integer flightrec count")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("flightrec section missing counts object".into()),
-    };
-    Ok(FlightrecSection {
-        mode: field_str(doc, "mode")?,
-        capacity: field_u64(doc, "capacity")?,
-        threads: field_u64(doc, "threads")?,
-        written: field_u64(doc, "written")?,
-        dropped: field_u64(doc, "dropped")?,
-        counts,
-    })
-}
-
-fn query_trace_json(sec: &QueryTraceSection) -> Json {
-    Json::obj(vec![
-        ("trace_id", Json::U64(sec.trace_id)),
-        ("query_id", Json::U64(sec.query_id)),
-        ("queue_wait_ns", Json::U64(sec.queue_wait_ns)),
-        ("grant_wait_ns", Json::U64(sec.grant_wait_ns)),
-        ("exec_ns", Json::U64(sec.exec_ns)),
-        ("serialize_ns", Json::U64(sec.serialize_ns)),
-        ("shed_count", Json::U64(sec.shed_count)),
-        (
-            "states",
-            Json::Arr(
-                sec.states
-                    .iter()
-                    .map(|(state, t_ns)| {
-                        Json::obj(vec![
-                            ("state", Json::Str(state.clone())),
-                            ("t_ns", Json::U64(*t_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn parse_query_trace(doc: &Json) -> Result<QueryTraceSection, String> {
-    let states = doc
-        .get("states")
-        .and_then(Json::as_arr)
-        .ok_or("query_trace section missing states array")?
-        .iter()
-        .map(|s| Ok((field_str(s, "state")?, field_u64(s, "t_ns")?)))
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(QueryTraceSection {
-        trace_id: field_u64(doc, "trace_id")?,
-        query_id: field_u64(doc, "query_id")?,
-        queue_wait_ns: field_u64(doc, "queue_wait_ns")?,
-        grant_wait_ns: field_u64(doc, "grant_wait_ns")?,
-        exec_ns: field_u64(doc, "exec_ns")?,
-        serialize_ns: field_u64(doc, "serialize_ns")?,
-        shed_count: field_u64(doc, "shed_count")?,
-        states,
-    })
-}
-
-fn prediction_json(p: &PhasePrediction) -> Json {
-    Json::obj(vec![
-        ("phase", Json::Str(p.phase.clone())),
-        ("stage_costs", Json::Arr(p.stage_costs.iter().map(|&c| Json::U64(c)).collect())),
-        ("g_min", Json::U64(p.g_min)),
-        ("first_miss_hidden", Json::Bool(p.first_miss_hidden)),
-        ("d_min", Json::U64(p.d_min)),
-        ("predicted_coverage", Json::F64(p.predicted_coverage)),
-    ])
-}
-
-fn residual_json(r: &ResidualRow) -> Json {
-    Json::obj(vec![
-        ("metric", Json::Str(r.metric.clone())),
-        ("predicted", Json::F64(r.predicted)),
-        ("measured", Json::F64(r.measured)),
-        ("residual", Json::F64(r.residual)),
-    ])
-}
-
-fn rule_json(r: &RuleOutcome) -> Json {
-    Json::obj(vec![
-        ("class", Json::Str(r.class.clone())),
-        ("fired", Json::Bool(r.fired)),
-        ("evidence", Json::Arr(r.evidence.iter().map(|e| Json::Str(e.clone())).collect())),
-    ])
-}
-
-fn analysis_json(sec: &AnalysisSection) -> Json {
-    Json::obj(vec![
-        ("t_full", Json::U64(sec.t_full)),
-        ("t_next", Json::U64(sec.t_next)),
-        ("scheme", Json::Str(sec.scheme.clone())),
-        (
-            "cost_model",
-            Json::Obj(sec.cost_model.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect()),
-        ),
-        ("predictions", Json::Arr(sec.predictions.iter().map(prediction_json).collect())),
-        ("residuals", Json::Arr(sec.residuals.iter().map(residual_json).collect())),
-        ("primary", Json::Str(sec.primary.clone())),
-        ("evidence", Json::Arr(sec.evidence.iter().map(|e| Json::Str(e.clone())).collect())),
-        ("rules", Json::Arr(sec.rules.iter().map(rule_json).collect())),
-    ])
-}
-
-fn field_f64(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing f64 field '{key}'"))
-}
-
-fn str_arr(doc: &Json, key: &str) -> Result<Vec<String>, String> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field '{key}'"))?
-        .iter()
-        .map(|e| e.as_str().map(str::to_string).ok_or_else(|| format!("'{key}' holds a non-string")))
-        .collect()
-}
-
-fn parse_prediction(doc: &Json) -> Result<PhasePrediction, String> {
-    Ok(PhasePrediction {
-        phase: field_str(doc, "phase")?,
-        stage_costs: doc
-            .get("stage_costs")
-            .and_then(Json::as_arr)
-            .ok_or("prediction missing stage_costs array")?
-            .iter()
-            .map(|c| c.as_u64().ok_or("non-integer stage cost".to_string()))
-            .collect::<Result<Vec<_>, _>>()?,
-        g_min: field_u64(doc, "g_min")?,
-        first_miss_hidden: matches!(doc.get("first_miss_hidden"), Some(Json::Bool(true))),
-        d_min: field_u64(doc, "d_min")?,
-        predicted_coverage: field_f64(doc, "predicted_coverage")?,
-    })
-}
-
-fn parse_residual(doc: &Json) -> Result<ResidualRow, String> {
-    Ok(ResidualRow {
-        metric: field_str(doc, "metric")?,
-        predicted: field_f64(doc, "predicted")?,
-        measured: field_f64(doc, "measured")?,
-        residual: field_f64(doc, "residual")?,
-    })
-}
-
-fn parse_rule(doc: &Json) -> Result<RuleOutcome, String> {
-    Ok(RuleOutcome {
-        class: field_str(doc, "class")?,
-        fired: matches!(doc.get("fired"), Some(Json::Bool(true))),
-        evidence: str_arr(doc, "evidence")?,
-    })
-}
-
-fn parse_analysis(doc: &Json) -> Result<AnalysisSection, String> {
-    let cost_model = match doc.get("cost_model") {
+/// Span annotations read leniently: no `meta` object means none, and a
+/// non-string value reads as the empty string.
+fn lenient_meta(doc: &Json, key: &str) -> Result<Vec<(String, String)>, String> {
+    Ok(match doc.get(key) {
         Some(Json::Obj(members)) => members
             .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("cost_model entry '{k}' is not a u64"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("analysis section missing cost_model object".into()),
-    };
-    Ok(AnalysisSection {
-        t_full: field_u64(doc, "t_full")?,
-        t_next: field_u64(doc, "t_next")?,
-        scheme: field_str(doc, "scheme")?,
-        cost_model,
-        predictions: doc
-            .get("predictions")
-            .and_then(Json::as_arr)
-            .ok_or("analysis section missing predictions array")?
-            .iter()
-            .map(parse_prediction)
-            .collect::<Result<Vec<_>, _>>()?,
-        residuals: doc
-            .get("residuals")
-            .and_then(Json::as_arr)
-            .ok_or("analysis section missing residuals array")?
-            .iter()
-            .map(parse_residual)
-            .collect::<Result<Vec<_>, _>>()?,
-        primary: field_str(doc, "primary")?,
-        evidence: str_arr(doc, "evidence")?,
-        rules: doc
-            .get("rules")
-            .and_then(Json::as_arr)
-            .ok_or("analysis section missing rules array")?
-            .iter()
-            .map(parse_rule)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing u64 field '{key}'"))
-}
-
-fn field_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn parse_kv(doc: &Json, key: &str) -> Result<Vec<(String, String)>, String> {
-    match doc.get(key) {
-        Some(Json::Obj(members)) => members
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| format!("non-string value in '{key}'"))
-            })
+            .map(|(k, v)| (k.clone(), v.as_str().unwrap_or_default().to_string()))
             .collect(),
-        _ => Err(format!("missing object field '{key}'")),
-    }
-}
-
-fn parse_breakdown(doc: &Json) -> Result<Breakdown, String> {
-    Ok(Breakdown {
-        busy: field_u64(doc, "busy")?,
-        dcache_stall: field_u64(doc, "dcache_stall")?,
-        dtlb_stall: field_u64(doc, "dtlb_stall")?,
-        other_stall: field_u64(doc, "other_stall")?,
+        _ => Vec::new(),
     })
-}
-
-fn parse_cache(doc: &Json) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        visits: field_u64(doc, "visits")?,
-        visit_lines: field_u64(doc, "visit_lines")?,
-        l1_hits: field_u64(doc, "l1_hits")?,
-        l1_inflight_hits: field_u64(doc, "l1_inflight_hits")?,
-        l2_hits: field_u64(doc, "l2_hits")?,
-        mem_misses: field_u64(doc, "mem_misses")?,
-        l1_conflict_misses: field_u64(doc, "l1_conflict_misses")?,
-        prefetches: field_u64(doc, "prefetches")?,
-        pf_dropped: field_u64(doc, "pf_dropped")?,
-        pf_from_l2: field_u64(doc, "pf_from_l2")?,
-        pf_from_mem: field_u64(doc, "pf_from_mem")?,
-        pf_evicted_unused: field_u64(doc, "pf_evicted_unused")?,
-        pf_hidden_cycles: field_u64(doc, "pf_hidden_cycles")?,
-        tlb_demand_walks: field_u64(doc, "tlb_demand_walks")?,
-        tlb_prefetch_walks: field_u64(doc, "tlb_prefetch_walks")?,
-        hw_prefetches: field_u64(doc, "hw_prefetches")?,
-        writebacks: field_u64(doc, "writebacks")?,
-        flushes: field_u64(doc, "flushes")?,
-    })
-}
-
-fn parse_span(doc: &Json) -> Result<SpanRecord, String> {
-    let mut span = SpanRecord::reconstruct(
-        field_str(doc, "name")?,
-        match doc.get("parent") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(v.as_u64().ok_or("bad span parent")? as usize),
-        },
-        field_u64(doc, "depth")? as usize,
-        field_u64(doc, "start_ns")?,
-        field_u64(doc, "wall_ns")?,
-        Snapshot {
-            breakdown: parse_breakdown(doc.get("breakdown").ok_or("span missing breakdown")?)?,
-            stats: parse_cache(doc.get("cache").ok_or("span missing cache")?)?,
-        },
-    );
-    if let Some(h) = doc.get("latency") {
-        span = span.with_latency(Some(parse_hist(h)?));
-    }
-    if let Some(Json::Obj(members)) = doc.get("meta") {
-        for (k, v) in members {
-            span.meta.push((k.clone(), v.as_str().unwrap_or_default().to_string()));
-        }
-    }
-    Ok(span)
 }
 
 #[cfg(test)]

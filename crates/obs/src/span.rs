@@ -84,12 +84,6 @@ impl SpanRecord {
             closed: true,
         }
     }
-
-    /// Attach a latency histogram (deserialization path).
-    pub fn with_latency(mut self, latency: Option<LatencyHistogram>) -> SpanRecord {
-        self.latency = latency;
-        self
-    }
 }
 
 /// Collects nested spans. Create one per run, thread it (optionally)

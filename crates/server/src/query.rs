@@ -50,8 +50,9 @@ pub struct QueryOutcome {
     pub checksum: u64,
     /// Partitions produced (join only).
     pub partitions: u64,
-    /// The validated per-query RunReport, rendered as JSON.
-    pub report_json: String,
+    /// The validated per-query RunReport (the server renders it once,
+    /// after attaching any `query_trace` section).
+    pub report: RunReport,
 }
 
 /// Reject requests whose *shape* is invalid before any admission or
@@ -229,7 +230,7 @@ fn run_join(query_id: u64, j: &JoinRequest) -> Result<QueryOutcome, String> {
         matches: sink.matches(),
         checksum: sink.checksum(),
         partitions: partitions as u64,
-        report_json: report.render(),
+        report,
     })
 }
 
@@ -278,7 +279,7 @@ fn run_agg(query_id: u64, a: &AggRequest) -> Result<QueryOutcome, String> {
         matches: table.num_groups() as u64,
         checksum: phj_exec::agg_checksum(&table),
         partitions: 0,
-        report_json: report.render(),
+        report,
     })
 }
 
@@ -385,7 +386,7 @@ fn run_disk_in(
         matches: disk.matches,
         checksum: disk.checksum,
         partitions: disk.num_partitions as u64,
-        report_json: report.render(),
+        report,
     })
 }
 
@@ -413,7 +414,7 @@ mod tests {
         assert_eq!(out.kind, KIND_JOIN);
         assert_eq!(out.matches, 4_000);
         assert_ne!(out.checksum, 0);
-        let report = RunReport::parse(&out.report_json).unwrap();
+        let report = RunReport::parse(&out.report.render()).unwrap();
         report.validate().unwrap();
         assert!(report.config.iter().any(|(k, v)| k == "query_id" && v == "7"));
         assert_eq!(report.matches, 4_000);
@@ -439,7 +440,7 @@ mod tests {
         let out = run(3, &req).unwrap();
         assert_eq!(out.kind, KIND_AGG);
         assert_eq!(out.matches, 500);
-        let report = RunReport::parse(&out.report_json).unwrap();
+        let report = RunReport::parse(&out.report.render()).unwrap();
         report.validate().unwrap();
     }
 
@@ -466,7 +467,7 @@ mod tests {
         assert_eq!(grace.checksum, hybrid.checksum);
         assert_eq!(grace.checksum, dynamic.checksum);
         assert_eq!(grace.matches, dynamic.matches);
-        let report = RunReport::parse(&dynamic.report_json).unwrap();
+        let report = RunReport::parse(&dynamic.report.render()).unwrap();
         report.validate().unwrap();
         assert!(report.config.iter().any(|(k, v)| k == "mode" && v == "dynamic"));
     }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::admission::MemGrant;
 use crate::proto::StatusRow;
-use phj_obs::QUERY_STATES;
+use phj_obs::{Json, QUERY_STATES};
 
 /// How many completed queries the registry remembers.
 const RECENT_CAP: usize = 32;
@@ -256,36 +256,27 @@ impl QueryRegistry {
     /// The table as a JSON document for the `/queries` HTTP endpoint:
     /// `{"queries": [{...}, ...]}` with states and kinds as names.
     pub fn to_json(&self) -> String {
-        let rows = self.snapshot();
-        let mut out = String::with_capacity(64 + 160 * rows.len());
-        out.push_str("{\"queries\": [");
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
+        let row = |r: StatusRow| {
             let kind = match r.kind {
                 1 => "join",
                 2 => "agg",
                 _ => "disk_join",
             };
-            out.push_str(&format!(
-                "{{\"query_id\": {}, \"trace_id\": {}, \"kind\": \"{}\", \"state\": \"{}\", \
-                 \"age_us\": {}, \"grant_bytes\": {}, \"shed_count\": {}, \
-                 \"queue_wait_us\": {}, \"grant_wait_us\": {}, \"exec_us\": {}}}",
-                r.query_id,
-                r.trace_id,
-                kind,
-                QUERY_STATES[r.state as usize],
-                r.age_us,
-                r.grant_bytes,
-                r.shed_count,
-                r.queue_wait_us,
-                r.grant_wait_us,
-                r.exec_us,
-            ));
-        }
-        out.push_str("]}\n");
-        out
+            Json::obj(vec![
+                ("query_id", Json::U64(r.query_id)),
+                ("trace_id", Json::U64(r.trace_id)),
+                ("kind", Json::Str(kind.to_string())),
+                ("state", Json::Str(QUERY_STATES[r.state as usize].to_string())),
+                ("age_us", Json::U64(r.age_us)),
+                ("grant_bytes", Json::U64(r.grant_bytes)),
+                ("shed_count", Json::U64(r.shed_count as u64)),
+                ("queue_wait_us", Json::U64(r.queue_wait_us)),
+                ("grant_wait_us", Json::U64(r.grant_wait_us)),
+                ("exec_us", Json::U64(r.exec_us)),
+            ])
+        };
+        let queries = self.snapshot().into_iter().map(row).collect();
+        Json::obj(vec![("queries", Json::Arr(queries))]).render_pretty()
     }
 }
 

@@ -43,7 +43,8 @@ use std::time::{Duration, Instant};
 
 use phj_exec::Pool;
 use phj_metrics::Listener;
-use phj_obs::{QueryTraceSection, RunReport};
+use phj_obs::json::ToJson;
+use phj_obs::{Json, QueryTraceSection, RunReport};
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
 use crate::proto::{
@@ -463,16 +464,10 @@ fn handle_request(ctx: &Ctx, req: &Request) -> Response {
     drop(revocation);
     ctx.inflight.fetch_sub(1, Ordering::SeqCst);
     publish_inflight(ctx);
-    record_query_histograms(&grant, elapsed);
 
     let resp = match outcome {
         Ok(Ok(out)) => {
             ctx.registry.set_state(query_id, QueryState::Responding);
-            let report_json = if ctx.trace {
-                attach_query_trace(ctx, query_id, trace_id, out.report_json)
-            } else {
-                out.report_json
-            };
             Response::Result(QueryResult {
                 query_id,
                 kind: out.kind,
@@ -480,7 +475,7 @@ fn handle_request(ctx: &Ctx, req: &Request) -> Response {
                 checksum: out.checksum,
                 partitions: out.partitions,
                 elapsed_us: elapsed.as_micros() as u64,
-                report_json,
+                report_json: render_report(ctx, query_id, trace_id, &out.report),
                 trace_id,
             })
         }
@@ -491,18 +486,22 @@ fn handle_request(ctx: &Ctx, req: &Request) -> Response {
         },
     };
     let failed = !matches!(resp, Response::Result(_));
-    maybe_capture_slow(ctx, query_id, trace_id, received.elapsed());
+    let latency = received.elapsed();
+    record_query_histograms(&grant, latency, elapsed);
+    maybe_capture_slow(ctx, query_id, trace_id, latency);
     drop(grant);
     ctx.registry.finish(query_id, if failed { QueryState::Failed } else { QueryState::Done });
     resp
 }
 
 /// Break the wall latency into its lifecycle spans for Prometheus.
-/// `phj_server_query_latency_us` keeps recording the total.
-fn record_query_histograms(grant: &crate::admission::MemGrant, elapsed: Duration) {
+/// `phj_server_query_latency_us` keeps recording the total (`latency`:
+/// received → response built, so it includes the queue and grant waits
+/// the other histograms split out); `exec` is the kernel alone.
+fn record_query_histograms(grant: &crate::admission::MemGrant, latency: Duration, exec: Duration) {
     let Some(reg) = phj_metrics::global() else { return };
     reg.histogram(phj_metrics::names::SERVER_QUERY_LATENCY_US, "Per-query wall latency (us)")
-        .record(elapsed.as_micros() as u64);
+        .record(latency.as_micros() as u64);
     reg.histogram(
         phj_metrics::names::SERVER_QUERY_QUEUE_WAIT_US,
         "Per-query admission FIFO wait behind earlier arrivals (us)",
@@ -517,17 +516,20 @@ fn record_query_histograms(grant: &crate::admission::MemGrant, elapsed: Duration
         phj_metrics::names::SERVER_QUERY_EXEC_US,
         "Per-query kernel execution time (us)",
     )
-    .record(elapsed.as_micros() as u64);
+    .record(exec.as_micros() as u64);
 }
 
-/// Re-render a query's RunReport with its `query_trace` section
-/// attached. Parse → set → render is an identity transform for every
-/// other section (u64s are exact, floats render shortest-repr), so a
-/// traced report differs from the untraced one *only* by the new
-/// section. Falls back to the original JSON if the report does not
-/// parse (it always should — it was rendered by `RunReport::render`).
-fn attach_query_trace(ctx: &Ctx, query_id: u64, trace_id: u64, report_json: String) -> String {
-    let Some(lc) = ctx.registry.lifecycle(query_id) else { return report_json };
+/// Render a finished query's report — the one place the daemon
+/// serializes a RunReport. A tracing daemon attaches the `query_trace`
+/// section; that section reports how long the rest of the JSON tree
+/// took to build (floored at 1 us so the span stays visible in
+/// breakdowns), so it is appended to the built tree — `query_trace` is
+/// the last key of the report layout — rather than set on the struct
+/// and the tree built twice. A traced report differs from the untraced
+/// one *only* by the new section.
+fn render_report(ctx: &Ctx, query_id: u64, trace_id: u64, report: &RunReport) -> String {
+    let lifecycle = if ctx.trace { ctx.registry.lifecycle(query_id) } else { None };
+    let Some(lc) = lifecycle else { return report.render() };
     let ser0 = Instant::now();
     phj_flightrec::event(
         phj_flightrec::EventKind::PhaseEnter,
@@ -535,30 +537,21 @@ fn attach_query_trace(ctx: &Ctx, query_id: u64, trace_id: u64, report_json: Stri
         query_id,
         0,
     );
-    let out = match RunReport::parse(&report_json) {
-        Ok(mut report) => {
-            // Serialization cost = the parse just done plus the render
-            // below; the parse is the dominant half, so charge it and
-            // a floor of 1 us so the span is visible in breakdowns.
-            let serialize_ns = (ser0.elapsed().as_nanos() as u64).max(1_000);
-            report.query_trace = Some(QueryTraceSection {
-                trace_id,
-                query_id,
-                queue_wait_ns: lc.queue_wait_ns,
-                grant_wait_ns: lc.grant_wait_ns,
-                exec_ns: lc.exec_ns,
-                serialize_ns,
-                shed_count: lc.shed_count as u64,
-                states: lc
-                    .transitions
-                    .iter()
-                    .map(|(s, t)| (s.name().to_string(), *t))
-                    .collect(),
-            });
-            report.render()
-        }
-        Err(_) => report_json,
+    let mut doc = report.to_json();
+    let section = QueryTraceSection {
+        trace_id,
+        query_id,
+        queue_wait_ns: lc.queue_wait_ns,
+        grant_wait_ns: lc.grant_wait_ns,
+        exec_ns: lc.exec_ns,
+        serialize_ns: (ser0.elapsed().as_nanos() as u64).max(1_000),
+        shed_count: lc.shed_count as u64,
+        states: lc.transitions.iter().map(|(s, t)| (s.name().to_string(), *t)).collect(),
     };
+    if let Json::Obj(members) = &mut doc {
+        members.push(("query_trace".to_string(), section.to_json()));
+    }
+    let out = doc.render_pretty();
     phj_flightrec::event(
         phj_flightrec::EventKind::PhaseExit,
         phj_flightrec::phase_code("serialize"),

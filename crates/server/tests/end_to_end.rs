@@ -295,6 +295,7 @@ fn idle_connections_are_closed_at_the_deadline() {
 #[test]
 fn mid_run_grant_shrink_on_a_live_dynamic_disk_query() {
     phj_flightrec::install(phj_flightrec::Mode::Phase);
+    let metrics = phj_metrics::install();
     let srv = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 4,
@@ -365,6 +366,13 @@ fn mid_run_grant_shrink_on_a_live_dynamic_disk_query() {
     assert!(adm.sheds() >= 1, "the arrival should have triggered a shed request");
     assert!(adm.peak_waiting() >= 1, "the arrival queued before the shed freed memory");
     assert_eq!(adm.outstanding(), 0, "grants leaked");
+
+    // The starved arrival waited for its grant, so the wall-latency
+    // histogram must have seen more time than the exec histogram (other
+    // tests in this process only ever add latency >= exec).
+    let latency = metrics.histogram(phj_metrics::names::SERVER_QUERY_LATENCY_US, "").sum();
+    let exec = metrics.histogram(phj_metrics::names::SERVER_QUERY_EXEC_US, "").sum();
+    assert!(latency > exec, "latency {latency} us must include the waits exec {exec} us excludes");
 
     // The grant shrink is journaled: Grant RESIZE events for the disk
     // query, with the new size strictly below the original 20 MB.
@@ -493,6 +501,7 @@ fn trace_id_flows_from_request_to_report_to_status() {
     // are consistent with the client-observed wait.
     let report = RunReport::parse(&r.report_json).unwrap();
     report.validate().unwrap();
+    assert_eq!(report.render(), r.report_json, "the daemon emits the canonical report layout");
     let sec = report.query_trace.expect("traced run attaches query_trace");
     assert_eq!(sec.trace_id, trace_id);
     assert_eq!(sec.query_id, r.query_id);
