@@ -73,6 +73,14 @@ pub const SERVER_QUERY_QUEUE_WAIT_US: &str = "phj_server_query_queue_wait_us";
 pub const SERVER_QUERY_GRANT_WAIT_US: &str = "phj_server_query_grant_wait_us";
 /// `phj_server_query_exec_us` — kernel execution time per query.
 pub const SERVER_QUERY_EXEC_US: &str = "phj_server_query_exec_us";
+/// `phj_server_query_generate_us` — input generation, part of exec.
+pub const SERVER_QUERY_GENERATE_US: &str = "phj_server_query_generate_us";
+/// `phj_server_query_stage_us` — staging both relations to striped
+/// files, part of exec (0 unless a disk join).
+pub const SERVER_QUERY_STAGE_US: &str = "phj_server_query_stage_us";
+/// `phj_server_query_kernel_us` — the join/aggregate call itself, part
+/// of exec.
+pub const SERVER_QUERY_KERNEL_US: &str = "phj_server_query_kernel_us";
 /// `phj_server_query_serialize_us` — response serialization time
 /// (report re-render with the `query_trace` section attached).
 pub const SERVER_QUERY_SERIALIZE_US: &str = "phj_server_query_serialize_us";

@@ -436,6 +436,18 @@ impl Request {
     /// Encode this request as a frame body (no header).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encode this request as a complete frame (header + body), ready
+    /// for one `write_all`. Same bytes as [`write_frame`] of
+    /// [`encode`](Self::encode), without the intermediate body buffer.
+    pub fn encode_frame(&self) -> Result<Vec<u8>, ProtoError> {
+        encode_framed(|out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Join(j) => {
                 let (g, d) = j.scheme.params();
@@ -449,7 +461,7 @@ impl Request {
                 out.extend_from_slice(&d.to_le_bytes());
                 out.extend_from_slice(&j.mem_budget.to_le_bytes());
                 out.extend_from_slice(&j.seed.to_le_bytes());
-                put_trace_tail(&mut out, j.trace_id);
+                put_trace_tail(out, j.trace_id);
             }
             Request::Agg(a) => {
                 let (g, d) = a.scheme.params();
@@ -460,7 +472,7 @@ impl Request {
                 out.extend_from_slice(&g.to_le_bytes());
                 out.extend_from_slice(&d.to_le_bytes());
                 out.extend_from_slice(&a.mem_budget.to_le_bytes());
-                put_trace_tail(&mut out, a.trace_id);
+                put_trace_tail(out, a.trace_id);
             }
             Request::DiskJoin(dj) => {
                 out.push(TAG_DISK);
@@ -471,12 +483,11 @@ impl Request {
                 out.extend_from_slice(&dj.mem_budget.to_le_bytes());
                 out.extend_from_slice(&dj.seed.to_le_bytes());
                 out.push(dj.mode);
-                put_trace_tail(&mut out, dj.trace_id);
+                put_trace_tail(out, dj.trace_id);
             }
             Request::Ping => out.push(TAG_PING),
             Request::Status => out.push(TAG_STATUS),
         }
-        out
     }
 
     /// Decode a frame body into a request. Total: every byte is
@@ -569,8 +580,23 @@ impl Response {
     /// Encode this response as a frame body (no header).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encode this response as a complete frame (header + body); see
+    /// [`Request::encode_frame`]. The ~6 KB embedded report is copied
+    /// once, into the buffer the socket write reads from.
+    pub fn encode_frame(&self) -> Result<Vec<u8>, ProtoError> {
+        encode_framed(|out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Result(r) => {
+                // Tag, id, kind, four u64s, string prefix, trace tail:
+                // size the buffer once so the report is copied once.
+                out.reserve(1 + 8 + 1 + 4 * 8 + 4 + r.report_json.len() + 8);
                 out.push(TAG_RESULT);
                 out.extend_from_slice(&r.query_id.to_le_bytes());
                 out.push(r.kind);
@@ -578,13 +604,13 @@ impl Response {
                 out.extend_from_slice(&r.checksum.to_le_bytes());
                 out.extend_from_slice(&r.partitions.to_le_bytes());
                 out.extend_from_slice(&r.elapsed_us.to_le_bytes());
-                put_string(&mut out, &r.report_json);
-                put_trace_tail(&mut out, r.trace_id);
+                put_string(out, &r.report_json);
+                put_trace_tail(out, r.trace_id);
             }
             Response::Error { code, message } => {
                 out.push(TAG_ERROR);
                 out.extend_from_slice(&(*code as u16).to_le_bytes());
-                put_string(&mut out, message);
+                put_string(out, message);
             }
             Response::Pong => out.push(TAG_PONG),
             Response::Status(rows) => {
@@ -604,7 +630,6 @@ impl Response {
                 }
             }
         }
-        out
     }
 
     /// Decode a frame body into a response.
@@ -665,18 +690,46 @@ impl Response {
     }
 }
 
-/// Write one frame: header ([`VERSION`], body length) then the body.
-/// Fails with [`FrameError::Proto`] if the body exceeds [`MAX_FRAME`]
-/// rather than sending a frame the peer is guaranteed to reject.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
-    if body.len() as u64 > MAX_FRAME as u64 {
-        return Err(ProtoError::Oversized(body.len() as u32).into());
+/// Frame header bytes: [`VERSION`] + `u32` LE body length.
+const HEADER_LEN: usize = 5;
+
+/// A body length as the header carries it, or [`ProtoError::Oversized`]
+/// past [`MAX_FRAME`] — never send a frame the peer is guaranteed to
+/// reject.
+fn frame_len(body_len: usize) -> Result<u32, ProtoError> {
+    match u32::try_from(body_len) {
+        Ok(len) if len <= MAX_FRAME => Ok(len),
+        Ok(len) => Err(ProtoError::Oversized(len)),
+        Err(_) => Err(ProtoError::Oversized(u32::MAX)),
     }
-    let mut head = [0u8; 5];
-    head[0] = VERSION;
-    head[1..5].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(body)?;
+}
+
+/// Build a complete frame in one buffer: reserve the header, let
+/// `encode_body` append the body, then patch the length in.
+fn encode_framed(encode_body: impl FnOnce(&mut Vec<u8>)) -> Result<Vec<u8>, ProtoError> {
+    // Every request and most replies fit the initial capacity; a
+    // result frame reserves for its report itself.
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[VERSION, 0, 0, 0, 0]);
+    encode_body(&mut frame);
+    let len = frame_len(frame.len() - HEADER_LEN)?;
+    frame[1..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
+/// Write one frame: header ([`VERSION`], body length) and body, in a
+/// single `write_all`. Two writes would let Nagle hold the body until
+/// the peer's delayed ACK of the 5-byte header — a ~40 ms stall per
+/// direction on a persistent connection. Fails with
+/// [`FrameError::Proto`] before any byte is written if the body
+/// exceeds [`MAX_FRAME`].
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
+    let len = frame_len(body.len())?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
+    frame.push(VERSION);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -751,6 +804,87 @@ mod tests {
         // And nothing follows: the next read sees clean EOF.
         let mut rest = &wire[wire.len()..];
         assert!(read_frame(&mut rest).unwrap().is_none());
+    }
+
+    /// Counts `write` calls: on a socket each one is a segment Nagle
+    /// can hold back behind the peer's delayed ACK.
+    struct CountingWriter {
+        wire: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_exactly_one_write() {
+        for len in [0usize, 17, 100 << 10] {
+            let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut w = CountingWriter { wire: Vec::new(), writes: 0 };
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte body must go out in one write");
+            assert_eq!(read_frame(&mut w.wire.as_slice()).unwrap().unwrap(), body);
+        }
+
+        // The frame encoders produce write_frame's bytes, ready for one
+        // write_all: same check, from a Pong up to a 100 KB report.
+        let result = |report_len: usize| {
+            Response::Result(QueryResult {
+                query_id: 9,
+                kind: 1,
+                matches: 4_000,
+                checksum: 0xC0FFEE,
+                partitions: 2,
+                elapsed_us: 2_500,
+                report_json: "r".repeat(report_len),
+                trace_id: 0,
+            })
+        };
+        for resp in [Response::Pong, result(0), result(100 << 10)] {
+            let mut w = CountingWriter { wire: Vec::new(), writes: 0 };
+            w.write_all(&resp.encode_frame().unwrap()).unwrap();
+            assert_eq!(w.writes, 1);
+            let mut via_body = Vec::new();
+            write_frame(&mut via_body, &resp.encode()).unwrap();
+            assert_eq!(w.wire, via_body, "encode_frame must not change the wire bytes");
+            let body = read_frame(&mut w.wire.as_slice()).unwrap().unwrap();
+            assert_eq!(Response::decode(&body).unwrap(), resp);
+        }
+        for req in [Request::Ping, Request::Status] {
+            let frame = req.encode_frame().unwrap();
+            let mut via_body = Vec::new();
+            write_frame(&mut via_body, &req.encode()).unwrap();
+            assert_eq!(frame, via_body);
+        }
+    }
+
+    #[test]
+    fn oversized_bodies_are_refused_before_any_byte_is_written() {
+        let body = vec![0u8; MAX_FRAME as usize + 1];
+        let mut w = CountingWriter { wire: Vec::new(), writes: 0 };
+        match write_frame(&mut w, &body) {
+            Err(FrameError::Proto(ProtoError::Oversized(n))) => assert_eq!(n, MAX_FRAME + 1),
+            other => panic!("want Oversized, got {other:?}"),
+        }
+        assert_eq!(w.writes, 0);
+        let resp = Response::Error {
+            code: ErrorCode::Internal,
+            message: "m".repeat(MAX_FRAME as usize),
+        };
+        assert!(matches!(resp.encode_frame(), Err(ProtoError::Oversized(_))));
+        // Exactly at the cap is still a legal frame.
+        let mut at_cap = CountingWriter { wire: Vec::new(), writes: 0 };
+        write_frame(&mut at_cap, &body[..MAX_FRAME as usize]).unwrap();
+        assert_eq!(at_cap.writes, 1);
     }
 
     #[test]

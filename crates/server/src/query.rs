@@ -53,6 +53,13 @@ pub struct QueryOutcome {
     /// The validated per-query RunReport (the server renders it once,
     /// after attaching any `query_trace` section).
     pub report: RunReport,
+    /// Wall time generating the input relations, ns.
+    pub generate_ns: u64,
+    /// Wall time staging both relations to striped files, ns (0 unless
+    /// a disk join).
+    pub stage_ns: u64,
+    /// Wall time in the join / aggregate kernel itself, ns.
+    pub kernel_ns: u64,
 }
 
 /// Reject requests whose *shape* is invalid before any admission or
@@ -188,7 +195,9 @@ fn run_join(query_id: u64, j: &JoinRequest) -> Result<QueryOutcome, String> {
         pct_match: j.pct_match,
         seed: j.seed,
     };
+    let g0 = Instant::now();
     let gen = spec.generate();
+    let generate_ns = g0.elapsed().as_nanos() as u64;
     let cfg = GraceConfig {
         mem_budget: j.mem_budget as usize,
         partition_scheme: PartitionScheme::combined_default(),
@@ -231,6 +240,9 @@ fn run_join(query_id: u64, j: &JoinRequest) -> Result<QueryOutcome, String> {
         checksum: sink.checksum(),
         partitions: partitions as u64,
         report,
+        generate_ns,
+        stage_ns: 0,
+        kernel_ns: wall.as_nanos() as u64,
     })
 }
 
@@ -239,6 +251,7 @@ fn run_agg(query_id: u64, a: &AggRequest) -> Result<QueryOutcome, String> {
     let keys = a.keys as usize;
     // Same input construction as `phj agg`: 100 B key+payload tuples,
     // key space folded down to `keys` distinct values.
+    let g0 = Instant::now();
     let input = {
         use phj_storage::{RelationBuilder, Schema};
         let schema = Schema::key_payload(100);
@@ -251,6 +264,7 @@ fn run_agg(query_id: u64, a: &AggRequest) -> Result<QueryOutcome, String> {
         }
         b.finish()
     };
+    let generate_ns = g0.elapsed().as_nanos() as u64;
     let buckets = plan::hash_table_buckets(keys, 1);
     let extract = |t: &[u8]| t[4] as i64;
 
@@ -280,6 +294,9 @@ fn run_agg(query_id: u64, a: &AggRequest) -> Result<QueryOutcome, String> {
         checksum: phj_exec::agg_checksum(&table),
         partitions: 0,
         report,
+        generate_ns,
+        stage_ns: 0,
+        kernel_ns: wall.as_nanos() as u64,
     })
 }
 
@@ -296,12 +313,14 @@ fn run_disk(
         pct_match: dj.pct_match,
         seed: dj.seed,
     };
+    let g0 = Instant::now();
     let gen = spec.generate();
+    let generate_ns = g0.elapsed().as_nanos() as u64;
     // Each query stages its relations and spill files in its own
     // scratch directory so concurrent disk queries never collide.
     let base = scratch.map(std::path::Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
     let dir = ScratchDir::create(&base, query_id).map_err(|e| format!("scratch dir: {e}"))?;
-    run_disk_in(query_id, dj, &spec, &gen, &dir.0, live)
+    run_disk_in(query_id, dj, &spec, &gen, generate_ns, &dir.0, live)
 }
 
 /// A disk query's private scratch directory, removed on drop — on the
@@ -329,6 +348,7 @@ fn run_disk_in(
     dj: &DiskJoinRequest,
     spec: &JoinSpec,
     gen: &phj_workload::GeneratedJoin,
+    generate_ns: u64,
     dir: &std::path::Path,
     live: Option<Arc<LiveBudget>>,
 ) -> Result<QueryOutcome, String> {
@@ -337,10 +357,12 @@ fn run_disk_in(
         1 => DiskJoinMode::Hybrid,
         _ => DiskJoinMode::Dynamic,
     };
+    let s0 = Instant::now();
     let build = FileRelation::create(dir, "build", &gen.build, 2, 16)
         .map_err(|e| format!("stage build relation: {e}"))?;
     let probe = FileRelation::create(dir, "probe", &gen.probe, 2, 16)
         .map_err(|e| format!("stage probe relation: {e}"))?;
+    let stage_ns = s0.elapsed().as_nanos() as u64;
 
     let cfg = DiskGraceConfig {
         mem_budget: dj.mem_budget as usize,
@@ -387,6 +409,9 @@ fn run_disk_in(
         checksum: disk.checksum,
         partitions: disk.num_partitions as u64,
         report,
+        generate_ns,
+        stage_ns,
+        kernel_ns: wall.as_nanos() as u64,
     })
 }
 
@@ -470,6 +495,36 @@ mod tests {
         let report = RunReport::parse(&dynamic.report.render()).unwrap();
         report.validate().unwrap();
         assert!(report.config.iter().any(|(k, v)| k == "mode" && v == "dynamic"));
+    }
+
+    #[test]
+    fn outcomes_split_exec_into_generate_stage_and_kernel() {
+        // What the daemon times as `exec` is the whole `run` call; the
+        // three parts must fit inside it.
+        let t0 = Instant::now();
+        let disk = run(21, &disk_req(2, 32 << 10)).unwrap();
+        let exec_ns = t0.elapsed().as_nanos() as u64;
+        assert!(disk.generate_ns > 0 && disk.stage_ns > 0 && disk.kernel_ns > 0);
+        assert!(
+            disk.generate_ns + disk.stage_ns + disk.kernel_ns <= exec_ns,
+            "parts {} + {} + {} exceed the exec sample {exec_ns}",
+            disk.generate_ns,
+            disk.stage_ns,
+            disk.kernel_ns
+        );
+
+        // Only disk joins stage anything.
+        let agg = Request::Agg(AggRequest {
+            rows: 10_000,
+            keys: 500,
+            scheme: WireScheme::Group { g: 16 },
+            mem_budget: 0,
+            trace_id: 0,
+        });
+        for out in [run(22, &join_req()).unwrap(), run(23, &agg).unwrap()] {
+            assert_eq!(out.stage_ns, 0);
+            assert!(out.generate_ns > 0 && out.kernel_ns > 0);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! drains queries already running. A clean stop is *not* a crash: the
 //! flight recorder's postmortem machinery stays untriggered.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -47,9 +47,7 @@ use phj_obs::json::ToJson;
 use phj_obs::{Json, QueryTraceSection, RunReport};
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
-use crate::proto::{
-    read_frame_rest, write_frame, ErrorCode, FrameError, QueryResult, Request, Response,
-};
+use crate::proto::{read_frame_rest, ErrorCode, FrameError, QueryResult, Request, Response};
 use crate::query;
 use crate::registry::{QueryRegistry, QueryState};
 
@@ -92,9 +90,9 @@ pub struct ServeConfig {
     /// answered a typed [`ErrorCode::Busy`] frame and closed instead of
     /// queueing without bound behind busy workers.
     pub max_conns: usize,
-    /// Close a connection that has not completed a frame for this
-    /// long, freeing its worker for queued connections. Idle or
-    /// abandoned clients therefore cannot hold workers forever.
+    /// Close a connection that has sent nothing for this long since
+    /// its last reply, freeing its worker for queued connections. Idle
+    /// or abandoned clients therefore cannot hold workers forever.
     pub idle_timeout: Duration,
     /// Attach a `query_trace` section to every result's RunReport
     /// (lifecycle spans + wait breakdown). Off by default: untraced
@@ -290,12 +288,27 @@ fn reject_busy(mut stream: TcpStream) {
         code: ErrorCode::Busy,
         message: "server at connection capacity; retry later".to_string(),
     };
-    let _ = write_frame(&mut stream, &resp.encode());
+    let _ = send(&mut stream, &resp);
+}
+
+/// Answer with one frame in one `write`: the response is encoded
+/// straight into its frame buffer, so Nagle never sees a header-sized
+/// segment to hold back. An over-[`MAX_FRAME`](crate::proto::MAX_FRAME)
+/// response fails here, before any byte is written.
+fn send(stream: &mut TcpStream, resp: &Response) -> Result<(), FrameError> {
+    stream.write_all(&resp.encode_frame()?)?;
+    Ok(())
 }
 
 fn serve_conn(mut stream: TcpStream, ctx: &Ctx) {
+    // Request/response traffic has nothing for Nagle to coalesce: a
+    // held-back segment only waits out the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut last_frame = Instant::now();
+    // The idle clock runs from the last *reply*, not the last request:
+    // a query that ran longer than `idle_timeout` must not find its
+    // connection already expired at the first poll tick after it.
+    let mut last_reply = Instant::now();
     loop {
         // Phase 1: probe for the first header byte under the short
         // poll timeout. A timeout here has consumed nothing, so it is
@@ -314,7 +327,7 @@ fn serve_conn(mut stream: TcpStream, ctx: &Ctx) {
                 if ctx.stop.load(Ordering::Acquire) {
                     return;
                 }
-                if last_frame.elapsed() >= ctx.idle_timeout {
+                if last_reply.elapsed() >= ctx.idle_timeout {
                     return; // idle deadline: free this worker
                 }
                 continue;
@@ -330,7 +343,6 @@ fn serve_conn(mut stream: TcpStream, ctx: &Ctx) {
         let _ = stream.set_read_timeout(Some(FRAME_READ_TIMEOUT));
         match read_frame_rest(version, &mut stream) {
             Ok(body) => {
-                last_frame = Instant::now();
                 let resp = match Request::decode(&body) {
                     Ok(req) => handle_request(ctx, &req),
                     Err(e) => Response::Error {
@@ -338,9 +350,10 @@ fn serve_conn(mut stream: TcpStream, ctx: &Ctx) {
                         message: e.to_string(),
                     },
                 };
-                if write_frame(&mut stream, &resp.encode()).is_err() {
+                if send(&mut stream, &resp).is_err() {
                     return;
                 }
+                last_reply = Instant::now();
             }
             Err(FrameError::Proto(e)) => {
                 // Garbage on the wire: answer typed, then drop the
@@ -349,7 +362,7 @@ fn serve_conn(mut stream: TcpStream, ctx: &Ctx) {
                     code: ErrorCode::BadRequest,
                     message: e.to_string(),
                 };
-                let _ = write_frame(&mut stream, &resp.encode());
+                let _ = send(&mut stream, &resp);
                 return;
             }
             Err(FrameError::Io(_)) => return,
@@ -465,6 +478,10 @@ fn handle_request(ctx: &Ctx, req: &Request) -> Response {
     ctx.inflight.fetch_sub(1, Ordering::SeqCst);
     publish_inflight(ctx);
 
+    let parts = match &outcome {
+        Ok(Ok(out)) => Some([out.generate_ns, out.stage_ns, out.kernel_ns]),
+        _ => None,
+    };
     let resp = match outcome {
         Ok(Ok(out)) => {
             ctx.registry.set_state(query_id, QueryState::Responding);
@@ -487,7 +504,7 @@ fn handle_request(ctx: &Ctx, req: &Request) -> Response {
     };
     let failed = !matches!(resp, Response::Result(_));
     let latency = received.elapsed();
-    record_query_histograms(&grant, latency, elapsed);
+    record_query_histograms(&grant, latency, elapsed, parts);
     maybe_capture_slow(ctx, query_id, trace_id, latency);
     drop(grant);
     ctx.registry.finish(query_id, if failed { QueryState::Failed } else { QueryState::Done });
@@ -497,8 +514,17 @@ fn handle_request(ctx: &Ctx, req: &Request) -> Response {
 /// Break the wall latency into its lifecycle spans for Prometheus.
 /// `phj_server_query_latency_us` keeps recording the total (`latency`:
 /// received → response built, so it includes the queue and grant waits
-/// the other histograms split out); `exec` is the kernel alone.
-fn record_query_histograms(grant: &crate::admission::MemGrant, latency: Duration, exec: Duration) {
+/// the other histograms split out); `exec` is the whole `query::run_in`
+/// call, and a query that produced an outcome splits it further into
+/// `parts`: generate / stage / kernel, ns (stage records 0 for the
+/// kinds that stage nothing, so the three families count the same
+/// queries).
+fn record_query_histograms(
+    grant: &crate::admission::MemGrant,
+    latency: Duration,
+    exec: Duration,
+    parts: Option<[u64; 3]>,
+) {
     let Some(reg) = phj_metrics::global() else { return };
     reg.histogram(phj_metrics::names::SERVER_QUERY_LATENCY_US, "Per-query wall latency (us)")
         .record(latency.as_micros() as u64);
@@ -517,6 +543,22 @@ fn record_query_histograms(grant: &crate::admission::MemGrant, latency: Duration
         "Per-query kernel execution time (us)",
     )
     .record(exec.as_micros() as u64);
+    let Some([generate_ns, stage_ns, kernel_ns]) = parts else { return };
+    reg.histogram(
+        phj_metrics::names::SERVER_QUERY_GENERATE_US,
+        "Per-query input generation time, part of exec (us)",
+    )
+    .record(generate_ns / 1_000);
+    reg.histogram(
+        phj_metrics::names::SERVER_QUERY_STAGE_US,
+        "Per-query disk staging time, part of exec; 0 unless a disk join (us)",
+    )
+    .record(stage_ns / 1_000);
+    reg.histogram(
+        phj_metrics::names::SERVER_QUERY_KERNEL_US,
+        "Per-query join/aggregate kernel time, part of exec (us)",
+    )
+    .record(kernel_ns / 1_000);
 }
 
 /// Render a finished query's report — the one place the daemon

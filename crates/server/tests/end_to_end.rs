@@ -286,6 +286,144 @@ fn idle_connections_are_closed_at_the_deadline() {
     srv.stop();
 }
 
+#[test]
+fn a_long_query_does_not_expire_its_own_connection() {
+    // The idle clock must restart when the reply is written, not when
+    // the request arrived: a query that outlasts `idle_timeout` would
+    // otherwise be hung up on at the first poll tick after its answer.
+    let srv = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        idle_timeout: std::time::Duration::from_millis(300),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut conn = Connection::connect(srv.local_addr()).unwrap();
+    let long = Request::Join(JoinRequest {
+        build_tuples: 400_000,
+        tuple_size: 100,
+        matches_per_build: 2,
+        pct_match: 100,
+        scheme: WireScheme::Group { g: 16 },
+        mem_budget: 8 << 20,
+        seed: 7,
+        trace_id: 0,
+    });
+    match conn.request(&long).unwrap() {
+        Response::Result(r) => assert!(
+            r.elapsed_us >= 300_000,
+            "the query must outlast the idle timeout to test anything ({} us)",
+            r.elapsed_us
+        ),
+        other => panic!("want Result, got {other:?}"),
+    }
+    // A client pause well inside the idle timeout, but past a poll tick.
+    std::thread::sleep(std::time::Duration::from_millis(150));
+    assert_eq!(conn.request(&Request::Ping).unwrap(), Response::Pong);
+    srv.stop();
+}
+
+#[test]
+fn a_timed_out_connection_refuses_reuse() {
+    // A stand-in daemon that answers the first request late — after
+    // the client's read timeout — and then drains until the client
+    // hangs up.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let late_server = std::thread::spawn(move || {
+        use phj_server::proto::{read_frame, write_frame};
+        let (mut s, _) = listener.accept().unwrap();
+        let body = read_frame(&mut s).unwrap().expect("first request");
+        assert_eq!(Request::decode(&body).unwrap(), Request::Ping);
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        write_frame(&mut s, &Response::Pong.encode()).unwrap();
+        // A reused connection would send a second request here; a
+        // poisoned one only hangs up (a reset, with the Pong unread).
+        matches!(read_frame(&mut s), Ok(Some(_)))
+    });
+
+    let mut conn = Connection::connect(addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_millis(100))).unwrap();
+    assert!(conn.request(&Request::Ping).is_err(), "first call must time out");
+    // Let the late Pong land: it now sits unread in the socket buffer.
+    std::thread::sleep(std::time::Duration::from_millis(400));
+    match conn.request(&Request::Ping) {
+        Err(phj_server::proto::FrameError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::NotConnected)
+        }
+        other => panic!("the stale Pong must not answer a later request: {other:?}"),
+    }
+    match conn.request_timed(&Request::Status) {
+        Err(phj_server::proto::FrameError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::NotConnected)
+        }
+        other => panic!("want NotConnected, got {other:?}"),
+    }
+    drop(conn);
+    assert!(!late_server.join().unwrap(), "a broken connection must not write again");
+}
+
+#[test]
+fn ping_round_trip_is_not_delayed_ack_bound() {
+    // Two writes per frame with Nagle on cost ~88 ms per loopback round
+    // trip (each direction waits out a delayed ACK); one write with
+    // TCP_NODELAY costs ~0.05 ms. The ceiling sits 200x above that.
+    let srv = small_server();
+    let mut conn = Connection::connect(srv.local_addr()).unwrap();
+    for _ in 0..50 {
+        assert_eq!(conn.request(&Request::Ping).unwrap(), Response::Pong);
+    }
+    let mut rtts: Vec<std::time::Duration> = (0..200)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            assert_eq!(conn.request(&Request::Ping).unwrap(), Response::Pong);
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median ping round trip {median:?} — is the delayed-ACK floor back?"
+    );
+    srv.stop();
+}
+
+/// `exec` decomposes: every served query records its generate / stage /
+/// kernel parts next to the exec sample that contains them.
+#[test]
+fn exec_histogram_splits_into_generate_stage_and_kernel() {
+    let metrics = phj_metrics::install();
+    let srv = small_server();
+    let mut conn = Connection::connect(srv.local_addr()).unwrap();
+    let disk = Request::DiskJoin(DiskJoinRequest {
+        build_tuples: 8_000,
+        tuple_size: 64,
+        matches_per_build: 2,
+        pct_match: 100,
+        mem_budget: 1 << 20,
+        seed: 5,
+        mode: 2,
+        trace_id: 0,
+    });
+    for req in [disk, join_req(5), agg_req(20_000)] {
+        assert!(matches!(conn.request(&req).unwrap(), Response::Result(_)));
+    }
+    // The registry is shared with the other tests in this binary, so
+    // only totals that hold whatever else ran: each query records exec
+    // before its parts, so reading the parts first keeps them inside.
+    let part = |name| metrics.histogram(name, "");
+    let generate = part(phj_metrics::names::SERVER_QUERY_GENERATE_US);
+    let stage = part(phj_metrics::names::SERVER_QUERY_STAGE_US);
+    let kernel = part(phj_metrics::names::SERVER_QUERY_KERNEL_US);
+    assert!(generate.count() >= 3 && stage.count() >= 3 && kernel.count() >= 3);
+    let parts_us = generate.sum() + stage.sum() + kernel.sum();
+    assert!(generate.sum() > 0 && stage.sum() > 0 && kernel.sum() > 0);
+    let exec_us = part(phj_metrics::names::SERVER_QUERY_EXEC_US).sum();
+    assert!(parts_us <= exec_us, "parts {parts_us} us exceed exec {exec_us} us");
+    srv.stop();
+}
+
 /// The revocation acceptance path end-to-end: a dynamic disk join
 /// holds most of the daemon's budget; an arrival that cannot fit makes
 /// admission ask the running query to shed instead of waiting for it
