@@ -8,7 +8,7 @@
 //! dependency needed):
 //!
 //! ```text
-//! phj-relation v1
+//! phj-relation v2
 //! stripes 6
 //! stripe_pages 32
 //! pages 1234
@@ -26,6 +26,11 @@ use phj_storage::{AttrType, Attribute, Schema};
 use crate::stripe::StripeSet;
 use crate::FileRelation;
 
+/// First line of every description. The version names the page format of
+/// the stripe files beside it: v2 pages carry the word-wise lane checksum
+/// (`phj_storage::Page::sealed_image`), v1 pages the byte-wise FNV one.
+const HEADER: &str = "phj-relation v2";
+
 /// Serialize a schema + stats into the description format.
 pub fn describe(
     schema: &Schema,
@@ -34,8 +39,7 @@ pub fn describe(
     pages: u64,
     tuples: u64,
 ) -> String {
-    let mut s = String::new();
-    s.push_str("phj-relation v1\n");
+    let mut s = format!("{HEADER}\n");
     s.push_str(&format!("stripes {num_stripes}\n"));
     s.push_str(&format!("stripe_pages {stripe_pages}\n"));
     s.push_str(&format!("pages {pages}\n"));
@@ -73,7 +77,12 @@ pub struct Description {
 pub fn parse(text: &str) -> Result<Description, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty description")?;
-    if header != "phj-relation v1" {
+    if header == "phj-relation v1" {
+        return Err("description written with the v1 byte-wise page checksum, \
+                    which this build no longer verifies; re-create the relation"
+            .into());
+    }
+    if header != HEADER {
         return Err(format!("unknown description header `{header}`"));
     }
     let mut num_stripes = None;
@@ -192,10 +201,32 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(parse("").is_err());
         assert!(parse("not-a-relation").is_err());
-        assert!(parse("phj-relation v1\nstripes x\n").is_err());
-        assert!(parse("phj-relation v1\nstripes 2\nstripe_pages 1\npages 0\ntuples 0\nkey 5\nattr k u32\n").is_err());
-        assert!(parse("phj-relation v1\nstripes 2\nstripe_pages 1\npages 0\ntuples 0\nkey 0\n").is_err());
-        assert!(parse("phj-relation v1\nwhat 3\n").is_err());
+        assert!(parse("phj-relation v2\nstripes x\n").is_err());
+        assert!(parse("phj-relation v2\nstripes 2\nstripe_pages 1\npages 0\ntuples 0\nkey 5\nattr k u32\n").is_err());
+        assert!(parse("phj-relation v2\nstripes 2\nstripe_pages 1\npages 0\ntuples 0\nkey 0\n").is_err());
+        assert!(parse("phj-relation v2\nwhat 3\n").is_err());
+    }
+
+    #[test]
+    fn v1_descriptions_are_rejected_with_the_reason() {
+        use phj_storage::RelationBuilder;
+        let dir = std::env::temp_dir().join(format!("phj-catalog-v1-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut b = RelationBuilder::new(Schema::key_payload(8));
+        b.push_hashed(&[1u8; 8], 1);
+        let fr = FileRelation::create(&dir, "old", &b.finish(), 2, 2).unwrap();
+        fr.write_description(&dir, "old").unwrap();
+        let desc = dir.join("old.desc");
+        let text = std::fs::read_to_string(&desc).unwrap();
+        assert!(text.starts_with("phj-relation v2\n"));
+        std::fs::write(&desc, text.replacen("v2", "v1", 1)).unwrap();
+        let Err(e) = FileRelation::open(&dir, "old") else {
+            panic!("v1 must not open")
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("v1 byte-wise page checksum"), "{msg}");
+        assert!(msg.contains("re-create the relation"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -32,8 +32,25 @@ pub const PAGE_HEADER_BYTES: usize = 8;
 
 const HDR: usize = PAGE_HEADER_BYTES;
 const SLOT: usize = 8;
-/// Byte range of the header checksum word (skipped when checksumming).
+/// Byte range of the header checksum word (read as 0 when checksumming).
 const CKSUM_RANGE: std::ops::Range<usize> = 4..8;
+/// Independent checksum lanes, one `u32` word each per block.
+const LANES: usize = 8;
+/// Bytes the checksum consumes per round: one word for every lane.
+const CKSUM_BLOCK: usize = 4 * LANES;
+const FNV_OFFSET: u32 = 0x811C_9DC5;
+const FNV_PRIME: u32 = 0x0100_0193;
+const _: () = assert!(PAGE_SIZE.is_multiple_of(CKSUM_BLOCK));
+/// Distinct per-lane starting states.
+const LANE_SEEDS: [u32; LANES] = {
+    let mut seeds = [0; LANES];
+    let mut i = 0;
+    while i < LANES {
+        seeds[i] = FNV_OFFSET ^ (i as u32).wrapping_mul(0x9E37_79B9);
+        i += 1;
+    }
+    seeds
+};
 
 /// Why a disk page image failed verification.
 ///
@@ -42,8 +59,9 @@ const CKSUM_RANGE: std::ops::Range<usize> = 4..8;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageError {
     /// The header is structurally impossible (slot area and data area
-    /// overlap, or `data_start` past the page end) — a torn write, a hole
-    /// in the file, or a foreign page.
+    /// overlap, or `data_start` past the page end), or a slot points
+    /// outside the data area — a torn write, a hole in the file, or a
+    /// foreign page.
     Torn {
         /// Slot count found in the header.
         nslots: u16,
@@ -240,13 +258,36 @@ impl Page {
         &self.buf
     }
 
-    /// FNV-1a over the page image, skipping the checksum word itself.
+    /// Word-wise checksum of the page image, with the checksum word read
+    /// as 0.
+    ///
+    /// Little-endian `u32` word `i` feeds lane `i % LANES`; each lane (and
+    /// the final combine over the lanes) steps `h = (h ^ w) * FNV_PRIME`.
+    /// That step is a bijection of the 32-bit state for a fixed word and
+    /// of the word for a fixed state, so any corruption confined to one
+    /// aligned 4-byte word — every single-bit flip included — changes the
+    /// result by construction, not with 2⁻³² probability. Changing this
+    /// function changes the on-disk format: bump the description version
+    /// in `phj-disk`'s catalog and the known-answer test below.
     fn compute_checksum(buf: &[u8; PAGE_SIZE]) -> u32 {
-        let mut h: u32 = 0x811C_9DC5;
-        for &b in buf[..CKSUM_RANGE.start].iter().chain(&buf[CKSUM_RANGE.end..]) {
-            h = (h ^ b as u32).wrapping_mul(0x0100_0193);
+        #[inline(always)]
+        fn step(h: u32, w: u32) -> u32 {
+            (h ^ w).wrapping_mul(FNV_PRIME)
         }
-        h
+        let mut lanes = LANE_SEEDS;
+        let mut absorb = |block: &[u8]| {
+            for (h, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+                *h = step(*h, u32::from_le_bytes(w.try_into().unwrap()));
+            }
+        };
+        let mut first = [0u8; CKSUM_BLOCK];
+        first.copy_from_slice(&buf[..CKSUM_BLOCK]);
+        first[CKSUM_RANGE].fill(0);
+        absorb(&first);
+        buf[CKSUM_BLOCK..]
+            .chunks_exact(CKSUM_BLOCK)
+            .for_each(absorb);
+        lanes.iter().fold(FNV_OFFSET, |h, &l| step(h, l))
     }
 
     /// Checksum word currently stored in the header. Only meaningful after
@@ -289,29 +330,41 @@ impl Page {
     /// available for trusted in-memory images.
     pub fn try_from_image(buf: Box<[u8; PAGE_SIZE]>) -> Result<Page, PageError> {
         let page = Page { buf };
-        let nslots = page.nslots();
-        let ds = page.data_start();
-        if (ds as usize) > PAGE_SIZE
-            || (ds as usize) < HDR
-            || HDR + SLOT * nslots as usize > ds as usize
-        {
-            if let Some(m) = crate::telemetry::storage_metrics() {
-                m.checksum_failures.inc();
+        let verdict = page.verify();
+        if let Some(m) = crate::telemetry::storage_metrics() {
+            match verdict {
+                Ok(()) => m.pages_verified.inc(),
+                Err(_) => m.checksum_failures.inc(),
             }
-            return Err(PageError::Torn { nslots, data_start: ds });
         }
-        let stored = page.checksum();
-        let computed = Self::compute_checksum(&page.buf);
+        verdict.map(|()| page)
+    }
+
+    /// Header structure, then the checksum word, then the slot table: a
+    /// page whose checksum holds (a buggy or foreign writer sealed it)
+    /// must still never make [`tuple`](Page::tuple) slice out of range.
+    fn verify(&self) -> Result<(), PageError> {
+        let nslots = self.nslots();
+        let data_start = self.data_start();
+        let torn = PageError::Torn { nslots, data_start };
+        let ds = data_start as usize;
+        if !(HDR..=PAGE_SIZE).contains(&ds) || HDR + SLOT * nslots as usize > ds {
+            return Err(torn);
+        }
+        let stored = self.checksum();
+        let computed = Self::compute_checksum(&self.buf);
         if stored != computed {
-            if let Some(m) = crate::telemetry::storage_metrics() {
-                m.checksum_failures.inc();
-            }
             return Err(PageError::ChecksumMismatch { stored, computed });
         }
-        if let Some(m) = crate::telemetry::storage_metrics() {
-            m.pages_verified.inc();
+        let slots = &self.buf[HDR..HDR + SLOT * nslots as usize];
+        if slots.chunks_exact(SLOT).any(|e| {
+            let off = u16::from_le_bytes([e[0], e[1]]) as usize;
+            let len = u16::from_le_bytes([e[2], e[3]]) as usize;
+            off < ds || off + len > PAGE_SIZE
+        }) {
+            return Err(torn);
         }
-        Ok(page)
+        Ok(())
     }
 
     /// Reconstruct a page from a disk image.
@@ -550,5 +603,112 @@ mod io_tests {
         let q = Page::try_from_image(p.sealed_image()).unwrap();
         assert_eq!(q.nslots(), 0);
         assert_eq!(q.free_space(), PAGE_SIZE - HDR);
+    }
+
+    /// `n` distinct 100-byte tuples (75 fill the page).
+    fn filled(n: u32) -> Page {
+        let mut p = Page::new();
+        for i in 0..n {
+            let t: Vec<u8> = (0..100u32).map(|j| (i * 100 + j) as u8 | 1).collect();
+            p.insert(&t, i.wrapping_mul(0x9E37_79B9)).unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let sealed = filled(75).sealed_image();
+        for byte in (0..PAGE_SIZE).filter(|b| !CKSUM_RANGE.contains(b)) {
+            for bit in 0..8 {
+                let mut img = sealed.clone();
+                img[byte] ^= 1 << bit;
+                assert!(
+                    Page::try_from_image(img).is_err(),
+                    "flip of bit {bit} in byte {byte} went undetected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn torn_tail_is_detected_at_every_fill() {
+        for n in [1, 20, 75] {
+            let mut img = filled(n).sealed_image();
+            // The tail-half tear of `phj_disk::FaultPlan::corrupt_image`.
+            img[PAGE_SIZE / 2..].fill(0);
+            assert!(
+                Page::try_from_image(img).is_err(),
+                "tear at {n} tuples went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_word_is_excluded_from_the_checksum() {
+        let mut img = filled(20).sealed_image();
+        let sealed = u32::from_le_bytes(img[CKSUM_RANGE].try_into().unwrap());
+        for stored in [0, 1, sealed ^ 0x8000_0000, u32::MAX] {
+            img[CKSUM_RANGE].copy_from_slice(&stored.to_le_bytes());
+            assert_eq!(Page::compute_checksum(&img), sealed);
+            assert_eq!(
+                Page::try_from_image(img.clone()).unwrap_err(),
+                PageError::ChecksumMismatch {
+                    stored,
+                    computed: sealed
+                }
+            );
+        }
+    }
+
+    /// Pinned on-disk format: a change here is a format change and must
+    /// bump `phj-relation v2` in `phj-disk`'s catalog.
+    #[test]
+    fn checksum_known_answers() {
+        let word = |p: &Page| u32::from_le_bytes(p.sealed_image()[CKSUM_RANGE].try_into().unwrap());
+        assert_eq!(word(&Page::new()), 0x713E_9DE5);
+        assert_eq!(word(&filled(75)), 0x44FE_0458);
+    }
+
+    #[test]
+    fn slot_pointing_past_the_page_is_torn() {
+        let mut p = Page::new();
+        p.insert(&[0xAB; 16], 1).unwrap();
+        let mut img = Box::new(*p.as_bytes());
+        img[HDR + 2..HDR + 4].copy_from_slice(&9000u16.to_le_bytes()); // slot 0 len
+        let mut forged = Page::from_bytes(img);
+        forged.seal();
+        assert_eq!(
+            Page::try_from_image(Box::new(*forged.as_bytes())).unwrap_err(),
+            PageError::Torn {
+                nslots: 1,
+                data_start: (PAGE_SIZE - 16) as u16
+            }
+        );
+    }
+
+    #[test]
+    fn slot_pointing_into_the_slot_area_is_torn() {
+        let mut p = filled(3);
+        p.buf[HDR + SLOT..HDR + SLOT + 2].copy_from_slice(&(HDR as u16).to_le_bytes()); // slot 1 off
+        p.seal();
+        assert!(matches!(
+            Page::try_from_image(Box::new(*p.as_bytes())),
+            Err(PageError::Torn { nslots: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn inserted_pages_pass_slot_validation() {
+        // Zero-length tuples on an empty page sit at offset PAGE_SIZE;
+        // var-len tuples fill the page to its last byte.
+        let mut p = Page::new();
+        p.insert(b"", 0).unwrap();
+        let mut len = 0usize;
+        while p.insert(&vec![7u8; len % 61], len as u32).is_some() {
+            len += 1;
+        }
+        let _ = p.insert(b"", 0); // at data_start, if a slot still fits
+        let q = Page::try_from_image(p.sealed_image()).expect("insert-built page verifies");
+        assert_eq!(q.iter().count(), p.nslots() as usize);
     }
 }
