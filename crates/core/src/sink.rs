@@ -6,8 +6,8 @@
 //! the memory model for the output-buffer writes (these sequential writes
 //! are a real part of the join's cache behaviour). [`CountSink`] is a
 //! non-materializing sink for tests and micro-benchmarks: it keeps an
-//! order-insensitive checksum so any two correct schemes can be compared
-//! exactly.
+//! order-insensitive checksum — a word-wise pair digest, additive fold —
+//! so any two correct schemes can be compared exactly.
 
 use phj_memsim::MemoryModel;
 use phj_storage::{tuple::materialize_join_output, Page, Relation, Schema};
@@ -162,12 +162,84 @@ impl<F: FnMut(&[(Vec<u8>, Vec<u8>)])> JoinSink for BatchingSink<F> {
     }
 }
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01B3;
+/// Distinct starting states of the digest lanes.
+const LANE_SEEDS: [u64; 4] = [
+    FNV_OFFSET,
+    0x9E37_79B9_7F4A_7C15,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+];
+const LANES: usize = LANE_SEEDS.len();
+
+#[inline(always)]
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// Feed `bytes` to the lanes as little-endian `u64` words, word `i` to
+/// lane `i % LANES`, the 0–7 byte tail zero-padded into one last word.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; LANES], bytes: &[u8]) {
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (h, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *h = step(*h, u64::from_le_bytes(w.try_into().unwrap()));
+        }
+    }
+    for (h, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        *h = step(*h, u64::from_le_bytes(word));
+    }
+}
+
+/// murmur3's 64-bit finaliser: a bijection that spreads every input bit
+/// over the whole word. The xor-multiply steps only carry upward, so
+/// without it the low bits of a digest would depend only on the low bits
+/// of each word — and digests are summed.
+#[inline(always)]
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    k ^ (k >> 33)
+}
+
+/// Word-wise digest of one (build, probe) pair — the per-pair term of
+/// [`CountSink`]'s checksum, and of any other result checksum that wants
+/// the same format (e.g. an aggregation's (key, accumulators) groups).
+///
+/// Four `u64` lanes step `h = (h ^ w) * FNV_PRIME` over the build bytes
+/// and then the probe bytes, each side read as little-endian words from
+/// its own start. The two lengths enter as separate steps, so
+/// `("ab", "c")` and `("a", "bc")` — or a zero-padded tail and real
+/// zeros — differ. The lanes are folded with the same step and finished
+/// with murmur3's `fmix64`. Every step is a bijection of the state for a
+/// fixed word and of the word for a fixed state, so any change confined
+/// to one aligned 8-byte word of either side — every single-bit flip
+/// included — changes the digest by construction. Changing this function
+/// changes every result checksum: update the known-answer test below.
+#[inline]
+pub fn pair_digest(build: &[u8], probe: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    absorb(&mut lanes, build);
+    absorb(&mut lanes, probe);
+    // The lengths are known up front, so their steps are off the
+    // lanes' dependency chains.
+    let h = step(step(FNV_OFFSET, build.len() as u64), probe.len() as u64);
+    fmix64(lanes.iter().fold(h, |h, &l| step(h, l)))
+}
+
 /// Order-insensitive counting/checksumming sink.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CountSink {
     matches: u64,
-    /// XOR of per-pair FNV digests: equal multisets of (build, probe)
-    /// pairs produce equal checksums regardless of emission order.
+    /// Wrapping sum of the word-wise [`pair_digest`] of every emitted
+    /// pair: equal multisets of (build, probe) pairs — multiplicities
+    /// included — produce equal checksums regardless of emission order.
     checksum: u64,
 }
 
@@ -183,27 +255,19 @@ impl CountSink {
     }
 
     /// Fold another sink's matches into this one. Because the checksum is
-    /// an XOR of per-pair digests, merging per-worker sinks yields exactly
-    /// the checksum a single sequential sink would have produced.
+    /// an additive fold of per-pair digests, merging per-worker sinks
+    /// yields exactly the checksum a single sequential sink would have
+    /// produced.
     pub fn merge(&mut self, other: CountSink) {
         self.matches += other.matches;
-        self.checksum ^= other.checksum;
-    }
-
-    fn digest(bytes: &[u8], mut h: u64) -> u64 {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-        h
+        self.checksum = self.checksum.wrapping_add(other.checksum);
     }
 }
 
 impl JoinSink for CountSink {
     fn emit<M: MemoryModel>(&mut self, _mem: &mut M, build: &[u8], probe: &[u8]) {
         self.matches += 1;
-        let d = Self::digest(probe, Self::digest(build, 0xCBF2_9CE4_8422_2325));
-        self.checksum ^= d.max(1); // never XOR 0: keep pair visible
+        self.checksum = self.checksum.wrapping_add(pair_digest(build, probe));
     }
 
     fn matches(&self) -> u64 {
@@ -256,18 +320,121 @@ mod tests {
         assert_eq!(merged, seq);
     }
 
+    fn checksum_of(pairs: &[(&[u8], &[u8])]) -> u64 {
+        let mut s = CountSink::new();
+        for (b, p) in pairs {
+            s.emit(&mut NativeModel, b, p);
+        }
+        s.checksum()
+    }
+
     #[test]
     fn count_sink_multiset_semantics() {
-        // Duplicate pairs XOR to different checksums for odd/even counts.
-        let mut m = NativeModel;
-        let mut once = CountSink::new();
-        once.emit(&mut m, b"x", b"y");
-        let mut thrice = CountSink::new();
-        for _ in 0..3 {
-            thrice.emit(&mut m, b"x", b"y");
+        // Every multiplicity counts: a pair emitted an even number of
+        // times must not cancel out, and substituting one duplicated pair
+        // for another must show.
+        let (a, b): (&[u8], &[u8]) = (b"x", b"y");
+        let once = checksum_of(&[(a, b)]);
+        let thrice = checksum_of(&[(a, b), (a, b), (a, b)]);
+        assert_ne!(once, thrice);
+        let (c, d): (&[u8], &[u8]) = (b"u", b"v");
+        let aabb = checksum_of(&[(a, b), (a, b), (c, d), (c, d)]);
+        let aaaa = checksum_of(&[(a, b), (a, b), (a, b), (a, b)]);
+        assert_ne!(aabb, aaaa);
+        assert_ne!(aabb, 0);
+    }
+
+    #[test]
+    fn pair_digest_known_answers() {
+        // Pinned: a change here changes every result checksum.
+        let build: Vec<u8> = (0u8..100).collect();
+        let probe: Vec<u8> = (0u8..100).map(|i| i.wrapping_mul(7) ^ 0x5A).collect();
+        assert_eq!(checksum_of(&[(&build, &probe)]), 0x3F95_0ED9_E86B_F569);
+        assert_eq!(
+            checksum_of(&[(b"key1", b"probe tuple")]),
+            0x8C39_E2E5_61E3_3E70
+        );
+    }
+
+    #[test]
+    fn pair_digest_detects_every_single_bit_flip() {
+        let build: Vec<u8> = (0u8..100).map(|i| i.wrapping_mul(37)).collect();
+        let probe: Vec<u8> = (0u8..100).map(|i| i.wrapping_mul(91) ^ 0xC3).collect();
+        let clean = checksum_of(&[(&build, &probe)]);
+        // 2 sides × 800 bits: all 1 600 single-bit flips.
+        for side in 0..2 {
+            for bit in 0..800 {
+                let (mut b, mut p) = (build.clone(), probe.clone());
+                let t = if side == 0 { &mut b } else { &mut p };
+                t[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum_of(&[(&b, &p)]), clean, "side {side} bit {bit}");
+            }
         }
-        assert_eq!(once.checksum(), thrice.checksum());
-        assert_ne!(once.matches(), thrice.matches());
+    }
+
+    #[test]
+    fn pair_digest_every_tail_length() {
+        // All-zero tuples: only the lengths tell 0..=17 bytes apart, so
+        // zero padding of the tail word must not alias real zeros.
+        let zeros = [0u8; 17];
+        let mut seen = std::collections::HashSet::new();
+        for lb in 0..=17 {
+            for lp in 0..=17 {
+                let d = pair_digest(&zeros[..lb], &zeros[..lp]);
+                assert!(seen.insert(d), "({lb}, {lp}) collides");
+            }
+        }
+        // The last byte of every tail length is read, on either side.
+        let bytes: Vec<u8> = (1u8..=17).collect();
+        for len in 1..=17 {
+            let mut flipped = bytes[..len].to_vec();
+            flipped[len - 1] ^= 0x80;
+            let d = pair_digest(&bytes[..len], &bytes[..len]);
+            assert_ne!(d, pair_digest(&flipped, &bytes[..len]), "build len {len}");
+            assert_ne!(d, pair_digest(&bytes[..len], &flipped), "probe len {len}");
+        }
+        // A zero-length pair still counts.
+        let empty = checksum_of(&[(b"", b"")]);
+        assert_ne!(empty, 0);
+        assert_ne!(checksum_of(&[(b"", b""), (b"", b"")]), empty);
+    }
+
+    #[test]
+    fn pair_digest_keeps_the_build_probe_boundary() {
+        assert_ne!(pair_digest(b"ab", b"c"), pair_digest(b"a", b"bc"));
+        assert_ne!(pair_digest(b"abcdefgh", b""), pair_digest(b"", b"abcdefgh"));
+    }
+
+    #[test]
+    fn output_redigested_at_build_width_equals_count_sink() {
+        // The benchmark's simulated pass checks materialised output by
+        // splitting each output tuple at the build schema's fixed size and
+        // digesting the halves as a CountSink would.
+        use crate::join::{join_pair, JoinParams, JoinScheme};
+        let gen = phj_workload::JoinSpec {
+            build_tuples: 700,
+            tuple_size: 52,
+            matches_per_build: 2,
+            pct_match: 80,
+            seed: 5,
+        }
+        .generate();
+        let params = JoinParams {
+            scheme: JoinScheme::Group { g: 8 },
+            use_stored_hash: true,
+        };
+        let mut m = NativeModel;
+        let mut count = CountSink::new();
+        join_pair(&mut m, &params, &gen.build, &gen.probe, 1, &mut count, None);
+        let mut out = OutputWriter::new(gen.build.schema().clone(), gen.probe.schema().clone());
+        join_pair(&mut m, &params, &gen.build, &gen.probe, 1, &mut out, None);
+        let split = gen.build.schema().fixed_size();
+        let mut redigest = CountSink::new();
+        for (_, t, _) in out.finish().iter() {
+            redigest.emit(&mut m, &t[..split], &t[split..]);
+        }
+        assert_eq!(count.matches(), gen.expected_matches);
+        assert_eq!(redigest, count);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! the simulator.
 
 use phj::aggregate::{aggregate, aggregate_page_range, AggScheme, AggTable};
+use phj::sink::pair_digest;
 use phj_memsim::{MemoryModel, NativeModel, Snapshot};
 use phj_obs::{Recorder, RegionsSection};
 use phj_storage::Relation;
@@ -45,26 +46,20 @@ pub struct SimAggOutcome {
     pub lanes: Vec<LaneStats>,
 }
 
-/// Order-independent digest of an aggregation result: XOR of one FNV
-/// hash per group over (key, count, sum). Two tables built from the same
-/// input in any morsel/merge order digest identically.
+/// Order-independent digest of an aggregation result: the join's
+/// word-wise pair digest ([`pair_digest`]) of (key, count ‖ sum) per
+/// group, additive fold. Two tables built from the same input in any
+/// morsel/merge order digest identically.
 pub fn agg_checksum(table: &AggTable) -> u64 {
     table
         .iter()
         .map(|e| {
-            let mut h = 0xCBF2_9CE4_8422_2325u64;
-            let mut eat = |bytes: &[u8]| {
-                for &b in bytes {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01B3);
-                }
-            };
-            eat(e.key());
-            eat(&e.count.to_le_bytes());
-            eat(&e.sum.to_le_bytes());
-            h.max(1)
+            let mut acc = [0u8; 16];
+            acc[..8].copy_from_slice(&e.count.to_le_bytes());
+            acc[8..].copy_from_slice(&e.sum.to_le_bytes());
+            pair_digest(e.key(), &acc)
         })
-        .fold(0u64, |acc, h| acc ^ h)
+        .fold(0u64, u64::wrapping_add)
 }
 
 /// Fold per-morsel tables (in task order) into one, sized for the sum of

@@ -14,8 +14,8 @@
 //!   ([`lpt_assign`] over pair bytes — the
 //!   skew data the partition phase just produced); each pair is joined
 //!   with the unmodified sequential kernel into a private
-//!   [`CountSink`], merged at the end (XOR checksum and match count are
-//!   order-independent). An oversized (skewed) pair recursively
+//!   [`CountSink`], merged at the end (the checksum — word-wise pair
+//!   digest, additive fold — and match count are order-independent). An oversized (skewed) pair recursively
 //!   re-partitions inside its task via [`grace_join_pair`].
 //!
 //! The driver is written once, generic over a `Lanes` executor with

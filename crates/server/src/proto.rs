@@ -291,8 +291,8 @@ pub struct QueryResult {
     pub kind: u8,
     /// Join matches, or aggregation groups.
     pub matches: u64,
-    /// Order-independent result checksum (join: pair digest XOR; agg:
-    /// group-table digest). Equal inputs must produce equal checksums
+    /// Order-independent result checksum: word-wise pair digest, additive
+    /// fold (join: over matched pairs; agg: over groups). Equal inputs must produce equal checksums
     /// regardless of concurrency.
     pub checksum: u64,
     /// Partitions the join produced (0 for agg).
