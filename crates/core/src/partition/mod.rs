@@ -394,7 +394,10 @@ impl OutputBuffers {
     /// (our stand-in for the disk, uncharged like a DMA write) and reuse
     /// the same buffer in place — the buffer's cache lines stay where
     /// they are, which is why few-partition runs keep their buffers
-    /// cache-resident (Fig 14's left region).
+    /// cache-resident (Fig 14's left region). The copy goes into a
+    /// [`phj_storage::Frame`] off the process-wide free list, so once an
+    /// earlier join has dropped its pages the flush faults in no fresh
+    /// memory.
     fn flush_buf(pb: &mut PartBuf) {
         if pb.page.nslots() > 0 {
             pb.rel.push_page(pb.page.clone());

@@ -56,7 +56,8 @@ use phj::{hash, plan};
 use phj_memsim::{MemoryModel, NativeModel};
 use phj_obs::{self as obs, Recorder};
 use phj_storage::{
-    tuple::key_bytes_of, tuple::materialize_join_output, Page, Relation, Schema, PAGE_SIZE,
+    tuple::key_bytes_of, tuple::materialize_join_output, Frame, Page, Relation, Schema,
+    PAGE_SIZE,
 };
 
 use crate::budget::LiveBudget;
@@ -376,7 +377,7 @@ impl SpillFile {
         })
     }
 
-    fn write_image(&mut self, part: usize, image: Box<[u8; PAGE_SIZE]>) -> Result<()> {
+    fn write_image(&mut self, part: usize, image: Frame) -> Result<()> {
         let writer = self
             .writer
             .get_or_insert_with(|| BackgroundWriter::start(self.map.stripes.clone(), self.window));

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use phj_storage::{Page, PAGE_SIZE};
+use phj_storage::{Frame, Page, PAGE_SIZE};
 
 use crate::error::{PhjError, Result};
 use crate::fault::{Fault, FaultPlan, IoOp, RetryPolicy};
@@ -153,7 +153,7 @@ impl StripeSet {
 
     /// Read a raw page image from its striped location (no verification,
     /// no fault injection, no retry).
-    pub fn read_page(&self, page: u64) -> io::Result<Box<[u8; PAGE_SIZE]>> {
+    pub fn read_page(&self, page: u64) -> io::Result<Frame> {
         self.raw_read(self.stripe_of(page), page)
     }
 
@@ -170,17 +170,17 @@ impl StripeSet {
         Ok(())
     }
 
-    fn raw_read(&self, s: usize, page: u64) -> io::Result<Box<[u8; PAGE_SIZE]>> {
-        let mut image = vec![0u8; PAGE_SIZE].into_boxed_slice();
+    fn raw_read(&self, s: usize, page: u64) -> io::Result<Frame> {
+        let mut image = Frame::zeroed();
         {
             let mut f = self.files[s].lock().unwrap_or_else(|p| p.into_inner());
             f.seek(SeekFrom::Start(self.offset_of(page)))?;
-            f.read_exact(&mut image)?;
+            f.read_exact(&mut image[..])?;
         }
         if let Some(m) = crate::telemetry::disk_metrics() {
             m.bytes_read.add(PAGE_SIZE as u64);
         }
-        Ok(image.try_into().expect("exact size"))
+        Ok(image)
     }
 
     /// Read a page through the fault plan with bounded retries, then
@@ -242,7 +242,7 @@ impl StripeSet {
     /// bounded retries. A torn-write fault corrupts the image before it
     /// reaches the file — the write still "succeeds"; detection belongs
     /// to the reader's checksum verification.
-    pub fn write_image_checked(&self, page: u64, mut image: Box<[u8; PAGE_SIZE]>) -> Result<()> {
+    pub fn write_image_checked(&self, page: u64, mut image: Frame) -> Result<()> {
         let s = self.stripe_of(page);
         let tag = self.tags[s];
         let mut attempt = 0u32;
@@ -342,7 +342,7 @@ mod tests {
         let dir = temp_dir("rw");
         let s = StripeSet::create(&dir, "t", 2, 2).unwrap();
         for p in 0..10u64 {
-            let mut img = Box::new([0u8; PAGE_SIZE]);
+            let mut img = Frame::zeroed();
             img[0] = p as u8;
             img[PAGE_SIZE - 1] = 0xEE;
             s.write_page(p, &img).unwrap();
@@ -361,7 +361,7 @@ mod tests {
         let dir = temp_dir("share");
         let a = StripeSet::create(&dir, "t", 1, 1).unwrap();
         let b = a.clone();
-        let img = Box::new([7u8; PAGE_SIZE]);
+        let img = [7u8; PAGE_SIZE];
         a.write_page(5, &img).unwrap();
         assert_eq!(b.read_page(5).unwrap()[100], 7);
         std::fs::remove_dir_all(&dir).ok();

@@ -16,13 +16,13 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use phj_storage::PAGE_SIZE;
+use phj_storage::Frame;
 
 use crate::error::{PhjError, Result};
 use crate::stripe::StripeSet;
 
 enum Job {
-    Write(u64, Box<[u8; PAGE_SIZE]>),
+    Write(u64, Frame),
     Shutdown,
 }
 
@@ -81,7 +81,7 @@ impl BackgroundWriter {
     /// window is full — backpressure, not unbounded buffering). An error
     /// here means the worker thread itself is gone; write errors inside
     /// the worker surface on [`finish`](BackgroundWriter::finish).
-    pub fn write(&self, page: u64, image: Box<[u8; PAGE_SIZE]>) -> Result<()> {
+    pub fn write(&self, page: u64, image: Frame) -> Result<()> {
         let s = self.stripes.stripe_of(page);
         self.tx[s]
             .send(Job::Write(page, image))
@@ -139,7 +139,7 @@ mod tests {
 
     use phj_storage::Page;
 
-    fn sealed(marker: u32) -> Box<[u8; PAGE_SIZE]> {
+    fn sealed(marker: u32) -> Frame {
         let mut p = Page::new();
         p.insert(&marker.to_le_bytes(), marker).unwrap();
         p.sealed_image()

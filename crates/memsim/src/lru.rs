@@ -6,8 +6,35 @@
 //! so hits, inserts, and evictions are all constant-time.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const NIL: u32 = u32::MAX;
+
+/// Multiplicative hasher for the set's `u64` keys. They are page and line
+/// numbers the simulator computes itself, never input from outside the
+/// program, so std's collision-resistant SipHash buys nothing on this
+/// once-per-simulated-reference path.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("LruSet keys are u64, which hash through write_u64")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        // Fibonacci hashing; fold the well-mixed high half into the low
+        // bits the table indexes its buckets with.
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 #[derive(Clone, Copy)]
 struct Node {
@@ -18,7 +45,7 @@ struct Node {
 
 /// Fixed-capacity LRU set of `u64` keys.
 pub struct LruSet {
-    map: HashMap<u64, u32>,
+    map: HashMap<u64, u32, BuildHasherDefault<MulHasher>>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: u32, // most recently used
@@ -34,7 +61,7 @@ impl LruSet {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "LruSet capacity must be non-zero");
         LruSet {
-            map: HashMap::with_capacity(cap * 2),
+            map: HashMap::with_capacity_and_hasher(cap * 2, Default::default()),
             nodes: Vec::with_capacity(cap),
             free: Vec::new(),
             head: NIL,

@@ -23,6 +23,8 @@
 //!   the intermediate partitions and reusing them in the join phase");
 //! * tuple data grows downward from the end of the page.
 
+use crate::frame::Frame;
+
 /// Page size in bytes (Table 2 of the paper).
 pub const PAGE_SIZE: usize = 8192;
 
@@ -100,22 +102,19 @@ pub type SlotId = u16;
 
 /// A fixed-size slotted page.
 ///
-/// The buffer is boxed so `Vec<Page>` growth moves only thin handles and
-/// each page's bytes stay at a stable heap address — the memory model keys
-/// its cache simulation off those addresses.
+/// The buffer is a [`Frame`]: an 8 KB heap box recycled through the
+/// process-wide free list, so `Vec<Page>` growth moves only thin handles,
+/// each page's bytes stay at a stable heap address while the page lives —
+/// the memory model keys its cache simulation off those addresses — and a
+/// dropped page's buffer serves the next page allocated on any thread.
 ///
-/// `Clone` deep-copies the buffer (used when an output buffer is "written
-/// to disk": the engine copies the page out and keeps reusing the same
-/// buffer, as a real buffer manager would — the copy stands in for the
-/// DMA transfer and is not charged to the memory model).
+/// `Clone` deep-copies the buffer into another frame (used when an output
+/// buffer is "written to disk": the engine copies the page out and keeps
+/// reusing the same buffer, as a real buffer manager would — the copy
+/// stands in for the DMA transfer and is not charged to the memory model).
+#[derive(Clone)]
 pub struct Page {
-    buf: Box<[u8; PAGE_SIZE]>,
-}
-
-impl Clone for Page {
-    fn clone(&self) -> Self {
-        Page { buf: self.buf.clone() }
-    }
+    buf: Frame,
 }
 
 impl std::fmt::Debug for Page {
@@ -137,10 +136,7 @@ impl Default for Page {
 impl Page {
     /// An empty page.
     pub fn new() -> Self {
-        let mut buf: Box<[u8; PAGE_SIZE]> = vec![0u8; PAGE_SIZE]
-            .into_boxed_slice()
-            .try_into()
-            .expect("exact size");
+        let mut buf = Frame::zeroed();
         buf[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
         Page { buf }
     }
@@ -312,8 +308,8 @@ impl Page {
     /// every page takes on its way to disk. Copying here (rather than
     /// sealing in place) means a buffer that keeps being reused in memory
     /// never carries a checksum that has silently gone stale.
-    pub fn sealed_image(&self) -> Box<[u8; PAGE_SIZE]> {
-        let mut img = Box::new(*self.as_bytes());
+    pub fn sealed_image(&self) -> Frame {
+        let mut img = Frame::copy_of(self.as_bytes());
         let c = Self::compute_checksum(&img);
         img[CKSUM_RANGE].copy_from_slice(&c.to_le_bytes());
         if let Some(m) = crate::telemetry::storage_metrics() {
@@ -328,7 +324,7 @@ impl Page {
     /// a plausible header), then the checksum word. Use this on every page
     /// that crossed a disk boundary; [`from_bytes`](Page::from_bytes) stays
     /// available for trusted in-memory images.
-    pub fn try_from_image(buf: Box<[u8; PAGE_SIZE]>) -> Result<Page, PageError> {
+    pub fn try_from_image(buf: Frame) -> Result<Page, PageError> {
         let page = Page { buf };
         let verdict = page.verify();
         if let Some(m) = crate::telemetry::storage_metrics() {
@@ -372,7 +368,7 @@ impl Page {
     /// # Panics
     /// Panics if the header is structurally invalid (slot area and data
     /// area overlapping) — a torn or foreign page.
-    pub fn from_bytes(buf: Box<[u8; PAGE_SIZE]>) -> Page {
+    pub fn from_bytes(buf: Frame) -> Page {
         let page = Page { buf };
         let ds = page.data_start() as usize;
         assert!(
@@ -510,7 +506,7 @@ mod io_tests {
         for i in 0..20u32 {
             p.insert(&i.to_le_bytes(), i * 3).unwrap();
         }
-        let image = Box::new(*p.as_bytes());
+        let image = Frame::copy_of(p.as_bytes());
         let q = Page::from_bytes(image);
         assert_eq!(q.nslots(), 20);
         for (s, t, h) in q.iter() {
@@ -522,7 +518,7 @@ mod io_tests {
     #[test]
     #[should_panic(expected = "corrupt page image")]
     fn corrupt_image_rejected() {
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
+        let mut buf = Frame::zeroed();
         buf[0..2].copy_from_slice(&2000u16.to_le_bytes()); // 2000 slots
         buf[2..4].copy_from_slice(&8u16.to_le_bytes()); // data_start 8
         let _ = Page::from_bytes(buf);
@@ -573,7 +569,7 @@ mod io_tests {
         let mut p = Page::new();
         p.insert(b"x", 0).unwrap();
         // Raw (never sealed) image: structurally fine, checksum word zero.
-        let err = Page::try_from_image(Box::new(*p.as_bytes())).unwrap_err();
+        let err = Page::try_from_image(Frame::copy_of(p.as_bytes())).unwrap_err();
         assert!(matches!(err, PageError::ChecksumMismatch { stored: 0, .. }));
     }
 
@@ -581,14 +577,14 @@ mod io_tests {
     fn zeroed_image_is_torn() {
         // A hole in a sparse file reads back as zeroes: data_start 0 is
         // structurally impossible (it would sit inside the header).
-        let err = Page::try_from_image(Box::new([0u8; PAGE_SIZE])).unwrap_err();
+        let err = Page::try_from_image(Frame::zeroed()).unwrap_err();
         assert_eq!(err, PageError::Torn { nslots: 0, data_start: 0 });
         assert!(err.to_string().contains("torn page"));
     }
 
     #[test]
     fn garbage_header_is_torn() {
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
+        let mut buf = Frame::zeroed();
         buf[0..2].copy_from_slice(&2000u16.to_le_bytes());
         buf[2..4].copy_from_slice(&8u16.to_le_bytes());
         assert!(matches!(
@@ -673,12 +669,12 @@ mod io_tests {
     fn slot_pointing_past_the_page_is_torn() {
         let mut p = Page::new();
         p.insert(&[0xAB; 16], 1).unwrap();
-        let mut img = Box::new(*p.as_bytes());
+        let mut img = Frame::copy_of(p.as_bytes());
         img[HDR + 2..HDR + 4].copy_from_slice(&9000u16.to_le_bytes()); // slot 0 len
         let mut forged = Page::from_bytes(img);
         forged.seal();
         assert_eq!(
-            Page::try_from_image(Box::new(*forged.as_bytes())).unwrap_err(),
+            Page::try_from_image(Frame::copy_of(forged.as_bytes())).unwrap_err(),
             PageError::Torn {
                 nslots: 1,
                 data_start: (PAGE_SIZE - 16) as u16
@@ -692,7 +688,7 @@ mod io_tests {
         p.buf[HDR + SLOT..HDR + SLOT + 2].copy_from_slice(&(HDR as u16).to_le_bytes()); // slot 1 off
         p.seal();
         assert!(matches!(
-            Page::try_from_image(Box::new(*p.as_bytes())),
+            Page::try_from_image(Frame::copy_of(p.as_bytes())),
             Err(PageError::Torn { nslots: 3, .. })
         ));
     }
