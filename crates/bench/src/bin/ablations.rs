@@ -17,10 +17,10 @@
 
 use phj::chained::{build_chained, probe_chained_group};
 use phj::hybrid::{grace_equivalent, hybrid_join, HybridConfig};
-use phj::hybrid_swp::hybrid_join_swp;
 use phj::join::{self, JoinParams, JoinScheme};
 use phj::plan;
 use phj::sink::{CountSink, JoinSink};
+use phj::stage::Schedule;
 use phj::table::HashTable;
 use phj_bench::report::{mcycles, scaled, speedup, Table};
 use phj_bench::runner::{sim_join, sim_partition};
@@ -198,7 +198,7 @@ fn ablation_conflicts() {
 
 fn ablation_hybrid() {
     let gen = pivot().generate();
-    let cfg = HybridConfig { mem_budget: scaled(50 << 20) / 4, g: 16, ..Default::default() };
+    let cfg = HybridConfig { mem_budget: scaled(50 << 20) / 4, schedule: Schedule::Group { g: 16 } };
     let mut t = Table::new(
         "Ablation 5 — hybrid hash join vs GRACE (group prefetching, end-to-end Mcycles)",
         &["algorithm", "cycles", "speedup"],
@@ -220,7 +220,8 @@ fn ablation_hybrid() {
     let hybrid_swp = {
         let mut mem = SimEngine::paper();
         let mut sink = CountSink::new();
-        hybrid_join_swp(&mut mem, &cfg, 2, &gen.build, &gen.probe, &mut sink);
+        let swp = HybridConfig { schedule: Schedule::Pipelined { d: 2 }, ..cfg };
+        hybrid_join(&mut mem, &swp, &gen.build, &gen.probe, &mut sink, None);
         assert_eq!(sink.matches(), gen.expected_matches);
         mem.breakdown().total()
     };

@@ -48,6 +48,7 @@ use std::time::Instant;
 
 use phj::grace::{grace_join_with_sink_rec, GraceConfig};
 use phj::hybrid::{hybrid_join, HybridConfig};
+use phj::stage::Schedule;
 use phj::join::JoinScheme;
 use phj::model::{min_group_size, min_prefetch_distance};
 use phj::partition::PartitionScheme;
@@ -464,6 +465,23 @@ fn scheme_of(args: &Args) -> Result<JoinScheme, String> {
     }
 }
 
+/// The hybrid join under `--scheme`: its fused passes and its spilled
+/// pairs all run that scheme's schedule. Baseline and simple have no
+/// staged form of the fused passes.
+fn hybrid_config(scheme: JoinScheme, mem_budget: usize) -> Result<HybridConfig, String> {
+    let schedule = match scheme {
+        JoinScheme::Group { g } => Schedule::Group { g },
+        JoinScheme::Swp { d } => Schedule::Pipelined { d },
+        JoinScheme::Baseline | JoinScheme::Simple => {
+            return Err(format!(
+                "--hybrid needs --scheme group or swp, not {}",
+                scheme.label()
+            ))
+        }
+    };
+    Ok(HybridConfig { mem_budget, schedule })
+}
+
 fn cmd_join(args: &Args) -> Result<(), String> {
     args.allow(&[
         "build-mb", "tuple-size", "matches", "pct", "scheme", "g", "d", "mem-mb", "sim",
@@ -482,6 +500,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     };
     let mem_budget = args.get_usize("mem-mb", build_mb.div_ceil(4).max(1))? << 20;
     let scheme = scheme_of(args)?;
+    let hybrid_cfg =
+        if args.flag("hybrid") { Some(hybrid_config(scheme, mem_budget)?) } else { None };
     println!(
         "join: {} build x {} probe tuples of {}B, scheme {}, memory {} MB{}",
         spec.build_tuples,
@@ -507,22 +527,17 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         report.config_kv("mem_budget", mem_budget);
         report.config_kv("hybrid", args.flag("hybrid"));
     };
-    let g = match scheme {
-        JoinScheme::Group { g } => g,
-        _ => 16,
-    };
     let grace_cfg = GraceConfig {
         mem_budget,
         partition_scheme: PartitionScheme::combined_default(),
         join_scheme: scheme,
         ..Default::default()
     };
-    let hybrid_cfg = HybridConfig { mem_budget, g, ..Default::default() };
     // `--threads` (even `--threads 1`) routes through the parallel
     // executor, so thread counts print in a comparable format; without
     // the flag the sequential driver runs exactly as before.
     if !args.get_str("threads", "").is_empty() {
-        if args.flag("hybrid") {
+        if hybrid_cfg.is_some() {
             return Err("--hybrid runs single-threaded; drop --threads or --hybrid".to_string());
         }
         let threads = args.get_usize("threads", 1)?.max(1);
@@ -538,8 +553,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             .map(|r| r.begin_profiled("run", engine.snapshot(), engine.latency_hist()));
         let mut sink = CountSink::new();
         let t0 = Instant::now();
-        let p = if args.flag("hybrid") {
-            hybrid_join(&mut engine, &hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
+        let p = if let Some(hybrid_cfg) = &hybrid_cfg {
+            hybrid_join(&mut engine, hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         } else {
             grace_join_with_sink_rec(&mut engine, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         };
@@ -581,8 +596,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         let root = recorder.as_mut().map(|r| r.begin("run", native.snapshot()));
         let mut sink = CountSink::new();
         let t0 = Instant::now();
-        let p = if args.flag("hybrid") {
-            hybrid_join(&mut native, &hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
+        let p = if let Some(hybrid_cfg) = &hybrid_cfg {
+            hybrid_join(&mut native, hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         } else {
             grace_join_with_sink_rec(&mut native, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         };
@@ -1267,4 +1282,22 @@ fn cmd_params(args: &Args) -> Result<(), String> {
     );
     let _ = single_relation(1, tuple_size); // sanity: tuple size valid
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hybrid_config_follows_the_scheme() {
+        let mb = 1 << 20;
+        let cfg = hybrid_config(JoinScheme::Group { g: 8 }, mb).unwrap();
+        assert_eq!((cfg.mem_budget, cfg.schedule), (mb, Schedule::Group { g: 8 }));
+        let cfg = hybrid_config(JoinScheme::Swp { d: 2 }, mb).unwrap();
+        assert_eq!(cfg.schedule, Schedule::Pipelined { d: 2 });
+        for scheme in [JoinScheme::Baseline, JoinScheme::Simple] {
+            let err = hybrid_config(scheme, mb).unwrap_err();
+            assert!(err.contains(&scheme.label()), "{err}");
+        }
+    }
 }

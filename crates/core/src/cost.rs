@@ -25,6 +25,9 @@
 //!
 //! [`MemoryModel::busy`]: phj_memsim::MemoryModel::busy
 
+use crate::join::program::{Build, Probe};
+use crate::partition::program::Partition;
+
 /// Hash-function evaluation over a short key (cycles).
 pub const HASH_FN: u64 = 30;
 
@@ -243,27 +246,22 @@ impl CostModel {
         }
     }
 
-    /// [`probe_stage_costs`] under this model.
+    /// [`probe_stage_costs`] under this model: the probe program's
+    /// declared stage costs.
     pub fn probe_stage_costs(&self, reuse_stored_hash: bool, out_len: usize) -> [u64; 4] {
-        [
-            self.code0_cost(reuse_stored_hash),
-            self.header_check,
-            self.cell_check,
-            self.key_compare + self.copy_cost(out_len),
-        ]
+        Probe::<()>::stage_costs(self, reuse_stored_hash, out_len)
     }
 
-    /// [`build_stage_costs`] under this model.
+    /// [`build_stage_costs`] under this model: the build program's
+    /// declared stage costs.
     pub fn build_stage_costs(&self, reuse_stored_hash: bool) -> [u64; 3] {
-        [self.code0_cost(reuse_stored_hash), self.header_check, self.cell_write]
+        Build::stage_costs(self, reuse_stored_hash)
     }
 
-    /// [`partition_stage_costs`] under this model.
+    /// [`partition_stage_costs`] under this model: the partition
+    /// program's declared stage costs.
     pub fn partition_stage_costs(&self, tuple_len: usize) -> [u64; 2] {
-        [
-            self.hash_fn + self.mod_op + self.tuple_fetch,
-            self.copy_cost(tuple_len),
-        ]
+        Partition::stage_costs(self, tuple_len)
     }
 }
 

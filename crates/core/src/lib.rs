@@ -51,13 +51,13 @@ pub mod cost;
 pub mod grace;
 pub mod hash;
 pub mod hybrid;
-pub mod hybrid_swp;
 pub mod join;
 pub mod model;
 pub mod partition;
 pub mod plan;
 pub mod profile;
 pub mod sink;
+pub mod stage;
 pub mod table;
 
 pub use join::JoinScheme;

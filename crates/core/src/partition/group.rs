@@ -6,95 +6,8 @@
 //! conflict (§6): the tuple is deferred to the group boundary, where all
 //! in-flight copies have committed and the buffer can be written out
 //! safely — "in group prefetching, we wait until the end of the loop body
-//! to write out the buffer and process the second tuple."
-
-use phj_memsim::MemoryModel;
-use phj_storage::Relation;
-
-use crate::cost;
-use crate::hash::partition_of;
-use crate::join::Scan;
-
-use super::{phase_hash, OutputBuffers};
-
-struct Slot {
-    pi: usize,
-    slot: u16,
-    hash: u32,
-    p: usize,
-    reserved: Option<(usize, usize)>,
-}
-
-/// Run the group-prefetching partition loop.
-pub(crate) fn run<M: MemoryModel>(
-    mem: &mut M,
-    input: &Relation,
-    pages: std::ops::Range<usize>,
-    out: &mut OutputBuffers,
-    g: usize,
-    use_stored_hash: bool,
-) {
-    let g = g.max(2);
-    let mut slots: Vec<Slot> = (0..g)
-        .map(|_| Slot { pi: 0, slot: 0, hash: 0, p: 0, reserved: None })
-        .collect();
-    let mut delayed: Vec<usize> = Vec::new();
-    let mut scan = Scan::range(input, true, pages);
-    let mut batch = 0u64;
-    loop {
-        // Stage 0: hash, partition number, reserve + prefetch the output
-        // location.
-        let mut n = 0usize;
-        delayed.clear();
-        for (i, s) in slots.iter_mut().enumerate().take(g) {
-            let Some((pi, slot)) = scan.next(mem) else { break };
-            let t = input.page(pi).tuple(slot);
-            mem.busy(cost::code0_cost(use_stored_hash) + cost::STAGE_BOOKKEEPING);
-            s.pi = pi;
-            s.slot = slot;
-            s.hash = phase_hash(input, pi, slot, use_stored_hash);
-            s.p = partition_of(s.hash, out.num_partitions());
-            s.reserved = out.try_reserve(s.p, t.len());
-            match s.reserved {
-                Some((data_addr, slot_addr)) => {
-                    mem.prefetch(data_addr, t.len());
-                    mem.prefetch(slot_addr, 8);
-                }
-                None => {
-                    // Buffer full: defer to the group boundary.
-                    mem.other(cost::BRANCH_MISS);
-                    delayed.push(i);
-                }
-            }
-            n += 1;
-        }
-        if n == 0 {
-            break;
-        }
-        // Stage 1: copy reserved tuples into their output buffers.
-        for s in slots.iter_mut().take(n) {
-            mem.busy(cost::STAGE_BOOKKEEPING);
-            if let Some(addrs) = s.reserved.take() {
-                let t = input.page(s.pi).tuple(s.slot);
-                out.commit(mem, s.p, t, s.hash, addrs);
-            }
-        }
-        // Group boundary: all copies committed; write out full buffers and
-        // process the deferred tuples without prefetching.
-        for &i in &delayed {
-            let s = &slots[i];
-            let t = input.page(s.pi).tuple(s.slot);
-            out.append_direct(mem, s.p, t, s.hash);
-        }
-        // Host-side batch mark (flight recorder full mode only; never a
-        // simulated-cycle cost).
-        phj_flightrec::event_full(phj_flightrec::EventKind::Batch, 0, batch, g as u64);
-        batch += 1;
-        if n < g {
-            break;
-        }
-    }
-}
+//! to write out the buffer and process the second tuple." The loop is the
+//! [`super::program`] run by [`crate::stage::Group`].
 
 #[cfg(test)]
 mod tests {

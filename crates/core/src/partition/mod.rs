@@ -15,11 +15,12 @@
 //! * **group / software-pipelined** — when the buffers outgrow the cache,
 //!   every output-buffer visit misses; these exploit inter-tuple
 //!   parallelism exactly like the join phase (`k = 1` dependent reference:
-//!   the output-buffer location). Buffer-full events are the phase's
-//!   read-write conflicts: group prefetching defers the tuple to the group
-//!   boundary where the buffer is safely flushed; software pipelining
-//!   parks it on the partition's waiting queue until in-flight copies
-//!   drain;
+//!   the output-buffer location). The stages are one stage program, run by
+//!   either scheduler of [`crate::stage`]. Buffer-full events are the
+//!   phase's read-write conflicts: group prefetching defers the tuple to
+//!   the group boundary where the buffer is safely flushed; software
+//!   pipelining parks it on the partition's waiting queue until in-flight
+//!   copies drain;
 //! * **combined** — picks simple vs group from the partition count and
 //!   cache size ("we choose the prefetching algorithm based on the cache
 //!   size and the number of partitions", §7.4).
@@ -28,8 +29,9 @@
 //! it in the output page's slot area** so the join phase can reuse it
 //! (§7.1).
 
-pub mod group;
-pub mod swp;
+mod group;
+pub(crate) mod program;
+mod swp;
 
 use phj_memsim::{MemoryModel, RegionKind};
 use phj_obs::{self as obs, Recorder};
@@ -38,8 +40,10 @@ use phj_storage::{tuple::key_bytes_of, Page, Relation, PAGE_SIZE};
 use crate::cost;
 use crate::hash::{hash_key, partition_of};
 use crate::profile;
+use crate::stage::{self, Schedule};
 
 use super::join::Scan;
+use program::Partition;
 
 /// Which partition-phase algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,16 +191,16 @@ pub fn partition_page_range<M: MemoryModel>(
             straight(mem, input, pages.clone(), &mut out, true, use_stored_hash)
         }
         PartitionScheme::Group { g } => {
-            group::run(mem, input, pages.clone(), &mut out, g, use_stored_hash)
+            staged(mem, input, pages.clone(), &mut out, Schedule::Group { g }, use_stored_hash)
         }
         PartitionScheme::Swp { d } => {
-            swp::run(mem, input, pages.clone(), &mut out, d, use_stored_hash)
+            staged(mem, input, pages.clone(), &mut out, Schedule::Pipelined { d }, use_stored_hash)
         }
         PartitionScheme::Combined { g, cache_pages } => {
             if num_partitions <= cache_pages {
                 straight(mem, input, pages.clone(), &mut out, true, use_stored_hash)
             } else {
-                group::run(mem, input, pages.clone(), &mut out, g, use_stored_hash)
+                staged(mem, input, pages.clone(), &mut out, Schedule::Group { g }, use_stored_hash)
             }
         }
     }
@@ -236,7 +240,18 @@ fn straight<M: MemoryModel>(
     }
 }
 
-const NIL: u32 = u32::MAX;
+/// The partition program under a prefetching schedule.
+fn staged<M: MemoryModel>(
+    mem: &mut M,
+    input: &Relation,
+    pages: std::ops::Range<usize>,
+    out: &mut OutputBuffers,
+    schedule: Schedule,
+    use_stored_hash: bool,
+) {
+    let scan = Scan::range(input, true, pages);
+    stage::run(schedule, mem, &mut Partition::new(input, out, use_stored_hash), scan);
+}
 
 /// The per-partition output buffers, with the reservation protocol the
 /// staged schemes need: stage 0 *reserves* an insertion position (so its
@@ -257,8 +272,6 @@ struct PartBuf {
     reserved_data: u16,
     /// Reservations not yet committed.
     pending: u32,
-    /// Head of the waiting chain (software pipelining), by state index.
-    waiting: u32,
 }
 
 impl PartBuf {
@@ -269,7 +282,6 @@ impl PartBuf {
             reserved_slots: 0,
             reserved_data: PAGE_SIZE as u16,
             pending: 0,
-            waiting: NIL,
         }
     }
 }
@@ -371,16 +383,6 @@ impl OutputBuffers {
         self.parts[p].pending
     }
 
-    /// Waiting-chain head for partition `p` (software pipelining).
-    pub(crate) fn waiting(&self, p: usize) -> u32 {
-        self.parts[p].waiting
-    }
-
-    /// Set the waiting-chain head.
-    pub(crate) fn set_waiting(&mut self, p: usize, head: u32) {
-        self.parts[p].waiting = head;
-    }
-
     /// Flush partition `p`'s buffer page (requires no pending
     /// reservations: the staged schemes only flush at safe points — that
     /// is exactly the read-write-conflict discipline of §6).
@@ -419,7 +421,6 @@ impl OutputBuffers {
             .iter_mut()
             .for_each(|pb| {
                 assert_eq!(pb.pending, 0, "finish with in-flight copies");
-                assert_eq!(pb.waiting, NIL, "finish with waiting tuples");
                 Self::flush_buf(pb)
             });
         self.parts.into_iter().map(|pb| pb.rel).collect()

@@ -6,158 +6,11 @@
 //! (§6: "In software-pipelined prefetching, we use waiting queues similar
 //! to those for hash table building in the join phase"): a tuple that
 //! finds its buffer full while copies are still in flight parks on the
-//! partition's chain; the commit that drains the last in-flight copy
-//! writes the buffer out and processes the chain.
-
-use phj_memsim::MemoryModel;
-use phj_storage::Relation;
-
-use crate::cost;
-use crate::hash::partition_of;
-use crate::join::Scan;
-use crate::model::swp_state_slots;
-
-use super::{phase_hash, OutputBuffers};
-
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Done,
-    Copy((usize, usize)),
-    Waiting,
-}
-
-struct Slot {
-    pi: usize,
-    slot: u16,
-    hash: u32,
-    p: usize,
-    state: State,
-    next_waiting: u32,
-}
-
-/// Run the software-pipelined partition loop.
-pub(crate) fn run<M: MemoryModel>(
-    mem: &mut M,
-    input: &Relation,
-    pages: std::ops::Range<usize>,
-    out: &mut OutputBuffers,
-    d: usize,
-    use_stored_hash: bool,
-) {
-    let d = d.max(1);
-    let size = swp_state_slots(1, d);
-    let mask = size - 1;
-    let mut slots: Vec<Slot> = (0..size)
-        .map(|_| Slot {
-            pi: 0,
-            slot: 0,
-            hash: 0,
-            p: 0,
-            state: State::Done,
-            next_waiting: NIL,
-        })
-        .collect();
-    let mut scan = Scan::range(input, true, pages);
-    let mut total: Option<usize> = None;
-    let mut it = 0usize;
-    let bk = cost::STAGE_BOOKKEEPING + cost::SWP_EXTRA;
-    loop {
-        // Stage 0 for element `it`.
-        if total.is_none() {
-            match scan.next(mem) {
-                Some((pi, slot)) => {
-                    let me = (it & mask) as u32;
-                    let t = input.page(pi).tuple(slot);
-                    mem.busy(cost::code0_cost(use_stored_hash) + bk);
-                    let hash = phase_hash(input, pi, slot, use_stored_hash);
-                    let p = partition_of(hash, out.num_partitions());
-                    {
-                        let s = &mut slots[me as usize];
-                        debug_assert_eq!(s.state, State::Done, "slot reused too early");
-                        s.pi = pi;
-                        s.slot = slot;
-                        s.hash = hash;
-                        s.p = p;
-                        s.next_waiting = NIL;
-                    }
-                    match out.try_reserve(p, t.len()) {
-                        Some(addrs) => {
-                            mem.prefetch(addrs.0, t.len());
-                            mem.prefetch(addrs.1, 8);
-                            slots[me as usize].state = State::Copy(addrs);
-                        }
-                        None if out.pending(p) == 0 => {
-                            // No copies in flight: safe to write out now.
-                            out.flush(p);
-                            let addrs = out
-                                .try_reserve(p, t.len())
-                                .expect("fresh page fits any tuple");
-                            mem.prefetch(addrs.0, t.len());
-                            mem.prefetch(addrs.1, 8);
-                            slots[me as usize].state = State::Copy(addrs);
-                        }
-                        None => {
-                            // Copies in flight: park on the waiting queue.
-                            mem.other(cost::BRANCH_MISS);
-                            mem.busy(cost::SWP_EXTRA);
-                            let head = out.waiting(p);
-                            if head == NIL {
-                                out.set_waiting(p, me);
-                            } else {
-                                let mut cur = head;
-                                while slots[cur as usize].next_waiting != NIL {
-                                    cur = slots[cur as usize].next_waiting;
-                                }
-                                slots[cur as usize].next_waiting = me;
-                            }
-                            slots[me as usize].state = State::Waiting;
-                        }
-                    }
-                }
-                None => total = Some(it),
-            }
-        }
-        // Stage 1 for element `it - D`.
-        if it >= d {
-            let e = it - d;
-            if total.is_none_or(|t| e < t) {
-                let me = e & mask;
-                mem.busy(bk);
-                if let State::Copy(addrs) = slots[me].state {
-                    let (p, hash) = (slots[me].p, slots[me].hash);
-                    let t = input.page(slots[me].pi).tuple(slots[me].slot);
-                    out.commit(mem, p, t, hash, addrs);
-                    slots[me].state = State::Done;
-                    // Last in-flight copy gone? Write out and drain the
-                    // partition's waiting queue without prefetching.
-                    if out.pending(p) == 0 && out.waiting(p) != NIL {
-                        out.flush(p);
-                        let mut w = out.waiting(p);
-                        out.set_waiting(p, NIL);
-                        while w != NIL {
-                            let next = slots[w as usize].next_waiting;
-                            slots[w as usize].next_waiting = NIL;
-                            debug_assert_eq!(slots[w as usize].state, State::Waiting);
-                            let wt =
-                                input.page(slots[w as usize].pi).tuple(slots[w as usize].slot);
-                            out.append_direct(mem, slots[w as usize].p, wt, slots[w as usize].hash);
-                            slots[w as usize].state = State::Done;
-                            w = next;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(t) = total {
-            if t == 0 || it >= t - 1 + d {
-                break;
-            }
-        }
-        it += 1;
-    }
-}
+//! partition's queue; the commit that drains the last in-flight copy
+//! writes the buffer out and processes the queue. With nothing in flight
+//! the buffer is written out at once. The loop is the
+//! [`super::program`] run by [`crate::stage::Pipelined`], which owns both
+//! rules.
 
 #[cfg(test)]
 mod tests {

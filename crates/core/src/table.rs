@@ -36,7 +36,7 @@ pub const NO_ARRAY: u32 = u32::MAX;
 pub const NOT_BUSY: u32 = 0;
 
 /// One hash cell: the 4-byte hash-code filter plus the tuple pointer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct HashCell {
     /// Hash code of the build tuple's join key.

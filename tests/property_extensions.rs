@@ -13,6 +13,7 @@ use phj::hash::hash_key;
 use phj::hybrid::{grace_equivalent, hybrid_join, HybridConfig};
 use phj::join::{join_pair, JoinParams, JoinScheme};
 use phj::sink::{CountSink, JoinSink};
+use phj::stage::Schedule;
 use phj_memsim::NativeModel;
 use phj_storage::{Relation, RelationBuilder, Schema};
 
@@ -76,7 +77,7 @@ proptest! {
     ) {
         let build = rel_from_keys(&build_keys, 28);
         let probe = rel_from_keys(&probe_keys, 28);
-        let cfg = HybridConfig { mem_budget: budget_pages * 8192, g, ..Default::default() };
+        let cfg = HybridConfig { mem_budget: budget_pages * 8192, schedule: Schedule::Group { g } };
         let mut mem = NativeModel;
         let mut hybrid_sink = CountSink::new();
         hybrid_join(&mut mem, &cfg, &build, &probe, &mut hybrid_sink, None);

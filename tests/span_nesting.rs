@@ -6,6 +6,7 @@
 use phj::grace::{grace_join_with_sink_rec, GraceConfig};
 use phj::hybrid::{hybrid_join, HybridConfig};
 use phj::sink::{CountSink, JoinSink};
+use phj::stage::Schedule;
 use phj_memsim::SimEngine;
 use phj_obs::{Recorder, RunReport, SpanRecord};
 use phj_workload::JoinSpec;
@@ -85,7 +86,7 @@ fn hybrid_spans_follow_phase_structure() {
     let mut mem = SimEngine::paper();
     let mut rec = Recorder::new();
     let mut sink = CountSink::new();
-    let cfg = HybridConfig { mem_budget: 32 * 1024, g: 8, ..Default::default() };
+    let cfg = HybridConfig { mem_budget: 32 * 1024, schedule: Schedule::Group { g: 8 } };
     let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
     let spans = rec.finish();
     assert!(p > 1);
