@@ -243,7 +243,7 @@ mod tests {
         let probe_keys: Vec<u32> = (250..750).map(|k| k % 600).collect();
         let build = rel(&build_keys, 32);
         let probe = rel(&probe_keys, 32);
-        let mut reference: Option<CountSink> = None;
+        let want = crate::join::tests::reference(&build, &probe);
         for ps in [
             PartitionScheme::Baseline,
             PartitionScheme::Simple,
@@ -265,18 +265,9 @@ mod tests {
                 let mut mem = NativeModel;
                 let mut sink = CountSink::new();
                 grace_join_with_sink(&mut mem, &cfg, &build, &probe, &mut sink);
-                match &reference {
-                    None => reference = Some(sink),
-                    Some(r) => assert_eq!(
-                        &sink,
-                        r,
-                        "{} + {}",
-                        ps.label(),
-                        js.label()
-                    ),
-                }
+                assert_eq!(sink, want, "{} + {}", ps.label(), js.label());
             }
         }
-        assert!(reference.unwrap().matches() > 0);
+        assert!(want.matches() > 0);
     }
 }

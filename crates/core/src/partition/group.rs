@@ -11,6 +11,7 @@
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::reference_multisets;
     use super::super::{partition_relation, PartitionScheme};
     use phj_memsim::{NativeModel, SimEngine};
     use phj_storage::{Relation, RelationBuilder, Schema};
@@ -41,11 +42,11 @@ mod tests {
     fn group_matches_baseline_partitioning() {
         let input = input_rel(4000, 100);
         let mut mem = NativeModel;
-        let base = partition_relation(&mut mem, PartitionScheme::Baseline, &input, 11, false);
+        let base = reference_multisets(&input, 11);
         for g in [2, 5, 12, 40] {
             let got =
                 partition_relation(&mut mem, PartitionScheme::Group { g }, &input, 11, false);
-            assert_eq!(tuple_multisets(&got), tuple_multisets(&base), "G={g}");
+            assert_eq!(tuple_multisets(&got), base, "G={g}");
         }
     }
 
@@ -55,9 +56,9 @@ mod tests {
         // group (heaviest possible conflict pressure).
         let input = input_rel(2000, 100);
         let mut mem = NativeModel;
-        let base = partition_relation(&mut mem, PartitionScheme::Baseline, &input, 1, false);
+        let base = reference_multisets(&input, 1);
         let got = partition_relation(&mut mem, PartitionScheme::Group { g: 16 }, &input, 1, false);
-        assert_eq!(tuple_multisets(&got), tuple_multisets(&base));
+        assert_eq!(tuple_multisets(&got), base);
         assert_eq!(got[0].num_tuples(), 2000);
     }
 

@@ -14,6 +14,7 @@
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::reference_multisets;
     use super::super::{partition_relation, PartitionScheme};
     use phj_memsim::{NativeModel, SimEngine};
     use phj_storage::{Relation, RelationBuilder, Schema};
@@ -44,11 +45,11 @@ mod tests {
     fn swp_matches_baseline_partitioning() {
         let input = input_rel(4000, 100);
         let mut mem = NativeModel;
-        let base = partition_relation(&mut mem, PartitionScheme::Baseline, &input, 11, false);
+        let base = reference_multisets(&input, 11);
         for d in [1, 2, 4, 9] {
             let got =
                 partition_relation(&mut mem, PartitionScheme::Swp { d }, &input, 11, false);
-            assert_eq!(tuple_multisets(&got), tuple_multisets(&base), "D={d}");
+            assert_eq!(tuple_multisets(&got), base, "D={d}");
         }
     }
 
@@ -56,11 +57,11 @@ mod tests {
     fn swp_single_partition_exercises_waiting_queue() {
         let input = input_rel(2000, 100);
         let mut mem = NativeModel;
-        let base = partition_relation(&mut mem, PartitionScheme::Baseline, &input, 1, false);
+        let base = reference_multisets(&input, 1);
         for d in [1, 3, 8] {
             let got =
                 partition_relation(&mut mem, PartitionScheme::Swp { d }, &input, 1, false);
-            assert_eq!(tuple_multisets(&got), tuple_multisets(&base), "D={d}");
+            assert_eq!(tuple_multisets(&got), base, "D={d}");
         }
     }
 
@@ -70,9 +71,9 @@ mod tests {
         // constant and the waiting-queue path dominates.
         let input = input_rel(500, 2000);
         let mut mem = NativeModel;
-        let base = partition_relation(&mut mem, PartitionScheme::Baseline, &input, 3, false);
+        let base = reference_multisets(&input, 3);
         let got = partition_relation(&mut mem, PartitionScheme::Swp { d: 4 }, &input, 3, false);
-        assert_eq!(tuple_multisets(&got), tuple_multisets(&base));
+        assert_eq!(tuple_multisets(&got), base);
     }
 
     #[test]
