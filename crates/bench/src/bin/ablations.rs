@@ -15,9 +15,9 @@
 //! 6. **Write-back modeling**: the paper folds dirty-eviction traffic
 //!    into `T_next`; charging it explicitly bounds the simplification.
 
-use phj::chained::{build_chained, probe_chained_group};
+use phj::chained::{build_chained, probe_chained};
 use phj::hybrid::{grace_equivalent, hybrid_join, HybridConfig};
-use phj::join::{self, JoinParams, JoinScheme};
+use phj::join::{dispatch_build, dispatch_probe, JoinParams, JoinScheme};
 use phj::plan;
 use phj::sink::{CountSink, JoinSink};
 use phj::stage::Schedule;
@@ -53,17 +53,8 @@ fn ablation_stored_hash() {
             let buckets = plan::hash_table_buckets(gen.build.num_tuples(), 1);
             let mut table = HashTable::new(buckets, gen.build.num_tuples());
             let mut sink = CountSink::new();
-            match scheme {
-                JoinScheme::Baseline => {
-                    join::baseline::build(&mut mem, &params, &mut table, &gen.build);
-                    join::baseline::probe(&mut mem, &params, &table, &gen.build, &gen.probe, &mut sink);
-                }
-                JoinScheme::Group { g } => {
-                    join::group::build(&mut mem, &params, &mut table, &gen.build, g);
-                    join::group::probe(&mut mem, &params, &table, &gen.build, &gen.probe, g, &mut sink);
-                }
-                _ => unreachable!(),
-            }
+            dispatch_build(&mut mem, &params, &mut table, &gen.build);
+            dispatch_probe(&mut mem, &params, &table, &gen.build, &gen.probe, &mut sink);
             assert_eq!(sink.matches(), gen.expected_matches);
             mem.breakdown().total()
         };
@@ -79,7 +70,7 @@ fn ablation_chained() {
     let spec = JoinSpec { build_tuples: tuples_for(scaled(25 << 20), 100), ..pivot() };
     let gen = spec.generate();
     let buckets = plan::hash_table_buckets(gen.build.num_tuples() / 4, 1);
-    let params = JoinParams { scheme: JoinScheme::Baseline, use_stored_hash: true };
+    let params = JoinParams { scheme: JoinScheme::Group { g: 16 }, use_stored_hash: true };
     let mut t = Table::new(
         "Ablation 2 — Figure-2 cell arrays vs chained buckets (probe, group prefetching, Mcycles)",
         &["structure", "probe cycles", "vs chained"],
@@ -89,18 +80,17 @@ fn ablation_chained() {
         let table = build_chained(&mut mem, &params, &gen.build, buckets);
         let start = mem.breakdown();
         let mut sink = CountSink::new();
-        probe_chained_group(&mut mem, &params, &table, &gen.build, &gen.probe, 16, &mut sink);
+        probe_chained(&mut mem, &params, &table, &gen.build, &gen.probe, &mut sink);
         assert_eq!(sink.matches(), gen.expected_matches);
         (mem.breakdown() - start).total()
     };
     let array = {
         let mut mem = SimEngine::paper();
-        let jp = JoinParams { scheme: JoinScheme::Group { g: 16 }, use_stored_hash: true };
         let mut table = HashTable::new(buckets, gen.build.num_tuples());
-        join::group::build(&mut mem, &jp, &mut table, &gen.build, 16);
+        dispatch_build(&mut mem, &params, &mut table, &gen.build);
         let start = mem.breakdown();
         let mut sink = CountSink::new();
-        join::group::probe(&mut mem, &jp, &table, &gen.build, &gen.probe, 16, &mut sink);
+        dispatch_probe(&mut mem, &params, &table, &gen.build, &gen.probe, &mut sink);
         assert_eq!(sink.matches(), gen.expected_matches);
         (mem.breakdown() - start).total()
     };
@@ -175,15 +165,7 @@ fn ablation_conflicts() {
             let mut mem = SimEngine::paper();
             let params = JoinParams { scheme, use_stored_hash: true };
             let mut table = HashTable::new(buckets, n);
-            match scheme {
-                JoinScheme::Baseline => {
-                    join::baseline::build(&mut mem, &params, &mut table, &build_rel)
-                }
-                JoinScheme::Group { g } => {
-                    join::group::build(&mut mem, &params, &mut table, &build_rel, g)
-                }
-                _ => unreachable!(),
-            }
+            dispatch_build(&mut mem, &params, &mut table, &build_rel);
             assert_eq!(table.len(), n);
             mem.breakdown().total()
         };

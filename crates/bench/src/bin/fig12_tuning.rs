@@ -14,7 +14,7 @@
 //! tuning is shown for the probing loop.
 
 use phj::cost;
-use phj::join::{self, JoinParams, JoinScheme};
+use phj::join::{dispatch_build, JoinParams, JoinScheme};
 use phj::model::{min_group_size, min_prefetch_distance};
 use phj::plan;
 use phj::table::HashTable;
@@ -88,15 +88,7 @@ fn main() {
         let mut mem = SimEngine::paper();
         let params = JoinParams { scheme, use_stored_hash: true };
         let mut table = HashTable::new(buckets, gen.build.num_tuples());
-        match scheme {
-            JoinScheme::Group { g } => {
-                join::group::build(&mut mem, &params, &mut table, &gen.build, g)
-            }
-            JoinScheme::Swp { d } => {
-                join::swp::build(&mut mem, &params, &mut table, &gen.build, d)
-            }
-            _ => unreachable!(),
-        }
+        dispatch_build(&mut mem, &params, &mut table, &gen.build);
         assert_eq!(table.len(), gen.build.num_tuples());
         mem.breakdown().total()
     };

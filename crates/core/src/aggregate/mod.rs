@@ -14,7 +14,8 @@
 //! until the tuple's update lands; conflicting tuples are delayed to the
 //! group boundary (group prefetching) or parked on waiting queues
 //! (software pipelining), exactly as in §4.4 / §5.3. The upsert is one
-//! stage program; [`crate::stage`]'s schedulers provide both schemes.
+//! stage program; each scheme is one of [`crate::stage`]'s schedules of
+//! it.
 
 mod table;
 
@@ -25,7 +26,6 @@ use phj_storage::{tuple::key_bytes_of, Relation};
 
 use crate::cost;
 use crate::hash::hash_key;
-use crate::join::Scan;
 use crate::profile;
 use crate::stage::{self, Schedule, StageProgram, Step};
 
@@ -46,6 +46,18 @@ pub enum AggScheme {
         /// Prefetch distance `D`.
         d: usize,
     },
+}
+
+impl AggScheme {
+    /// The schedule this scheme runs the upsert program under.
+    pub fn schedule(self) -> Schedule {
+        match self {
+            AggScheme::Baseline => Schedule::Sequential { prefetch_input: false },
+            AggScheme::Simple => Schedule::Sequential { prefetch_input: true },
+            AggScheme::Group { g } => Schedule::Group { g },
+            AggScheme::Swp { d } => Schedule::Pipelined { d },
+        }
+    }
 }
 
 /// Aggregate `input` by join key: COUNT(*) and SUM(`extract(tuple)`).
@@ -126,18 +138,8 @@ where
         mem.region_register(RegionKind::HashCells, addr, len);
     }
     profile::register_relation(mem, RegionKind::SlottedPages, input);
-    match scheme {
-        AggScheme::Baseline => straight(mem, input, pages, &mut table, &extract, false),
-        AggScheme::Simple => straight(mem, input, pages, &mut table, &extract, true),
-        AggScheme::Group { g } => {
-            let mut prog = Upsert { input, table: &mut table, extract: &extract };
-            stage::run(Schedule::Group { g }, mem, &mut prog, Scan::range(input, true, pages))
-        }
-        AggScheme::Swp { d } => {
-            let mut prog = Upsert { input, table: &mut table, extract: &extract };
-            stage::run(Schedule::Pipelined { d }, mem, &mut prog, Scan::range(input, true, pages))
-        }
-    }
+    let mut prog = Upsert { input, table: &mut table, extract: &extract };
+    stage::run(scheme.schedule(), mem, &mut prog, input, pages);
     table.assert_quiescent();
     mem.region_clear(RegionKind::HashBucketHeaders);
     mem.region_clear(RegionKind::HashCells);
@@ -145,18 +147,10 @@ where
     table
 }
 
-/// Hash + key of one input tuple (group keys are the join-key bytes).
-#[inline]
-fn tuple_hash_key(input: &Relation, pi: usize, slot: u16) -> (u32, &[u8]) {
-    let t = input.page(pi).tuple(slot);
-    let key = key_bytes_of(input.schema(), t);
-    (hash_key(key), key)
-}
-
 /// Straight-line upsert of one tuple's `value` under its group key, all
-/// memory accesses charged. Also the conflict-resolution path of the
-/// staged variants (bucket warm), which reuse the hash and value their
-/// stage 0 computed.
+/// memory accesses charged: the conflict-resolution path of the
+/// prefetching schedules (bucket warm), which reuse the hash and value
+/// their stage 0 computed.
 fn upsert_one<M: MemoryModel>(
     mem: &mut M,
     table: &mut AggTable,
@@ -188,24 +182,6 @@ fn upsert_one<M: MemoryModel>(
             table.finish_overflow_upsert(b, idx, value);
         }
         UpsertStep::Busy(_) => unreachable!("straight-line upsert is atomic"),
-    }
-}
-
-fn straight<M: MemoryModel, F: Fn(&[u8]) -> i64>(
-    mem: &mut M,
-    input: &Relation,
-    pages: std::ops::Range<usize>,
-    table: &mut AggTable,
-    extract: &F,
-    prefetch_input: bool,
-) {
-    let mut scan = Scan::range(input, prefetch_input, pages);
-    while let Some((pi, slot)) = scan.next(mem) {
-        mem.busy(cost::code0_cost(false));
-        let (hash, key) = tuple_hash_key(input, pi, slot);
-        let value = extract(input.page(pi).tuple(slot));
-        mem.busy(cost::AGG_EXTRACT);
-        upsert_one(mem, table, hash, key, value);
     }
 }
 
@@ -243,12 +219,12 @@ impl<F: Fn(&[u8]) -> i64> StageProgram for Upsert<'_, F> {
         bk: u64,
     ) {
         mem.busy(cost::code0_cost(false) + cost::AGG_EXTRACT + bk);
-        let (hash, _) = tuple_hash_key(self.input, pi, slot);
+        let t = self.input.page(pi).tuple(slot);
         s.pi = pi;
         s.slot = slot;
-        s.hash = hash;
-        s.bucket = self.table.bucket_of(hash);
-        s.value = (self.extract)(self.input.page(pi).tuple(slot));
+        s.hash = hash_key(key_bytes_of(self.input.schema(), t));
+        s.bucket = self.table.bucket_of(s.hash);
+        s.value = (self.extract)(t);
     }
 
     #[inline]

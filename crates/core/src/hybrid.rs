@@ -1,4 +1,4 @@
-//! Hybrid hash join with group or software-pipelined prefetching.
+//! Hybrid hash join under any schedule of [`crate::stage`].
 //!
 //! §2 of the paper: "many refinements of \[GRACE\] have been proposed for
 //! the sake of avoiding I/O by keeping as many intermediate partitions in
@@ -21,14 +21,15 @@
 //! other partition to the partition program, so both conflict protocols
 //! coexist in one loop: busy buckets and full output buffers, delayed to
 //! the group boundary under group prefetching or parked on waiting queues
-//! under software pipelining (§5.3).
+//! under software pipelining (§5.3). The sequential schedule runs the same
+//! passes one tuple at a time, as the baseline and simple schemes.
 
 use phj_memsim::{MemoryModel, RegionKind};
 use phj_obs::{self as obs, Recorder};
 use phj_storage::Relation;
 
 use crate::join::program::{Build, Probe, TableProgram};
-use crate::join::{self, JoinParams, Scan};
+use crate::join::{self, JoinParams};
 use crate::partition::program::{PartState, Partition};
 use crate::partition::OutputBuffers;
 use crate::plan;
@@ -147,7 +148,7 @@ pub fn hybrid_join<M: MemoryModel, S: JoinSink>(
         table: Build::new(&mut table, build, false),
         part: Partition::new(build, &mut build_out, false),
     };
-    stage::run(cfg.schedule, mem, &mut pass, Scan::new(build, true));
+    stage::run(cfg.schedule, mem, &mut pass, build, 0..build.num_pages());
     let build_parts = build_out.finish();
     table.assert_quiescent();
     obs::span_end(&mut rec, mem, pass1);
@@ -164,7 +165,7 @@ pub fn hybrid_join<M: MemoryModel, S: JoinSink>(
         table: Probe::new(&table, build, probe, false, sink),
         part: Partition::new(probe, &mut probe_out, false),
     };
-    stage::run(cfg.schedule, mem, &mut pass, Scan::new(probe, true));
+    stage::run(cfg.schedule, mem, &mut pass, probe, 0..probe.num_pages());
     let probe_parts = probe_out.finish();
     obs::span_end(&mut rec, mem, pass2);
     mem.region_clear(RegionKind::PartitionBuffers);
@@ -229,15 +230,17 @@ mod tests {
     #[test]
     fn hybrid_matches_grace() {
         let gen = spec(4000).generate();
-        let cfg = HybridConfig { mem_budget: 64 * 1024, schedule: Schedule::Group { g: 16 } };
-        let mut mem = NativeModel;
-        let mut hybrid_sink = CountSink::new();
-        let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut hybrid_sink, None);
-        assert!(p > 1, "expected spill partitions, got {p}");
-        assert_eq!(hybrid_sink.matches(), gen.expected_matches);
-        let mut grace_sink = CountSink::new();
-        grace_equivalent(&mut mem, &cfg, &gen.build, &gen.probe, &mut grace_sink);
-        assert_eq!(hybrid_sink, grace_sink);
+        for schedule in [Schedule::Group { g: 16 }, Schedule::Sequential { prefetch_input: false }] {
+            let cfg = HybridConfig { mem_budget: 64 * 1024, schedule };
+            let mut mem = NativeModel;
+            let mut hybrid_sink = CountSink::new();
+            let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut hybrid_sink, None);
+            assert!(p > 1, "expected spill partitions, got {p}");
+            assert_eq!(hybrid_sink.matches(), gen.expected_matches);
+            let mut grace_sink = CountSink::new();
+            grace_equivalent(&mut mem, &cfg, &gen.build, &gen.probe, &mut grace_sink);
+            assert_eq!(hybrid_sink, grace_sink);
+        }
     }
 
     #[test]

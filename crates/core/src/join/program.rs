@@ -22,7 +22,6 @@ use crate::sink::JoinSink;
 use crate::stage::{StageProgram, Step};
 use crate::table::{HashCell, HashTable, InsertStep};
 
-use super::baseline::insert_one;
 use super::{charge_code0, keys_equal, tuple_hash};
 
 /// A table program the hybrid's fused passes can hand a tuple whose
@@ -141,8 +140,33 @@ impl StageProgram for Build<'_> {
         }
     }
 
+    /// Straight-line insert of the cell, all memory accesses charged: the
+    /// bucket is already warm.
     fn resolve<M: MemoryModel>(&mut self, mem: &mut M, s: &mut BuildState) {
-        insert_one(mem, self.table, s.cell);
+        let table = &mut *self.table;
+        let b = s.bucket;
+        mem.visit(table.header_addr(b), HashTable::header_len());
+        mem.busy(cost::HEADER_CHECK);
+        let mut grown = 0usize;
+        match table.begin_insert(b, s.cell, 0, &mut grown) {
+            InsertStep::DoneInline => {
+                // The cell write lands in the header line just visited.
+                mem.write(table.header_addr(b), HashTable::header_len());
+                mem.busy(cost::CELL_WRITE);
+            }
+            InsertStep::WriteCell(idx) => {
+                if grown > 0 {
+                    // The growth copy streamed old cells into the new block.
+                    let (addr, len) = table.array_span(b).expect("growth implies an array");
+                    mem.visit(addr, len.min(grown));
+                    mem.busy(cost::copy_cost(grown));
+                }
+                mem.write(table.arena().cell_addr(idx), 16);
+                mem.busy(cost::CELL_WRITE);
+                table.finish_overflow_insert(b, idx, s.cell);
+            }
+            InsertStep::Busy(_) => unreachable!("a resolved insert is atomic"),
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use phj::join::{group, GroupProbe, JoinParams, JoinScheme};
+use phj::join::{dispatch_build, GroupProbe, JoinParams, JoinScheme};
 use phj::sink::BatchingSink;
 use phj::{plan, HashTable};
 use phj_memsim::NativeModel;
@@ -40,7 +40,7 @@ fn main() {
     // Build once.
     let buckets = plan::hash_table_buckets(gen.build.num_tuples(), 1);
     let mut table = HashTable::new(buckets, gen.build.num_tuples());
-    group::build(&mut mem, &params, &mut table, &gen.build, 16);
+    dispatch_build(&mut mem, &params, &mut table, &gen.build);
 
     // The "parent operator": a streaming per-segment aggregate.
     let build_schema = gen.build.schema().clone();
