@@ -105,7 +105,7 @@ pub fn analyze(report: &RunReport, cost: &CostModel) -> AnalysisSection {
         let phases: [(&str, Vec<u64>); 3] = [
             ("probe", cost.probe_stage_costs(true, 2 * tuple_size).to_vec()),
             ("build", cost.build_stage_costs(true).to_vec()),
-            ("partition", cost.partition_stage_costs(tuple_size).to_vec()),
+            ("partition", cost.partition_stage_costs(false, tuple_size).to_vec()),
         ];
         for (phase, costs) in phases {
             let g = model::min_group_size(t, tn, &costs);

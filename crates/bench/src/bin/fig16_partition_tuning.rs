@@ -16,7 +16,7 @@ fn main() {
     let n = (10_000_000f64 * scale() * 0.4) as usize; // sweep is wide; trim
     let input = single_relation(n, 100);
     let cfg = MemConfig::paper();
-    let costs = cost::partition_stage_costs(100);
+    let costs = cost::partition_stage_costs(false, 100);
     let gp = min_group_size(cfg.t_full, cfg.t_next, &costs);
     let dp = min_prefetch_distance(cfg.t_full, cfg.t_next, &costs);
     println!("Theorem 1 predicts G >= {}; Theorem 2 predicts D >= {dp}", gp.g);

@@ -108,8 +108,8 @@ pub fn build_stage_costs(reuse_stored_hash: bool) -> [u64; 3] {
 
 /// The partition loop's stage costs `[C_0, C_1]`: hash+partition number,
 /// tuple copy into the output buffer.
-pub fn partition_stage_costs(tuple_len: usize) -> [u64; 2] {
-    CostModel::default().partition_stage_costs(tuple_len)
+pub fn partition_stage_costs(reuse_stored_hash: bool, tuple_len: usize) -> [u64; 2] {
+    CostModel::default().partition_stage_costs(reuse_stored_hash, tuple_len)
 }
 
 /// The calibration constants as one overridable value set.
@@ -260,8 +260,8 @@ impl CostModel {
 
     /// [`partition_stage_costs`] under this model: the partition
     /// program's declared stage costs.
-    pub fn partition_stage_costs(&self, tuple_len: usize) -> [u64; 2] {
-        Partition::stage_costs(self, tuple_len)
+    pub fn partition_stage_costs(&self, reuse_stored_hash: bool, tuple_len: usize) -> [u64; 2] {
+        Partition::stage_costs(self, reuse_stored_hash, tuple_len)
     }
 }
 
@@ -289,7 +289,7 @@ mod tests {
         assert_eq!(p[3], KEY_COMPARE + copy_cost(200));
         let b = build_stage_costs(false);
         assert_eq!(b[0], code0_cost(false));
-        let q = partition_stage_costs(100);
+        let q = partition_stage_costs(false, 100);
         assert_eq!(q[1], copy_cost(100));
     }
 
@@ -298,7 +298,7 @@ mod tests {
         let m = CostModel::default();
         assert_eq!(m.probe_stage_costs(true, 200), probe_stage_costs(true, 200));
         assert_eq!(m.build_stage_costs(false), build_stage_costs(false));
-        assert_eq!(m.partition_stage_costs(100), partition_stage_costs(100));
+        assert_eq!(m.partition_stage_costs(false, 100), partition_stage_costs(false, 100));
         assert_eq!(m.copy_cost(100), copy_cost(100));
         assert_eq!(m.code0_cost(true), code0_cost(true));
         // Every key appears exactly once in both listings.

@@ -49,8 +49,8 @@ impl<'a> Partition<'a> {
 
     /// `[C_0, C_1]`: hash + partition number, tuple copy into the output
     /// buffer.
-    pub(crate) fn stage_costs(m: &CostModel, tuple_len: usize) -> [u64; 2] {
-        [m.hash_fn + m.mod_op + m.tuple_fetch, m.copy_cost(tuple_len)]
+    pub(crate) fn stage_costs(m: &CostModel, reuse_stored_hash: bool, tuple_len: usize) -> [u64; 2] {
+        [m.code0_cost(reuse_stored_hash), m.copy_cost(tuple_len)]
     }
 }
 
