@@ -358,8 +358,8 @@ impl HashTable {
         self.items += 1;
     }
 
-    /// Straight-line insert (baseline build; also the conflict-resolution
-    /// path of the prefetching builds). Returns bytes copied by any array
+    /// Straight-line insert without memory accounting (the build program
+    /// charges its accesses itself). Returns bytes copied by any array
     /// growth so the caller can charge the memcpy.
     pub fn insert(&mut self, cell: HashCell) -> usize {
         let b = self.bucket_of(cell.hash);
