@@ -1,101 +1,132 @@
-//! Figure 9: is hash join I/O-bound or CPU-bound?
+//! Figure 9: is GRACE hash join I/O-bound or CPU-bound?
 //!
-//! The paper joins a 1.5 GB build relation with a 3 GB probe relation (31
-//! partitions, 100 B tuples) on a quad-Pentium III with 1–6 striped SCSI
-//! disks, and shows both phases become CPU-bound at ≥ 4 disks. We replay
-//! the experiment on the discrete-event I/O model (`phj-iosim`), with the
-//! CPU work calibrated from the cycle simulator: a small simulated run of
-//! each phase yields cycles-per-tuple, scaled to the full relation sizes
-//! and the paper's 550 MHz clock.
+//! §7.2 joins 1.5 GB with 3 GB (31 partitions, 100 B tuples) over 1–6
+//! striped disks, one I/O worker thread per disk, and finds both phases
+//! CPU-bound from four disks on. Here the real disk driver (`phj-disk`,
+//! `DiskJoinMode::Grace`) joins 64 MB with 128 MB at `PHJ_SCALE=1` in 31
+//! partitions over 1–8 stripes, each capped at one bandwidth
+//! (`FaultPlan::stripe_mb_per_s`) so that stripe files on one device
+//! behave as that many disks.
+//!
+//! An uncapped run per scheme measures each phase's CPU rate: the bytes
+//! it moves per second of main-thread CPU (elapsed minus stall). The cap
+//! is the baseline's faster rate over 6, so both panels' baseline
+//! crossovers land inside the sweep. Panel (a) is the build pass (read
+//! the build relation, write its partitions), panel (b) the spilled-pair
+//! joins (read both sides of each pair, write the output). A crossover
+//! is the first stripe count at which the busiest disk's I/O time is at
+//! most the CPU time. Every run must match an in-memory join's answer.
 
+use phj::grace::{grace_join_with_sink, GraceConfig};
 use phj::join::JoinScheme;
-use phj::partition::PartitionScheme;
-use phj_bench::report::Table;
-use phj_bench::runner::{sim_join, sim_partition};
-use phj_iosim::{disk_sweep, IoConfig, PhaseSpec};
-use phj_memsim::MemConfig;
-use phj_workload::{single_relation, JoinSpec};
+use phj::sink::{CountSink, JoinSink};
+use phj_bench::report::{scaled, Table};
+use phj_disk::{
+    grace_join_files, DiskGraceConfig, DiskJoinMode, FaultPlan, FileRelation, PassTimes,
+    RetryPolicy,
+};
+use phj_storage::PAGE_SIZE;
+use phj_workload::JoinSpec;
 
-const GB: u64 = 1 << 30;
+const MAX_STRIPES: usize = 8;
+const SCHEMES: [JoinScheme; 2] = [JoinScheme::Baseline, JoinScheme::Group { g: 16 }];
+
+fn cpu_s(pass: &PassTimes) -> f64 {
+    pass.elapsed_s - pass.main_stall_s
+}
 
 fn main() {
-    // Calibrate CPU cycles/tuple from small simulated runs.
-    let cal_n = 40_000usize;
-    let input = single_relation(cal_n, 100);
-    let p = sim_partition(&input, PartitionScheme::Baseline, 31, MemConfig::paper());
-    let part_cyc_per_tuple = p.breakdown.total() / cal_n as u64;
-    let spec = JoinSpec {
-        build_tuples: cal_n,
-        tuple_size: 100,
-        matches_per_build: 2,
-        pct_match: 100,
-        seed: 9,
-    };
-    let gen = spec.generate();
-    let j = sim_join(&gen, JoinScheme::Baseline, MemConfig::paper(), true);
-    // Per build tuple processed (the join touches 1 build + 2 probes).
-    let join_cyc_per_build = j.total() / cal_n as u64;
-    println!(
-        "calibration: partition {part_cyc_per_tuple} cyc/tuple, join {join_cyc_per_build} cyc/build-tuple"
-    );
+    let dir = std::env::temp_dir().join(format!("phj-fig09-{}", std::process::id()));
+    let gen = JoinSpec::pivot(scaled(64 << 20)).generate();
+    let mut sink = CountSink::new();
+    let in_memory = GraceConfig { mem_budget: 1 << 30, ..Default::default() };
+    let (build, probe) = (&gen.build, &gen.probe);
+    grace_join_with_sink(&mut phj_memsim::NativeModel, &in_memory, build, probe, &mut sink);
+    let expect = (sink.matches(), sink.checksum());
+    assert_eq!(expect.0, gen.expected_matches);
 
-    let build_tuples = (3 * GB / 2) / 108; // 100 B + 8 B slot
-    let base = IoConfig::default();
-
-    // (a) Partition phase of the build relation: read 1.5 GB, write 1.5 GB.
-    let part_spec = PhaseSpec {
-        read_bytes: 3 * GB / 2,
-        write_bytes: 3 * GB / 2,
-        cpu_cycles: build_tuples * part_cyc_per_tuple,
+    let inputs = |stripes: usize, plan: &FaultPlan| {
+        let create = |name, rel| {
+            let mut f = FileRelation::create(&dir, name, rel, stripes, 32).unwrap();
+            f.set_faults(plan.clone(), RetryPolicy::default());
+            f
+        };
+        (create("build", &gen.build), create("probe", &gen.probe))
     };
-    let mut ta = Table::new(
-        "Fig 9(a) — partition phase, 1.5 GB build relation (seconds)",
-        &["disks", "elapsed", "worker io", "main stall", "cpu"],
-    );
-    for (d, r) in disk_sweep(&base, &part_spec, 6) {
-        ta.row(&[
-            &d,
-            &format!("{:.1}", r.elapsed_s),
-            &format!("{:.1}", r.worker_io_s),
-            &format!("{:.1}", r.main_stall_s),
-            &format!("{:.1}", r.cpu_s),
-        ]);
+    let join = |(fb, fp): &(FileRelation, FileRelation), scheme: JoinScheme, plan: &FaultPlan| {
+        let cfg = DiskGraceConfig {
+            // 31 partitions, each ~3 % under the budget so that no pair
+            // degrades; small scales keep 96-page partitions instead.
+            mem_budget: (fb.size_bytes() as usize / 30).max(96 * PAGE_SIZE),
+            num_stripes: fb.stripe_paths().len(),
+            join_scheme: scheme,
+            mode: DiskJoinMode::Grace,
+            fault: plan.clone(),
+            ..DiskGraceConfig::new(&dir)
+        };
+        let r = grace_join_files(&cfg, fb, fp).unwrap();
+        let run = format!("{} over {} stripes", scheme.label(), cfg.num_stripes);
+        assert_eq!((r.matches, r.checksum), expect, "{run} disagrees with the in-memory join");
+        assert!(r.num_partitions > 1 && r.degradation.is_empty(), "{run}: {:?}", r.degradation);
+        r
+    };
+
+    let uncapped = inputs(MAX_STRIPES, &FaultPlan::disabled());
+    let (b, p) = (&uncapped.0, &uncapped.1);
+    let rates = SCHEMES.map(|scheme| {
+        let r = join(&uncapped, scheme, &FaultPlan::disabled());
+        let mb = [2 * b.size_bytes(), b.size_bytes() + p.size_bytes() + r.output.size_bytes()]
+            .map(|bytes| bytes as f64 / 1e6);
+        let rate = [mb[0] / cpu_s(&r.build_pass), mb[1] / cpu_s(&r.pair_pass)];
+        println!(
+            "uncapped {}: build pass {:.0} MB/s, pair joins {:.0} MB/s of CPU \
+             (pages read and written per CPU second)",
+            scheme.label(),
+            rate[0],
+            rate[1]
+        );
+        rate
+    });
+    let cap = rates[0][0].max(rates[0][1]) / 6.0;
+    println!("cap: {cap:.1} MB/s per stripe = the faster baseline rate / 6");
+
+    let plan = FaultPlan::disabled().stripe_mb_per_s(cap);
+    let mut cells = Vec::new(); // (stripes, per scheme [build pass, pair joins])
+    for stripes in 1..=MAX_STRIPES {
+        let files = inputs(stripes, &plan);
+        let passes = SCHEMES.map(|scheme| {
+            let r = join(&files, scheme, &plan);
+            [r.build_pass, r.pair_pass]
+        });
+        cells.push((stripes, passes));
     }
-    ta.emit("fig09a_partition");
+    std::fs::remove_dir_all(&dir).ok();
 
-    // (b) Join phase: read build + probe partitions (4.5 GB), write the
-    // join output (2 matches per build tuple, ~208 B output tuples).
-    let out_bytes = build_tuples * 2 * 216; // output tuple + slot overhead
-    let join_spec = PhaseSpec {
-        read_bytes: 9 * GB / 2,
-        write_bytes: out_bytes,
-        cpu_cycles: build_tuples * join_cyc_per_build,
-    };
-    let mut tb = Table::new(
-        "Fig 9(b) — join phase, 1.5 GB x 3 GB (seconds)",
-        &["disks", "elapsed", "worker io", "main stall", "cpu"],
-    );
-    for (d, r) in disk_sweep(&base, &join_spec, 6) {
-        tb.row(&[
-            &d,
-            &format!("{:.1}", r.elapsed_s),
-            &format!("{:.1}", r.worker_io_s),
-            &format!("{:.1}", r.main_stall_s),
-            &format!("{:.1}", r.cpu_s),
-        ]);
+    let panels = [
+        ("fig09a_partition", "Fig 9(a) — build pass: read the build relation, write its partitions"),
+        ("fig09b_join", "Fig 9(b) — spilled-pair joins: read both partitions, write the output"),
+    ];
+    for (panel, (slug, title)) in panels.into_iter().enumerate() {
+        let mut t = Table::new(
+            format!("{title} (seconds; {cap:.1} MB/s per stripe)"),
+            &["scheme", "stripes", "elapsed", "worker io", "main stall", "cpu"],
+        );
+        let mut crossovers = Vec::new();
+        for (s, scheme) in SCHEMES.iter().enumerate() {
+            let mut crossover = None;
+            for (stripes, passes) in &cells {
+                let p = &passes[s][panel];
+                if crossover.is_none() && p.worker_io_s <= cpu_s(p) {
+                    crossover = Some(*stripes);
+                }
+                let secs = [p.elapsed_s, p.worker_io_s, p.main_stall_s, cpu_s(p)];
+                let [e, w, m, c] = secs.map(|x| format!("{x:.3}"));
+                t.row(&[&scheme.label(), stripes, &e, &w, &m, &c]);
+            }
+            let at = crossover.map_or(format!("> {MAX_STRIPES}"), |d| d.to_string());
+            crossovers.push(format!("{} at {at} stripes", scheme.label()));
+        }
+        t.emit(slug);
+        println!("CPU-bound (worker io <= cpu): {}", crossovers.join(", "));
     }
-    tb.emit("fig09b_join");
-
-    // The paper's conclusion line.
-    let sweep = disk_sweep(&base, &join_spec, 6);
-    let e4 = sweep[3].1.elapsed_s;
-    let e6 = sweep[5].1.elapsed_s;
-    println!(
-        "\nCPU-bound at >= 4 disks: elapsed(4)={:.1}s vs elapsed(6)={:.1}s ({:.0}% flat); \
-         room for CPU improvement at 6 disks: {:.1}x",
-        e4,
-        e6,
-        100.0 * e6 / e4,
-        sweep[5].1.elapsed_s / sweep[5].1.worker_io_s
-    );
 }

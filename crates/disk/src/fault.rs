@@ -17,11 +17,15 @@
 //! Every clone of a plan shares one [`IoStats`] block of atomic counters,
 //! so injections and retries observed across reader/writer threads
 //! aggregate into a single report.
+//!
+//! A plan can also cap each disk's bandwidth
+//! ([`FaultPlan::stripe_mb_per_s`]), so stripe files on one device can
+//! stand for a chosen number of bandwidth-bound disks.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use phj_storage::PAGE_SIZE;
 
@@ -137,11 +141,27 @@ impl RetryPolicy {
     }
 }
 
-/// A seeded, deterministic fault-injection schedule.
+/// Pages a capped disk moves back to back after idling: one 256 KB
+/// stripe unit (§7.2). Idle time is credit up to this burst, so a worker
+/// that oversleeps loses no bandwidth.
+pub const CAP_BURST_PAGES: u32 = 32;
+
+/// Token buckets shared by every clone of a capped plan: the time one
+/// page occupies a disk and, per stripe index, when its bucket is full
+/// again and the I/O time charged to it.
+#[derive(Debug)]
+struct StripeCap {
+    page: Duration,
+    disks: Mutex<Vec<(Instant, Duration)>>,
+}
+
+/// A seeded, deterministic fault-injection schedule, plus an optional
+/// per-disk bandwidth cap.
 ///
 /// The default ([`FaultPlan::disabled`]) injects nothing and costs one
-/// predictable branch per page operation, so the plan is threaded through
-/// the I/O stack unconditionally rather than as an `Option`.
+/// predictable branch per page operation (two with the cap's `None`), so
+/// the plan is threaded through the I/O stack unconditionally rather
+/// than as an `Option`.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Seed mixed into every decision.
@@ -162,6 +182,7 @@ pub struct FaultPlan {
     /// budget of at least this many attempts always clears them).
     pub clears_after: u32,
     stats: Arc<IoStats>,
+    cap: Option<Arc<StripeCap>>,
 }
 
 impl Default for FaultPlan {
@@ -188,6 +209,7 @@ impl FaultPlan {
             slow_micros: 200,
             clears_after: 2,
             stats: Arc::new(IoStats::default()),
+            cap: None,
         }
     }
 
@@ -220,6 +242,45 @@ impl FaultPlan {
     pub fn permanent(mut self, per_10k: u32) -> Self {
         self.permanent_per_10k = per_10k;
         self
+    }
+
+    /// Cap stripe index `i` of every stripe set under the plan — one disk,
+    /// as in §7.2, where relations and partitions share the array — at
+    /// `mb_per_s` (10^6 bytes/s) of checked page reads and writes, with a
+    /// burst of [`CAP_BURST_PAGES`]. Clones share the budget. The cap is
+    /// not a fault: [`is_active`](FaultPlan::is_active) ignores it and
+    /// [`parse`](FaultPlan::parse) has no key for it.
+    pub fn stripe_mb_per_s(mut self, mb_per_s: f64) -> Self {
+        assert!(mb_per_s > 0.0 && mb_per_s.is_finite(), "cap must be a positive rate");
+        let page = Duration::from_secs_f64(PAGE_SIZE as f64 / (mb_per_s * 1e6));
+        self.cap = Some(Arc::new(StripeCap { page, disks: Mutex::new(Vec::new()) }));
+        self
+    }
+
+    /// Seconds of I/O the cap has charged to each stripe index so far;
+    /// empty without a cap.
+    pub fn stripe_charged_s(&self) -> Vec<f64> {
+        let Some(cap) = &self.cap else { return Vec::new() };
+        let disks = cap.disks.lock().unwrap_or_else(|p| p.into_inner());
+        disks.iter().map(|(_, charged)| charged.as_secs_f64()).collect()
+    }
+
+    /// Wait until disk `stripe` has bandwidth for one page (no-op
+    /// without a cap). The sleep happens outside the lock.
+    #[inline]
+    pub(crate) fn throttle(&self, stripe: usize) {
+        let Some(cap) = &self.cap else { return };
+        let now = Instant::now();
+        let mut disks = cap.disks.lock().unwrap_or_else(|p| p.into_inner());
+        if disks.len() <= stripe {
+            disks.resize(stripe + 1, (now, Duration::ZERO));
+        }
+        let (full, charged) = &mut disks[stripe];
+        *full = (*full).max(now) + cap.page;
+        *charged += cap.page;
+        let wait = full.saturating_duration_since(now).saturating_sub(cap.page * CAP_BURST_PAGES);
+        drop(disks);
+        std::thread::sleep(wait);
     }
 
     /// Whether any fault kind has a nonzero rate.
@@ -268,11 +329,10 @@ impl FaultPlan {
             // (transient=0 … permanent=4), mirrored by the postmortem
             // renderer's fault-name table.
             phj_flightrec::event(phj_flightrec::EventKind::Fault, fault as u16, page, tag);
+            // A slow operation sleeps on a worker thread; whatever it
+            // costs the main thread is counted where the main thread waits.
             if fault == Fault::Slow {
                 self.stats.slow_stall_us.fetch_add(self.slow_micros, Ordering::Relaxed);
-                if let Some(m) = crate::telemetry::disk_metrics() {
-                    m.stall_ns.add(self.slow_micros * 1_000);
-                }
             }
         }
         Some(fault)
@@ -514,6 +574,44 @@ mod tests {
         assert!(FaultPlan::parse("bogus").is_err());
         assert!(FaultPlan::parse("seed=abc").is_err());
         assert!(!FaultPlan::parse("none").unwrap().is_active());
+    }
+
+    #[test]
+    fn capped_stripe_moves_at_most_its_rate() {
+        // 100 MB/s: one 8 KB page per 81.92 us. Lower bound only, so a
+        // loaded host cannot make it flake.
+        let plan = FaultPlan::disabled().stripe_mb_per_s(100.0);
+        let n = CAP_BURST_PAGES as u64 + 120;
+        let t0 = Instant::now();
+        for _ in 0..n {
+            plan.throttle(0);
+        }
+        let page_s = PAGE_SIZE as f64 / 100e6;
+        let floor = (n - CAP_BURST_PAGES as u64) as f64 * page_s;
+        assert!(t0.elapsed().as_secs_f64() >= floor, "{:?} < {floor}", t0.elapsed());
+        let charged = plan.stripe_charged_s();
+        assert_eq!(charged.len(), 1);
+        assert!((charged[0] - n as f64 * page_s).abs() < 1e-6, "{charged:?}");
+    }
+
+    #[test]
+    fn cap_alone_injects_nothing() {
+        let plan = FaultPlan::disabled().stripe_mb_per_s(50.0);
+        assert!(!plan.is_active());
+        for page in 0..1_000u64 {
+            assert_eq!(plan.decide(IoOp::Read, 7, page, 0), None);
+            assert_eq!(plan.decide(IoOp::Write, 7, page, 0), None);
+        }
+        assert_eq!(plan.stats().total_injected(), 0);
+        assert!(FaultPlan::disabled().stripe_charged_s().is_empty());
+    }
+
+    #[test]
+    fn parse_has_no_cap_key() {
+        for spec in ["stripe-mb-per-s=100", "mb-per-s=100", "cap=100", "bandwidth=100"] {
+            assert!(FaultPlan::parse(spec).is_err(), "{spec}");
+        }
+        assert!(FaultPlan::parse("transient,seed=3").unwrap().stripe_charged_s().is_empty());
     }
 
     #[test]

@@ -45,7 +45,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,6 +63,7 @@ use crate::budget::LiveBudget;
 use crate::error::{PhjError, Result};
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::hybrid::BuildPass;
+use crate::reader::{stall_clock_s, SequentialReader};
 use crate::stripe::StripeSet;
 use crate::writer::BackgroundWriter;
 use crate::FileRelation;
@@ -308,9 +308,15 @@ pub struct DiskGraceReport {
     pub partition_s: f64,
     /// Wall-clock seconds for the probe pass plus the spilled-pair joins.
     pub join_s: f64,
-    /// Seconds the main thread blocked waiting for input pages (the
-    /// Fig-9 "main thread stall").
+    /// Seconds the main thread blocked waiting for input pages.
     pub input_stall_s: f64,
+    /// Figure-9 numbers of the build pass.
+    pub build_pass: PassTimes,
+    /// Figure-9 numbers of the probe pass.
+    pub probe_pass: PassTimes,
+    /// Figure-9 numbers of the spilled-pair joins (with the output's
+    /// final flush).
+    pub pair_pass: PassTimes,
     /// Matches produced.
     pub matches: u64,
     /// Order-insensitive checksum over the emitted (build, probe) pairs —
@@ -337,6 +343,36 @@ pub struct DiskGraceReport {
     /// The live budget when the run finished (equals `mem_budget`
     /// unless a grantor resized the run).
     pub final_budget: u64,
+}
+
+/// Figure 9's quantities for one pass of the driver.
+#[derive(Debug, Clone, Copy)]
+pub struct PassTimes {
+    /// Wall-clock seconds.
+    pub elapsed_s: f64,
+    /// Seconds the main thread blocked: read-ahead waits plus sends into
+    /// a full write-back window.
+    pub main_stall_s: f64,
+    /// I/O seconds charged to the busiest stripe index by the bandwidth
+    /// cap of [`DiskGraceConfig::fault`] (0 without a cap); the input
+    /// relations count when they carry a clone of that plan.
+    pub worker_io_s: f64,
+}
+
+/// The clock, stall clock and cap charges a pass is measured from.
+type PassStart = (Instant, f64, Vec<f64>);
+
+fn pass_start(fault: &FaultPlan) -> PassStart {
+    (Instant::now(), stall_clock_s(), fault.stripe_charged_s())
+}
+
+fn pass_times((t0, stall0, charged0): PassStart, fault: &FaultPlan) -> PassTimes {
+    let charged = fault.stripe_charged_s().into_iter().enumerate();
+    PassTimes {
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        main_stall_s: stall_clock_s() - stall0,
+        worker_io_s: charged.map(|(i, c)| c - charged0.get(i).unwrap_or(&0.0)).fold(0.0, f64::max),
+    }
 }
 
 /// One relation partitioned into a spill file: which spill pages belong
@@ -485,51 +521,12 @@ fn repartition_spill(
     file.finish()
 }
 
-/// Load one partition's pages from the spill file into memory, with a
-/// single background prefetch worker streaming the page list. Pages
-/// arrive checksum-verified.
-pub(crate) fn load_partition(
-    spill: &Spilled,
-    part: usize,
-    schema: &Schema,
-    window: usize,
-) -> Result<Relation> {
-    let pages = &spill.part_pages[part];
-    let mut rel = Relation::new(schema.clone());
-    if pages.is_empty() {
-        return Ok(rel);
-    }
-    type Msg = Result<Page>;
-    let (tx, rx): (SyncSender<Msg>, Receiver<Msg>) =
-        std::sync::mpsc::sync_channel(window.max(1));
-    let stripes = spill.stripes.clone();
-    let list = pages.clone();
-    let worker = std::thread::spawn(move || {
-        for pid in list {
-            let msg = stripes.read_page_verified(pid);
-            let failed = msg.is_err();
-            if tx.send(msg).is_err() || failed {
-                return;
-            }
-        }
-    });
-    let mut result = Ok(());
-    for _ in 0..pages.len() {
-        match rx.recv() {
-            Ok(Ok(page)) => rel.push_page(page),
-            Ok(Err(e)) => {
-                result = Err(e);
-                break;
-            }
-            Err(_) => {
-                result = Err(PhjError::WorkerLost { what: "partition prefetch" });
-                break;
-            }
-        }
-    }
-    drop(rx);
-    let _ = worker.join();
-    result.map(|()| rel)
+/// Load one partition's pages from the spill file into memory through a
+/// [`SequentialReader`], so each stripe's share streams from its own
+/// worker. Pages arrive checksum-verified.
+fn load_partition(spill: &Spilled, part: usize, schema: &Schema, ahead: usize) -> Result<Relation> {
+    let pages = spill.part_pages[part].clone();
+    SequentialReader::pages(spill.stripes.clone(), pages, ahead).into_relation(schema)
 }
 
 /// Streams join output pages to disk as they fill, keeping an
@@ -831,7 +828,7 @@ pub fn grace_join_files_rec(
     // ---- Build pass: stream the build side into its partitions —
     // resident ones evict victims whenever residency outgrows the live
     // budget, spilled ones go straight to the build spill file.
-    let t0 = Instant::now();
+    let start = pass_start(&cfg.fault);
     let span = obs::span_begin(&mut rec, &NativeModel, "partition");
     obs::span_meta(&mut rec, "partitions", p);
     obs::span_meta(&mut rec, "mode", cfg.mode.label());
@@ -846,7 +843,7 @@ pub fn grace_join_files_rec(
     let bstall = bscan.stall_seconds();
     bp.finish_scan(cfg.mode.absorbs())?;
     obs::span_end(&mut rec, &NativeModel, span);
-    let partition_s = t0.elapsed().as_secs_f64();
+    let build_pass = pass_times(start, &cfg.fault);
 
     // ---- Table build: every resident partition becomes (relation,
     // hash table); spilled partitions keep their page lists.
@@ -855,7 +852,7 @@ pub fn grace_join_files_rec(
 
     // ---- Probe pass: resident partitions join on the fly; tuples for
     // spilled partitions go to the probe spill file.
-    let t1 = Instant::now();
+    let start = pass_start(&cfg.fault);
     let span = obs::span_begin(&mut rec, &NativeModel, "join");
     let mut pscan = probe.scan(cfg.read_ahead);
     while let Some(page) = pscan.next_page()? {
@@ -866,6 +863,8 @@ pub fn grace_join_files_rec(
     }
     let pstall = pscan.stall_seconds();
     let probed = pp.finish(&params, &mut sink)?;
+    let probe_pass = pass_times(start, &cfg.fault);
+    let start = pass_start(&cfg.fault);
 
     // ---- Disk pairs: whatever spilled runs through the degradation
     // ladder, budgeted by the live limit at each pair.
@@ -892,7 +891,7 @@ pub fn grace_join_files_rec(
     let degradation = ladder.events;
     obs::span_end(&mut rec, &NativeModel, span);
     let (output, count) = sink.finish()?;
-    let join_s = t1.elapsed().as_secs_f64();
+    let pair_pass = pass_times(start, &cfg.fault);
     let final_budget = live.limit();
     live.ack(final_budget);
 
@@ -900,9 +899,12 @@ pub fn grace_join_files_rec(
     Ok(DiskGraceReport {
         output,
         num_partitions: p,
-        partition_s,
-        join_s,
+        partition_s: build_pass.elapsed_s,
+        join_s: probe_pass.elapsed_s + pair_pass.elapsed_s,
         input_stall_s: bstall + pstall,
+        build_pass,
+        probe_pass,
+        pair_pass,
         matches: count.matches(),
         checksum: count.checksum(),
         degradation,

@@ -11,17 +11,20 @@
 //! threads included:
 //!
 //! * [`stripe::StripeSet`] — a relation's pages striped across N files in
-//!   fixed-size units (the paper stripes across 6 disks in 256 KB units;
-//!   on a laptop the "disks" are plain files, but the mechanics — page →
-//!   (file, offset) mapping, per-file workers — are the same);
+//!   fixed-size units (the paper stripes across 6 disks in 256 KB units).
+//!   Here each "disk" is a file, and all of them may share one device;
+//!   a [`FaultPlan::stripe_mb_per_s`] cap makes stripe index `i` of every
+//!   stripe set one bandwidth-bound disk, which is how Figure 9 sweeps
+//!   the number of disks;
 //! * [`FileRelation`] — an on-disk relation with its schema and page
 //!   count;
-//! * [`reader::SequentialReader`] — background read-ahead: one worker
-//!   thread per stripe file streams pages into a bounded queue while the
-//!   main thread computes; the reader reports how long the main thread
-//!   blocked (the "main thread stall" of Fig 9);
+//! * [`reader::SequentialReader`] — background read-ahead over a page
+//!   list: one worker thread per stripe file streams pages into a
+//!   bounded queue while the main thread computes; the reader reports
+//!   how long the main thread blocked;
 //! * [`writer::BackgroundWriter`] — background write-back with a bounded
-//!   in-flight window;
+//!   in-flight window; a send into a full window is main-thread stall
+//!   too (the report's per-pass [`PassTimes`] add both up);
 //! * [`grace`] — the one partition → build → probe join driver over
 //!   [`FileRelation`]s: inputs stream through the reader, spilled
 //!   partitions go out through the writer, and each spilled pair is
@@ -49,7 +52,7 @@ pub use error::{PhjError, Result};
 pub use fault::{Fault, FaultPlan, IoOp, IoStats, RetryPolicy};
 pub use grace::{
     grace_join_files, grace_join_files_rec, DegradationEvent, DegradationKind, DiskGraceConfig,
-    DiskGraceReport, DiskJoinMode, MemTransition, TransitionKind,
+    DiskGraceReport, DiskJoinMode, MemTransition, PassTimes, TransitionKind,
 };
 pub use reader::SequentialReader;
 pub use stripe::StripeSet;
@@ -105,12 +108,7 @@ impl FileRelation {
     /// Read the entire relation back into memory (join-phase load of a
     /// memory-sized build partition). Every page is checksum-verified.
     pub fn load(&self) -> Result<Relation> {
-        let mut rel = Relation::new(self.schema.clone());
-        let mut scan = self.scan(64);
-        while let Some(page) = scan.next_page()? {
-            rel.push_page(page);
-        }
-        Ok(rel)
+        self.scan(64).into_relation(&self.schema)
     }
 
     /// The relation's schema.
@@ -215,6 +213,14 @@ mod tests {
         assert_eq!(pages, fr.num_pages());
         // Stall accounting exists and is sane (non-negative, finite).
         assert!(scan.stall_seconds() >= 0.0);
+        // Capped at 50 MB/s, the scan is longer than its two stripes'
+        // bursts, so the main thread must wait for the disks.
+        let mut fr = fr;
+        fr.set_faults(FaultPlan::disabled().stripe_mb_per_s(50.0), RetryPolicy::default());
+        let mut scan = fr.scan(16);
+        while scan.next_page().unwrap().is_some() {}
+        assert!(fr.num_pages() > 2 * fault::CAP_BURST_PAGES as u64);
+        assert!(scan.stall_seconds() > 0.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

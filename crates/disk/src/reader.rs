@@ -6,31 +6,56 @@
 //! that I/O operations can be overlapped with computations as much as
 //! possible."
 //!
-//! One worker thread per stripe file reads its pages in global page
-//! order and sends them into a bounded channel (the read-ahead window).
-//! [`SequentialReader::next_page`] reassembles global order by pulling
-//! from the per-stripe queues round-robin (pages are striped, so global
-//! order interleaves stripe units). Time spent blocked on a queue is the
-//! main thread's I/O stall, as plotted in Fig 9.
+//! A reader scans a list of pages: a whole relation in page order, or
+//! one spilled partition's scattered pages. One worker thread per stripe
+//! file reads that stripe's pages in list order and sends them into a
+//! bounded channel (the read-ahead window).
+//! [`SequentialReader::next_page`] reassembles list order by pulling
+//! from the queue of each page's stripe. Time spent blocked on a queue
+//! is the main thread's I/O stall, as plotted in Fig 9.
 
+use std::cell::Cell;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use phj_storage::Page;
+use phj_storage::{Page, Relation, Schema};
 
 use crate::error::{PhjError, Result};
 use crate::stripe::StripeSet;
 
 type PageMsg = Result<(u64, Page)>;
 
+thread_local! {
+    /// Nanoseconds this thread has blocked on read-ahead queues and
+    /// full write-back windows.
+    static STALL_NS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charge a blocking wait of the calling thread to its stall clock and
+/// to `phj_disk_stall_ns_total`.
+pub(crate) fn charge_stall(waited: Duration) {
+    let ns = waited.as_nanos() as u64;
+    STALL_NS.with(|c| c.set(c.get() + ns));
+    if let Some(m) = crate::telemetry::disk_metrics() {
+        m.stall_ns.add(ns);
+    }
+}
+
+/// The calling thread's stall clock in seconds. The join driver runs on
+/// one thread, so the clock's advance across a pass is that pass's main
+/// thread stall, whatever readers and writers the pass opened.
+pub(crate) fn stall_clock_s() -> f64 {
+    STALL_NS.with(Cell::get) as f64 * 1e-9
+}
+
 /// A streaming scan with background prefetching.
 pub struct SequentialReader {
     stripes: StripeSet,
     rx: Vec<Receiver<PageMsg>>,
     workers: Vec<JoinHandle<()>>,
-    next_page: u64,
-    end_page: u64,
+    pages: Vec<u64>,
+    next: usize,
     stall: f64,
 }
 
@@ -38,6 +63,13 @@ impl SequentialReader {
     /// Start worker threads scanning pages `[start, end)` with a total
     /// read-ahead window of `read_ahead` pages (split across stripes).
     pub fn start(stripes: StripeSet, start: u64, end: u64, read_ahead: usize) -> Self {
+        Self::pages(stripes, (start..end).collect(), read_ahead)
+    }
+
+    /// Start worker threads reading `pages` in list order (any order,
+    /// any stripes) with a total read-ahead window of `read_ahead` pages
+    /// (split across stripes).
+    pub fn pages(stripes: StripeSet, pages: Vec<u64>, read_ahead: usize) -> Self {
         let n = stripes.num_stripes();
         let per_stripe = (read_ahead / n).max(1);
         let mut rx = Vec::with_capacity(n);
@@ -45,43 +77,47 @@ impl SequentialReader {
         for s in 0..n {
             let (tx, r) = std::sync::mpsc::sync_channel::<PageMsg>(per_stripe);
             rx.push(r);
+            let mine = pages.iter().copied().filter(|&p| stripes.stripe_of(p) == s).collect();
             let stripes = stripes.clone();
-            workers.push(std::thread::spawn(move || {
-                worker(stripes, s, start, end, tx);
-            }));
+            workers.push(std::thread::spawn(move || worker(stripes, mine, tx)));
         }
-        SequentialReader { stripes, rx, workers, next_page: start, end_page: end, stall: 0.0 }
+        SequentialReader { stripes, rx, workers, pages, next: 0, stall: 0.0 }
     }
 
-    /// The next page in global order, or `None` at end of scan. Blocks
+    /// The next page in list order, or `None` at end of scan. Blocks
     /// (accounted as stall time) if the workers haven't fetched it yet.
     ///
     /// Pages arrive already verified against their header checksum; a
     /// torn or corrupted page surfaces here as a typed [`PhjError`]
     /// naming the stripe file and page.
     pub fn next_page(&mut self) -> Result<Option<Page>> {
-        if self.next_page >= self.end_page {
-            return Ok(None);
-        }
-        let stripe = self.stripes.stripe_of(self.next_page);
+        let Some(&want) = self.pages.get(self.next) else { return Ok(None) };
+        let stripe = self.stripes.stripe_of(want);
         let t0 = Instant::now();
         let msg = self.rx[stripe]
             .recv()
             .map_err(|_| PhjError::WorkerLost { what: "read-ahead" })?;
         let waited = t0.elapsed();
         self.stall += waited.as_secs_f64();
-        if let Some(m) = crate::telemetry::disk_metrics() {
-            m.stall_ns.add(waited.as_nanos() as u64);
-        }
+        charge_stall(waited);
         let (page_id, page) = msg?;
-        debug_assert_eq!(page_id, self.next_page, "stripe stream out of order");
-        self.next_page += 1;
+        debug_assert_eq!(page_id, want, "stripe stream out of order");
+        self.next += 1;
         Ok(Some(page))
     }
 
     /// Seconds the main thread spent blocked waiting for pages.
     pub fn stall_seconds(&self) -> f64 {
         self.stall
+    }
+
+    /// Read the remaining pages into a relation of `schema`.
+    pub(crate) fn into_relation(mut self, schema: &Schema) -> Result<Relation> {
+        let mut rel = Relation::new(schema.clone());
+        while let Some(page) = self.next_page()? {
+            rel.push_page(page);
+        }
+        Ok(rel)
     }
 }
 
@@ -98,14 +134,11 @@ impl Drop for SequentialReader {
     }
 }
 
-/// One stripe's worker: read this stripe's pages of `[start, end)` in
-/// order through the verified path (fault injection, retries, checksum),
-/// pushing into the bounded channel.
-fn worker(stripes: StripeSet, stripe: usize, start: u64, end: u64, tx: SyncSender<PageMsg>) {
-    for page in start..end {
-        if stripes.stripe_of(page) != stripe {
-            continue;
-        }
+/// One stripe's worker: read its share of the list in order through the
+/// verified path (cap, fault injection, retries, checksum), pushing into
+/// the bounded channel.
+fn worker(stripes: StripeSet, pages: Vec<u64>, tx: SyncSender<PageMsg>) {
+    for page in pages {
         let msg = stripes.read_page_verified(page).map(|pg| (page, pg));
         let failed = msg.is_err();
         if tx.send(msg).is_err() || failed {
@@ -138,11 +171,21 @@ mod tests {
         let dir = temp_dir("order");
         let s = StripeSet::create(&dir, "t", 3, 2).unwrap();
         write_pages(&s, 25);
-        let mut r = SequentialReader::start(s, 0, 25, 8);
+        let mut r = SequentialReader::start(s.clone(), 0, 25, 8);
         for p in 0..25u64 {
             let page = r.next_page().unwrap().expect("page present");
             assert_eq!(page.hash_code(0), p as u32);
         }
+        assert!(r.next_page().unwrap().is_none());
+        // A spilled partition's page list: unsorted, with gaps, several
+        // pages per stripe, read back in list order.
+        let list = vec![17u64, 3, 12, 0, 24, 5, 13, 2, 20];
+        let mut r = SequentialReader::pages(s.clone(), list.clone(), 4);
+        for &p in &list {
+            assert_eq!(r.next_page().unwrap().expect("page present").hash_code(0), p as u32);
+        }
+        assert!(r.next_page().unwrap().is_none());
+        let mut r = SequentialReader::pages(s, Vec::new(), 4);
         assert!(r.next_page().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -152,9 +195,12 @@ mod tests {
         let dir = temp_dir("drop");
         let s = StripeSet::create(&dir, "t", 2, 1).unwrap();
         write_pages(&s, 50);
-        let mut r = SequentialReader::start(s, 0, 50, 4);
+        let mut r = SequentialReader::start(s.clone(), 0, 50, 4);
         let _ = r.next_page().unwrap();
         drop(r); // must join workers without deadlock
+        let mut r = SequentialReader::pages(s, (0..50).rev().collect(), 4);
+        let _ = r.next_page().unwrap();
+        drop(r);
         std::fs::remove_dir_all(&dir).ok();
     }
 

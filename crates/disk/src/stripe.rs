@@ -28,8 +28,9 @@ use crate::fault::{Fault, FaultPlan, IoOp, RetryPolicy};
 ///   and tools that inspect images directly);
 /// * [`read_page_verified`](StripeSet::read_page_verified) /
 ///   [`write_image_checked`](StripeSet::write_image_checked) — what the
-///   engine uses: fault injection, bounded retry-with-backoff, and
-///   checksum verification, returning typed [`PhjError`]s.
+///   engine uses: the plan's bandwidth cap, fault injection, bounded
+///   retry-with-backoff, and checksum verification, returning typed
+///   [`PhjError`]s.
 #[derive(Clone, Debug)]
 pub struct StripeSet {
     files: Arc<Vec<Mutex<File>>>,
@@ -189,6 +190,7 @@ impl StripeSet {
     /// as a typed error naming file and page.
     pub fn read_page_verified(&self, page: u64) -> Result<Page> {
         let s = self.stripe_of(page);
+        self.fault.throttle(s);
         let tag = self.tags[s];
         let mut attempt = 0u32;
         loop {
@@ -244,6 +246,7 @@ impl StripeSet {
     /// to the reader's checksum verification.
     pub fn write_image_checked(&self, page: u64, mut image: Frame) -> Result<()> {
         let s = self.stripe_of(page);
+        self.fault.throttle(s);
         let tag = self.tags[s];
         let mut attempt = 0u32;
         loop {
@@ -428,6 +431,31 @@ mod tests {
         let err = s.read_page_verified(0).unwrap_err();
         assert!(err.is_corruption(), "{err}");
         assert_eq!(plan.stats().injected_torn.load(Ordering::Relaxed), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn clones_of_one_capped_plan_share_each_stripe_budget() {
+        let dir = temp_dir("capshare");
+        let plan = crate::fault::FaultPlan::disabled().stripe_mb_per_s(100.0);
+        let a = StripeSet::create(&dir, "a", 2, 4)
+            .unwrap()
+            .with_faults(plan.clone(), RetryPolicy::default());
+        let b = StripeSet::create(&dir, "b", 1, 4)
+            .unwrap()
+            .with_faults(plan.clone(), RetryPolicy::default());
+        // Pages 0..4 of `a` and every page of `b` sit on stripe index 0.
+        let burst = crate::fault::CAP_BURST_PAGES as u64;
+        let t0 = std::time::Instant::now();
+        for p in 0..burst {
+            a.write_page_sealed(p % 4, &sample_page(p as u32)).unwrap();
+            b.write_page_sealed(p, &sample_page(p as u32)).unwrap();
+        }
+        // 2 x burst pages on one disk: at least `burst` of them waited.
+        let page_s = PAGE_SIZE as f64 / 100e6;
+        assert!(t0.elapsed().as_secs_f64() >= burst as f64 * page_s, "{:?}", t0.elapsed());
+        let charged = plan.stripe_charged_s();
+        assert!((charged[0] - 2.0 * burst as f64 * page_s).abs() < 1e-6, "{charged:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

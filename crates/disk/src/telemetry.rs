@@ -20,7 +20,7 @@ pub(crate) struct DiskMetrics {
     /// `phj_disk_write_retries_total` — repeated write attempts.
     pub write_retries: Arc<Counter>,
     /// `phj_disk_stall_ns_total` — main-thread ns blocked on read-ahead
-    /// plus injected slow-disk stall.
+    /// or on a full write-back window.
     pub stall_ns: Arc<Counter>,
     /// `phj_disk_bytes_read_total` — bytes read from stripe files.
     pub bytes_read: Arc<Counter>,
@@ -43,7 +43,7 @@ pub(crate) fn disk_metrics() -> Option<&'static DiskMetrics> {
         write_retries: reg
             .counter(names::DISK_WRITE_RETRIES, "Page write attempts repeated after retryable failures"),
         stall_ns: reg
-            .counter(names::DISK_STALL_NS, "Main-thread ns blocked on read-ahead or injected slow disks"),
+            .counter(names::DISK_STALL_NS, "Main-thread ns blocked on read-ahead or a full write-back window"),
         bytes_read: reg.counter(names::DISK_BYTES_READ, "Bytes read from stripe files"),
         bytes_written: reg.counter(names::DISK_BYTES_WRITTEN, "Bytes written to stripe files"),
         degradation_depth: reg

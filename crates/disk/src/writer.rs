@@ -12,9 +12,10 @@
 //! worker), and the error surfaces on [`BackgroundWriter::finish`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use phj_storage::Frame;
 
@@ -78,14 +79,22 @@ impl BackgroundWriter {
     }
 
     /// Enqueue a page write (blocks only when the stripe's in-flight
-    /// window is full — backpressure, not unbounded buffering). An error
-    /// here means the worker thread itself is gone; write errors inside
-    /// the worker surface on [`finish`](BackgroundWriter::finish).
+    /// window is full — backpressure, not unbounded buffering; the wait
+    /// is the caller's I/O stall). An error here means the worker thread
+    /// itself is gone; write errors inside the worker surface on
+    /// [`finish`](BackgroundWriter::finish).
     pub fn write(&self, page: u64, image: Frame) -> Result<()> {
-        let s = self.stripes.stripe_of(page);
-        self.tx[s]
-            .send(Job::Write(page, image))
-            .map_err(|_| PhjError::WorkerLost { what: "background writer" })
+        let tx = &self.tx[self.stripes.stripe_of(page)];
+        let sent = match tx.try_send(Job::Write(page, image)) {
+            Err(TrySendError::Full(job)) => {
+                let t0 = Instant::now();
+                let sent = tx.send(job).map_err(drop);
+                crate::reader::charge_stall(t0.elapsed());
+                sent
+            }
+            other => other.map_err(drop),
+        };
+        sent.map_err(|()| PhjError::WorkerLost { what: "background writer" })
     }
 
     /// Whether any worker has recorded a write error (fast check for

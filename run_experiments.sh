@@ -28,7 +28,6 @@ run 1.0  fig18_flush_robustness
 run 0.25 fig19_cache_partitioning
 run 0.5  headline_speedups
 run 0.25 ablations
-run 0.25 disk_grace
 run 0.25 ext_skew
 echo ""
 echo "ALL EXPERIMENTS DONE"
