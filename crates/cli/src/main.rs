@@ -441,7 +441,7 @@ fn heat_width(args: &Args) -> Result<usize, String> {
 /// the recorded `pair` spans — then print the heatmap if requested.
 fn attach_regions(report: &mut RunReport, engine: &SimEngine, heatmap: bool, width: usize) {
     if let Some(p) = engine.region_profile() {
-        let mut sec = phj_obs::RegionsSection::from_profiler(p);
+        let mut sec = phj_obs::RegionsSection::from_profiler(&p);
         sec.skew = phj::profile::skew_profile(&report.spans);
         report.regions = Some(sec);
     }

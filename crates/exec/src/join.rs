@@ -215,7 +215,7 @@ impl Lanes for VirtualLanes {
                 phase.breakdown = snap.breakdown;
             }
             if let (Some(reg), Some(prof)) = (self.regions.as_mut(), engine.region_profile()) {
-                reg.merge(&RegionsSection::from_profiler(prof));
+                reg.merge(&RegionsSection::from_profiler(&prof));
             }
             // Lane spans start at the phase start on the merged timeline.
             if let (Some(r), Some(lr)) = (rec.as_mut(), lane_rec) {

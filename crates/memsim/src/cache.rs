@@ -41,32 +41,35 @@ pub enum Evicted {
     },
 }
 
+/// One way of a set: 32 bytes, so two ways share a host cache line.
 #[derive(Clone, Copy)]
 struct Line {
+    /// Line address, or [`NO_LINE`] for an invalid way.
     tag: u64,
     ready_at: u64,
     /// Cycle the fill was requested (for prefetches: the issue time).
     /// `ready_at - fill_start` is the latency the fill spent in flight —
     /// the latency a successful prefetch *hides* from the demand access.
     fill_start: u64,
-    valid: bool,
-    prefetched: bool,
-    used: bool,
-    dirty: bool,
-    /// Per-set LRU stamp (larger = more recent).
-    stamp: u64,
+    /// Per-set LRU stamp (larger = more recent) shifted past the
+    /// [`PREFETCHED`], [`USED`] and [`DIRTY`] flag bits. Stamps are
+    /// unique within a cache, so ordering by `meta` is ordering by stamp.
+    meta: u64,
 }
 
-const INVALID: Line = Line {
-    tag: 0,
-    ready_at: 0,
-    fill_start: 0,
-    valid: false,
-    prefetched: false,
-    used: false,
-    dirty: false,
-    stamp: 0,
-};
+/// Tag of an invalid way. Line addresses are byte addresses shifted
+/// right by `log2(line size)`, so no line is ever `u64::MAX`.
+const NO_LINE: u64 = u64::MAX;
+/// Installed by a prefetch.
+const PREFETCHED: u64 = 1;
+/// Demand-accessed since its install (demand installs are born used).
+const USED: u64 = 2;
+/// Written since its install.
+const DIRTY: u64 = 4;
+const FLAGS: u64 = PREFETCHED | USED | DIRTY;
+const STAMP_SHIFT: u32 = 3;
+
+const INVALID: Line = Line { tag: NO_LINE, ready_at: 0, fill_start: 0, meta: 0 };
 
 /// A set-associative cache over line addresses (`addr >> line_shift`).
 pub struct SetAssocCache {
@@ -93,7 +96,7 @@ impl SetAssocCache {
     pub fn probe(&self, line: u64, now: u64) -> Probe {
         let base = self.set_base(line);
         for w in &self.lines[base..base + self.ways] {
-            if w.valid && w.tag == line {
+            if w.tag == line {
                 return if w.ready_at <= now {
                     Probe::Hit
                 } else {
@@ -125,12 +128,11 @@ impl SetAssocCache {
         self.clock += 1;
         let clock = self.clock;
         for w in &mut self.lines[base..base + self.ways] {
-            if w.valid && w.tag == line {
-                let pf_first_use =
-                    (w.prefetched && !w.used).then_some((w.fill_start, w.ready_at));
-                w.stamp = clock;
-                w.used = true;
-                w.dirty |= write;
+            if w.tag == line {
+                let unused_prefetch = w.meta & (PREFETCHED | USED) == PREFETCHED;
+                let pf_first_use = unused_prefetch.then_some((w.fill_start, w.ready_at));
+                let dirty = if write { DIRTY } else { 0 };
+                w.meta = clock << STAMP_SHIFT | (w.meta & FLAGS) | USED | dirty;
                 let probe = if w.ready_at <= now {
                     Probe::Hit
                 } else {
@@ -151,40 +153,34 @@ impl SetAssocCache {
         let base = self.set_base(line);
         self.clock += 1;
         let clock = self.clock;
+        debug_assert_ne!(line, NO_LINE, "line address collides with the invalid tag");
         // Prefer an invalid way; otherwise evict the smallest stamp.
         let mut victim = base;
         let mut best = u64::MAX;
         for i in base..base + self.ways {
             let w = &self.lines[i];
-            if !w.valid {
+            if w.tag == NO_LINE {
                 victim = i;
                 break;
             }
             debug_assert_ne!(w.tag, line, "install of resident line");
-            if w.stamp < best {
-                best = w.stamp;
+            if w.meta < best {
+                best = w.meta;
                 victim = i;
             }
         }
         let old = self.lines[victim];
-        self.lines[victim] = Line {
-            tag: line,
-            ready_at,
-            fill_start,
-            valid: true,
-            prefetched: by_prefetch,
-            used: !by_prefetch,
-            dirty: false,
-            stamp: clock,
-        };
-        if old.valid {
+        let flags = if by_prefetch { PREFETCHED } else { USED };
+        let meta = clock << STAMP_SHIFT | flags;
+        self.lines[victim] = Line { tag: line, ready_at, fill_start, meta };
+        if old.tag == NO_LINE {
+            Evicted::None
+        } else {
             Evicted::Line {
                 tag: old.tag,
-                prefetched_unused: old.prefetched && !old.used,
-                dirty: old.dirty,
+                prefetched_unused: old.meta & (PREFETCHED | USED) == PREFETCHED,
+                dirty: old.meta & DIRTY != 0,
             }
-        } else {
-            Evicted::None
         }
     }
 
@@ -192,7 +188,7 @@ impl SetAssocCache {
     pub fn flush(&mut self) -> u64 {
         let mut dropped = 0;
         for w in &mut self.lines {
-            if w.valid {
+            if w.tag != NO_LINE {
                 dropped += 1;
             }
             *w = INVALID;
@@ -202,7 +198,7 @@ impl SetAssocCache {
 
     /// Number of resident lines (diagnostics).
     pub fn resident(&self) -> usize {
-        self.lines.iter().filter(|w| w.valid).count()
+        self.lines.iter().filter(|w| w.tag != NO_LINE).count()
     }
 
     #[inline]
@@ -313,6 +309,27 @@ mod tests {
         // Clean line evicts clean.
         let e = c.install(3, 0, 0, false);
         assert_eq!(e, Evicted::Line { tag: 2, prefetched_unused: false, dirty: false });
+    }
+
+    #[test]
+    fn line_record_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Line>(), 32);
+    }
+
+    #[test]
+    fn flags_survive_promotion_and_never_reorder_lru() {
+        // 1 set, 2 ways. Line 0 is a dirty prefetched line, line 1 a clean
+        // demand line; the flag bits below the stamp must not decide which
+        // one is older.
+        let mut c = SetAssocCache::new(1, 2);
+        c.install(0, 0, 0, true);
+        c.access_rw(0, 0, true); // used + dirty, now MRU
+        c.install(1, 0, 0, false);
+        c.access(0, 0); // 0 MRU again; 1 is LRU despite its smaller flags
+        let e = c.install(2, 0, 0, false);
+        assert_eq!(e, Evicted::Line { tag: 1, prefetched_unused: false, dirty: false });
+        let e = c.install(3, 0, 0, false);
+        assert_eq!(e, Evicted::Line { tag: 0, prefetched_unused: false, dirty: true });
     }
 
     #[test]

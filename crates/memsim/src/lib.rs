@@ -29,6 +29,13 @@
 //! *actual virtual addresses* the join touches gives real conflict,
 //! capacity, and TLB behaviour on top of the analytical skeleton.
 //!
+//! The engine is pipelined: [`SimEngine`] appends every call to a log,
+//! and one worker thread applies the log to the caches, TLB, miss
+//! handlers and statistics in call order while the kernel thread runs
+//! ahead. Every query waits until the whole log has been applied, so
+//! results are the same function of the call sequence as if each call
+//! were simulated on the spot (see [`engine`]).
+//!
 //! Algorithms in `phj` are generic over [`MemoryModel`]; the
 //! [`NativeModel`] instantiation compiles every hook to nothing (or a
 //! single `prefetcht0` instruction), so the same source runs at full speed

@@ -2,11 +2,14 @@
 //!
 //! The simulator's `visit` path is the hottest loop in the workspace, so
 //! it never touches the registry per access: [`SimEngine`]
-//! (crate::SimEngine) accumulates into its ordinary [`CacheStats`]
-//! (crate::CacheStats) and publishes *deltas* in batches (every few
-//! thousand references, and once more on drop). With telemetry off the
-//! cost is a local counter increment; simulated cycle counts are
-//! identical either way — publishing is host-side bookkeeping only.
+//! (crate::SimEngine) publishes *deltas* in batches (every few thousand
+//! references, and once more on drop). The calling thread publishes the
+//! counts it knows from the calls alone (accesses, prefetches); the
+//! worker that applies the call log publishes the outcomes from its
+//! [`CacheStats`](crate::CacheStats) (misses, walks, hidden cycles).
+//! With telemetry off the cost is a local counter increment; simulated
+//! cycle counts are identical either way — publishing is host-side
+//! bookkeeping only.
 
 use std::sync::{Arc, OnceLock};
 

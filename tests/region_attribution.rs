@@ -44,7 +44,7 @@ fn run_grace(gen: &phj_workload::GeneratedJoin, profiled: bool) -> (SimEngine, R
     let mut report = RunReport::from_recorder("join", rec, mem.snapshot(), 1);
     report.simulated = true;
     if profiled {
-        let mut sec = RegionsSection::from_profiler(mem.region_profile().expect("profiled"));
+        let mut sec = RegionsSection::from_profiler(&mem.region_profile().expect("profiled"));
         sec.skew = skew_profile(&report.spans);
         report.regions = Some(sec);
     }
@@ -153,7 +153,7 @@ fn hybrid_regions_stay_consistent() {
     assert!(p > 1, "expected spill partitions");
     let mut report = RunReport::from_recorder("join", rec, mem.snapshot(), 1);
     report.simulated = true;
-    let mut sec = RegionsSection::from_profiler(mem.region_profile().unwrap());
+    let mut sec = RegionsSection::from_profiler(&mem.region_profile().unwrap());
     sec.skew = skew_profile(&report.spans);
     report.regions = Some(sec);
     report.validate().expect("hybrid regions consistent");
