@@ -289,9 +289,10 @@ struct Range {
 
 /// Maps address ranges to [`RegionKind`]s.
 ///
-/// Ranges are expected to be disjoint (distinct allocations); lookup
-/// resolves an address via the range with the greatest start not above
-/// it, falling back to [`RegionKind::Other`]. Registration appends and
+/// Ranges are expected to be disjoint (distinct allocations), though
+/// widening them to line boundaries can make neighbours share a line;
+/// lookup resolves an address via the range with the greatest start not
+/// above it, falling back to [`RegionKind::Other`]. Registration appends and
 /// defers sorting to the first lookup; clearing a kind between phases
 /// (the table dies, the buffers flush) keeps the set small and disjoint.
 #[derive(Debug, Default, Clone)]
@@ -299,7 +300,9 @@ pub struct RegionRegistry {
     ranges: Vec<Range>,
     sorted: bool,
     /// One-entry lookup cache: consecutive accesses overwhelmingly land
-    /// in the same page/range.
+    /// in the same page/range. It covers only the addresses the cached
+    /// range answers for — up to the next range's start where ranges
+    /// overlap — so a lookup never depends on the lookups before it.
     last: Option<Range>,
 }
 
@@ -356,7 +359,8 @@ impl RegionRegistry {
         if i > 0 {
             let r = self.ranges[i - 1];
             if a < r.end {
-                self.last = Some(r);
+                let end = self.ranges.get(i).map_or(r.end, |next| next.start.min(r.end));
+                self.last = Some(Range { end, ..r });
                 return r.kind;
             }
         }
@@ -454,6 +458,21 @@ mod tests {
             assert_eq!(r.lookup(0x8abc), RegionKind::ProbeTuples);
             assert_eq!(r.lookup(0x7000), RegionKind::Other);
         }
+    }
+
+    #[test]
+    fn registry_lookup_of_overlapping_ranges_ignores_history() {
+        // Two ranges sharing 0x1f00..0x2000 (neighbours widened to one
+        // line): the later start owns the overlap whatever was looked up
+        // before.
+        let mut r = RegionRegistry::new();
+        r.register(RegionKind::BuildTuples, 0x1000, 0x1000);
+        r.register(RegionKind::ProbeTuples, 0x1f00, 0x1000);
+        assert_eq!(r.lookup(0x1f80), RegionKind::ProbeTuples);
+        assert_eq!(r.lookup(0x1004), RegionKind::BuildTuples);
+        assert_eq!(r.lookup(0x1f80), RegionKind::ProbeTuples, "not the cached range");
+        assert_eq!(r.lookup(0x1efc), RegionKind::BuildTuples);
+        assert_eq!(r.lookup(0x2efc), RegionKind::ProbeTuples);
     }
 
     #[test]
