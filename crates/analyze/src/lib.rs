@@ -22,17 +22,11 @@
 //!   `analysis` section of [`phj_obs::RunReport`].
 //! * [`diagnose::render`] — the same diagnosis as human-readable text
 //!   (`phj explain`, `--explain`).
-//! * [`history`] — an append-only perf-trajectory archive: one JSON line
-//!   per run keyed by a config fingerprint, plus monotone-trend
-//!   detection over the last `N` same-config records
-//!   (`report_diff --history N`).
 //!
 //! Std-only, like the rest of the workspace: the JSON layer is
 //! [`phj_obs::json`], and the analyzer consumes reports purely through
 //! the public report model — it never re-runs anything.
 
 pub mod diagnose;
-pub mod history;
 
 pub use diagnose::{analyze, render};
-pub use history::{trend, HistoryRecord, Trend};

@@ -26,31 +26,11 @@ use phj_workload::{single_relation, JoinSpec};
 fn main() {
     let gen = JoinSpec::pivot(scaled(50 << 20)).generate();
 
-    // Join phase. Each scheme's run also lands in the perf-trajectory
-    // archive (bench_out/history/headline_join.jsonl) so report_diff
-    // --history can flag a creeping slowdown across bench invocations.
-    let tuples = (gen.build.num_tuples() + gen.probe.num_tuples()) as u64;
+    // Join phase.
     let mut totals = Vec::new();
     for (name, scheme) in paper_join_schemes(16, 1) {
         let r = sim_join(&gen, scheme, MemConfig::paper(), true);
-        let bd = r.breakdown();
-        let coverage = r.stats.pf_hidden_cycles as f64
-            / (r.stats.pf_hidden_cycles + bd.dcache_stall).max(1) as f64;
-        let pollution = if r.stats.prefetches == 0 {
-            0.0
-        } else {
-            r.stats.pf_evicted_unused as f64 / r.stats.prefetches as f64
-        };
-        phj_bench::report::history_append(
-            "headline_join",
-            &[("scheme".to_string(), name.to_string())],
-            r.total(),
-            0,
-            tuples,
-            coverage,
-            pollution,
-        );
-        totals.push((name, r.total(), bd));
+        totals.push((name, r.total(), r.breakdown()));
     }
     let base = totals[0].1;
     let simple = totals[1].1;

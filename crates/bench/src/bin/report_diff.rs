@@ -1,40 +1,29 @@
-//! Compare two structured run reports (`phj ... --json`), validate one,
-//! or watch a perf-trajectory archive for a creeping slowdown.
+//! Compare two structured run reports (`phj ... --json`) or validate one.
 //!
 //! ```text
 //! report_diff --check RUN.json
 //! report_diff OLD.json NEW.json [--tolerance P]
-//! report_diff --history N ARCHIVE.jsonl
-//! report_diff --history-append ARCHIVE.jsonl RUN.json
 //! ```
 //!
 //! Compare mode prints the total-cycle (or wall-clock, for native runs)
 //! delta plus the derived-rate changes, and exits non-zero when the new
 //! run regresses beyond the tolerance (default 5%) — a CI tripwire for
-//! "did this change make the join slower?". `--threshold-pct` is accepted
-//! as a deprecated spelling of `--tolerance`.
+//! "did this change make the join slower?".
 //!
 //! A per-phase breakdown diffs spans by name. The two runs' span sets
 //! may differ — a `--threads N` run has worker-lane spans a sequential
 //! run lacks — so only the shared names are diffed, and the unmatched
 //! ones are listed in a warning rather than treated as an error.
 //!
-//! `--history N` runs trend detection over the last `N` same-fingerprint
-//! records of an archive written by `phj ... --explain` or the bench
-//! harness: a metric that worsened monotonically across the whole window
-//! (past a noise floor) is a trajectory, not a blip. `--history-append`
-//! folds a run report into an archive, so CI can accumulate one without
-//! re-running the workload.
-//!
 //! Exit codes: 0 = ok, 1 = regression beyond tolerance, 2 = usage /
-//! unreadable / invalid report, 3 = history-trend regression. Exit 2
-//! failures print one line on stderr, `error: <kind>: <detail>`, where
-//! `<kind>` is a stable category (`unreadable file`, `truncated JSON`,
-//! `malformed JSON`, `invalid report`) CI scripts can match on — a
-//! truncated artifact upload and a genuine regression must never look
-//! alike. The trend verdict gets its own code so CI can treat "this PR
-//! is slow" (1) and "the last N runs kept getting slower" (3) as
-//! different alarms.
+//! unreadable / invalid report. Exit 2 load failures print one line on
+//! stderr, `error: <kind>: <detail>`, where `<kind>` is a stable
+//! category (`unreadable file`, `truncated JSON`, `malformed JSON`,
+//! `invalid report`) CI scripts can match on — a truncated artifact
+//! upload and a genuine regression must never look alike.
+//!
+//! Performance *trajectory* across commits is not this tool's job:
+//! `benchmark/run.sh --compare` owns it.
 
 use phj_obs::RunReport;
 use std::fmt;
@@ -326,104 +315,15 @@ fn compare(old: &RunReport, new: &RunReport, tolerance_pct: f64) -> ExitCode {
     }
 }
 
-/// The `--history N ARCHIVE` mode: load the archive, run monotone-trend
-/// detection over the newest fingerprint's last `n` records, and turn
-/// the verdict into exit 0 (healthy) or 3 (trajectory regression).
-fn run_history(path: &str, n: usize) -> ExitCode {
-    let records = match phj_analyze::history::load(std::path::Path::new(path)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: unreadable file: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let t = phj_analyze::trend(&records, n);
-    println!(
-        "history {path}: {} records, {} comparable (fingerprint {}), window {n}",
-        records.len(),
-        t.considered,
-        if t.fingerprint.is_empty() { "-" } else { &t.fingerprint }
-    );
-    if let Some(last) = records.last() {
-        println!(
-            "  latest: slug={} cycles={} wall_ns={} coverage={:.3} pollution={:.3}",
-            last.slug, last.cycles, last.wall_ns, last.coverage, last.pollution
-        );
-    }
-    if t.considered < n {
-        println!("ok (not enough comparable records for a trend verdict)");
-        return ExitCode::SUCCESS;
-    }
-    if t.regressing.is_empty() {
-        println!("ok (no metric worsened monotonically across the window)");
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "TREND REGRESSION: {} worsened monotonically across the last {n} runs",
-            t.regressing.join(", ")
-        );
-        ExitCode::from(3)
-    }
-}
-
-/// The `--history-append ARCHIVE RUN.json [SLUG]` mode: fold a validated
-/// run report into an archive (creating it if needed).
-fn run_history_append(archive: &str, run: &str, slug: Option<&str>) -> ExitCode {
-    let report = match load(run) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let slug = slug.unwrap_or(&report.command);
-    let rec = phj_analyze::HistoryRecord::from_report(slug, &report, unix_s);
-    let path = std::path::Path::new(archive);
-    match phj_analyze::history::append(path, &rec) {
-        Ok(()) => {
-            println!("appended {slug} (fingerprint {}) to {archive}", rec.fingerprint);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: unreadable file: {archive}: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn usage() -> ExitCode {
     eprintln!("usage: report_diff --check RUN.json");
     eprintln!("       report_diff OLD.json NEW.json [--tolerance P]");
-    eprintln!("       report_diff --history N ARCHIVE.jsonl");
-    eprintln!("       report_diff --history-append ARCHIVE.jsonl RUN.json [SLUG]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("--history") => {
-            let (n, path) = match args.as_slice() {
-                [_, n, path] => match n.parse::<usize>() {
-                    Ok(n) if n >= 2 => (n, path),
-                    _ => {
-                        eprintln!("error: --history window must be an integer >= 2, got {n:?}");
-                        return ExitCode::from(2);
-                    }
-                },
-                _ => return usage(),
-            };
-            run_history(path, n)
-        }
-        Some("--history-append") => match args.as_slice() {
-            [_, archive, run] => run_history_append(archive, run, None),
-            [_, archive, run, slug] => run_history_append(archive, run, Some(slug)),
-            _ => usage(),
-        },
         Some("--check") => {
             let [_, path] = args.as_slice() else { return usage() };
             match load(path) {
@@ -442,7 +342,7 @@ fn main() -> ExitCode {
             let mut tolerance = DEFAULT_TOLERANCE_PCT;
             let paths = match args.as_slice() {
                 [old, new] => [old, new],
-                [old, new, flag, p] if flag == "--tolerance" || flag == "--threshold-pct" => {
+                [old, new, flag, p] if flag == "--tolerance" => {
                     match p.parse::<f64>() {
                         Ok(v) if v >= 0.0 => tolerance = v,
                         _ => {

@@ -14,16 +14,16 @@
 //! kernel on the same relations, and the bin fails loudly if the
 //! dynamic curve rises above static GRACE (beyond a noise tolerance)
 //! or is not monotone non-increasing in the budget. Emits
-//! `robustness_curve` console/CSV under `bench_out/` and appends to
-//! the perf-trajectory history. `PHJ_SCALE` shrinks the workload and
-//! `PHJ_CURVE_POINTS` trims the budget sweep for quick CI passes.
+//! `robustness_curve` console/CSV under `bench_out/`. `PHJ_SCALE`
+//! shrinks the workload and `PHJ_CURVE_POINTS` trims the budget sweep
+//! for quick CI passes.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use phj::grace::{grace_join_with_sink, GraceConfig};
 use phj::sink::{CountSink, JoinSink};
-use phj_bench::report::{history_append, scaled, Table};
+use phj_bench::report::{scaled, Table};
 use phj_disk::{
     grace_join_files, DiskGraceConfig, DiskJoinMode, FileRelation, LiveBudget,
 };
@@ -186,8 +186,6 @@ fn main() {
         "Robustness curve: elapsed s vs budget (GRACE | hybrid | dynamic | dynamic revoked to half)",
         &["theta", "budget KB", "grace s", "hybrid s", "dynamic s", "resident", "revoked s", "final KB"],
     );
-    let mut history: Vec<(String, String)> = Vec::new();
-    let t_all = Instant::now();
 
     for theta in [0.0f64, 0.9] {
         let (build, probe) = build_relations(theta, build_bytes, 0x0b57_ac1e);
@@ -253,10 +251,6 @@ fn main() {
                 &format!("{:.3}", revoked.elapsed_s),
                 &(revoked.final_budget >> 10),
             ]);
-            history.push((
-                format!("t{theta:.1}_b{}k_dynamic_ms", budget >> 10),
-                format!("{:.1}", dynamic.elapsed_s * 1e3),
-            ));
         }
         // The budgets ran tightest-first: along the dynamic curve, more
         // memory must never cost time (beyond noise).
@@ -288,17 +282,5 @@ fn main() {
         }
     }
     table.emit("robustness_curve");
-
-    let wall = t_all.elapsed();
-    history.push(("build_bytes".into(), build_bytes.to_string()));
-    history_append(
-        "robustness_curve",
-        &history,
-        0,
-        wall.as_nanos() as u64,
-        (build_bytes / 64) as u64 * 3,
-        0.0,
-        0.0,
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,8 +15,7 @@
 //! CLI path — and the run fails loudly on any mismatch, admission
 //! over-budget, or missed concurrency floor. Emits a `serve_load`
 //! latency table (p50/p95/p99 per class and overall, plus throughput)
-//! as console/CSV/JSON under `bench_out/` and appends the overall row
-//! to the perf-trajectory history, like `thread_scaling` does.
+//! as console/CSV/JSON under `bench_out/`.
 //!
 //! A second, deliberately starved phase then restarts the daemon on a
 //! small budget, parks a dynamic disk join on most of it, and fires
@@ -30,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use phj_bench::report::{history_append, scaled, Table};
+use phj_bench::report::{scaled, Table};
 use phj_server::proto::{AggRequest, DiskJoinRequest, JoinRequest, Request, Response, WireScheme};
 use phj_server::{query, Connection, ServeConfig, Server};
 use rand::rngs::SmallRng;
@@ -123,42 +122,6 @@ fn wait_breakdown(report_json: &str) -> (Duration, Duration) {
         Duration::from_nanos(sec.queue_wait_ns),
         Duration::from_nanos(sec.grant_wait_ns),
     )
-}
-
-/// Append one JSON line of queue-wait/grant-wait percentiles for a
-/// phase to `bench_out/history/<slug>_waits.jsonl`. Deliberately a
-/// separate archive from [`history_append`]'s records: these are
-/// *measurements*, and folding them into the config fields there would
-/// give every run a unique fingerprint and blind the trend detector.
-fn append_wait_history(slug: &str, mut queue: Vec<Duration>, mut grant: Vec<Duration>) {
-    queue.sort();
-    grant.sort();
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut line = format!("{{\"v\":1,\"slug\":\"{slug}\",\"unix_s\":{unix_s}");
-    for (name, sample) in [("queue_wait", &queue), ("grant_wait", &grant)] {
-        for (p, tag) in [(50.0, "p50"), (95.0, "p95"), (99.0, "p99")] {
-            line.push_str(&format!(",\"{name}_{tag}_ms\":{}", ms(pctl(sample, p))));
-        }
-    }
-    line.push_str("}\n");
-    let dir = phj_bench::report::out_dir().join("history");
-    let path = dir.join(format!("{slug}_waits.jsonl"));
-    let write = std::fs::create_dir_all(&dir).and_then(|()| {
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-    });
-    if let Err(e) = write {
-        eprintln!("warning: could not append wait history {}: {e}", path.display());
-    } else {
-        println!("wait percentiles: {}", path.display());
-    }
 }
 
 /// The starved phase: a 24 MB daemon, a dynamic disk join granted
@@ -259,7 +222,6 @@ fn contended_phase() {
         grant_waits.push(gw);
         worst = worst.max(lat);
     }
-    let wall = t0.elapsed();
     // On a starved budget every arrival must have actually waited for a
     // grant — zero measured wait would mean the breakdown is fiction.
     assert!(
@@ -278,23 +240,6 @@ fn contended_phase() {
     println!(
         "contended: {sheds} grant shed(s), peak queue {peak_waiting}, \
          worst arrival latency {worst:?}, all checksums exact"
-    );
-    append_wait_history("serve_contended", queue_waits, grant_waits);
-    history_append(
-        "serve_contended",
-        &[
-            ("budget".into(), BUDGET.to_string()),
-            ("disk_grant".into(), DISK_GRANT.to_string()),
-            ("arrivals".into(), ARRIVALS.to_string()),
-            ("sheds".into(), sheds.to_string()),
-            ("peak_waiting".into(), peak_waiting.to_string()),
-            ("worst_arrival_ms".into(), format!("{:.2}", worst.as_secs_f64() * 1e3)),
-        ],
-        0,
-        wall.as_nanos() as u64,
-        (1 + ARRIVALS) as u64,
-        0.0,
-        0.0,
     );
     srv.stop();
 }
@@ -448,30 +393,6 @@ fn main() {
          peak grant {} MB of {} MB budget",
         grant_peak >> 20,
         budget >> 20
-    );
-    // Admission-wait percentiles land in their own archive, so a
-    // queueing regression shows up in history diffs even when raw
-    // latency hides it behind execution-time noise.
-    append_wait_history(
-        "serve_load",
-        outcomes.iter().map(|o| o.queue_wait).collect(),
-        outcomes.iter().map(|o| o.grant_wait).collect(),
-    );
-    history_append(
-        "serve_load",
-        &[
-            ("queries".into(), QUERIES.to_string()),
-            ("seed".into(), format!("{SEED:#x}")),
-            ("threads".into(), "8".into()),
-            ("budget".into(), budget.to_string()),
-            ("peak_inflight".into(), peak_inflight.to_string()),
-            ("qps".into(), format!("{qps:.1}")),
-        ],
-        0,
-        wall.as_nanos() as u64,
-        QUERIES as u64,
-        0.0,
-        0.0,
     );
     srv.stop();
 

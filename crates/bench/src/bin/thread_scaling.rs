@@ -23,8 +23,7 @@
 //! metrics registry, installs irreversibly, so the recorder-off
 //! wall-clock baseline is measured first and the overhead columns are
 //! the measured price of `--flightrec phase` (the default) and
-//! `--flightrec full`. Each flightrec row is archived to the bench_out
-//! perf-trajectory history.
+//! `--flightrec full`.
 //!
 //! Emits `scaling_join_sim` / `scaling_join_native` tables plus a
 //! per-worker `scaling_join_workers` table recording each lane/worker's
@@ -34,7 +33,7 @@ use std::time::Duration;
 
 use phj::grace::GraceConfig;
 use phj::sink::JoinSink;
-use phj_bench::report::{history_append, mcycles, scaled, Table};
+use phj_bench::report::{mcycles, scaled, Table};
 use phj_workload::JoinSpec;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -211,20 +210,6 @@ fn main() {
             &format!("{:.1}", full_ms[i]),
             &pct(full_ms[i]),
         ]);
-        for (mode, ms) in [("off", native_ms[i]), ("phase", phase_ms[i]), ("full", full_ms[i])] {
-            history_append(
-                "thread_scaling_flightrec",
-                &[
-                    ("threads".to_string(), n.to_string()),
-                    ("flightrec".to_string(), mode.to_string()),
-                ],
-                0,
-                (ms * 1e6) as u64,
-                (gen.build.num_tuples() + gen.probe.num_tuples()) as u64,
-                0.0,
-                0.0,
-            );
-        }
     }
 
     sim.emit("scaling_join_sim");

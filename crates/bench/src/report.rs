@@ -110,7 +110,7 @@ fn csv_line(cells: &[String]) -> String {
 }
 
 /// Output directory for CSVs (override with `PHJ_BENCH_OUT`).
-pub fn out_dir() -> PathBuf {
+fn out_dir() -> PathBuf {
     std::env::var_os("PHJ_BENCH_OUT")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("bench_out"))
@@ -130,33 +130,6 @@ pub fn scale() -> f64 {
 /// Scale a byte count by [`scale`].
 pub fn scaled(bytes: usize) -> usize {
     ((bytes as f64) * scale()) as usize
-}
-
-/// Append one run to the perf-trajectory archive
-/// `<out_dir>/history/<slug>.jsonl` (same layout the CLI's `--explain`
-/// writes, so `report_diff --history` reads both). Archive failures warn
-/// rather than fail: history is a diagnostic, not a result.
-#[allow(clippy::too_many_arguments)]
-pub fn history_append(
-    slug: &str,
-    config: &[(String, String)],
-    cycles: u64,
-    wall_ns: u64,
-    tuples: u64,
-    coverage: f64,
-    pollution: f64,
-) {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let rec = phj_analyze::HistoryRecord::from_metrics(
-        slug, config, unix_s, cycles, wall_ns, tuples, coverage, pollution,
-    );
-    let path = out_dir().join("history").join(format!("{slug}.jsonl"));
-    if let Err(e) = phj_analyze::history::append(&path, &rec) {
-        eprintln!("warning: could not append history {}: {e}", path.display());
-    }
 }
 
 /// Format a cycle count in millions, for readable series.

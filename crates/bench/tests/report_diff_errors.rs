@@ -104,5 +104,18 @@ fn exit_codes_separate_regression_from_broken_input() {
     // Usage errors share the broken-input exit code.
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));
+    // Retired spellings are usage errors: they are neither read as file
+    // paths nor silently compared.
+    let (old, slow) = (old.to_str().unwrap(), slow.to_str().unwrap());
+    for args in [
+        &["--history", "3", old][..],
+        &["--history-append", old, slow],
+        &[old, slow, "--threshold-pct", "5"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage: report_diff"), "{args:?}: {stderr:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

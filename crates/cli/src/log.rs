@@ -1,7 +1,7 @@
 //! Structured CLI warnings.
 //!
-//! Runtime warnings (degradation steps, fault summaries, history
-//! failures) used to be ad-hoc `println!`/`eprintln!` lines scattered
+//! Runtime warnings (degradation steps, fault summaries, slow served
+//! queries) used to be ad-hoc `println!`/`eprintln!` lines scattered
 //! through the commands; they now route through [`warn`], which renders
 //! them in the format picked by `--log-format`:
 //!
@@ -11,9 +11,9 @@
 //!   "event":"degradation","msg":"…",…}` — with every structured field
 //!   the caller supplied, so log shippers need no regex scraping.
 //!
-//! The format lives in a process-global so library-ish helpers
-//! (`append_history` error paths, telemetry) can warn without threading
-//! a logger value through every signature.
+//! The format lives in a process-global so helpers and callbacks (the
+//! daemon's slow-query hook) can warn without threading a logger value
+//! through every signature.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

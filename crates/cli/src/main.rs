@@ -235,9 +235,8 @@ USAGE:
 
 DIAGNOSIS:
   --explain                  after the run, print the model-vs-measured
-                             diagnosis, attach the `analysis` section to
-                             the report, and archive a perf-trajectory
-                             record under bench_out/history/
+                             diagnosis and attach the `analysis` section
+                             to the report
   --cost-model k=v,...       override calibrated stage costs (keys:
                              hash_fn, mod, hash_reuse, header_check,
                              cell_check, cell_write, key_compare,
@@ -264,8 +263,7 @@ struct ObsOut {
     json: Option<String>,
     trace: Option<String>,
     /// `--explain`: run the model-vs-measured diagnosis after the run,
-    /// print it, attach the `analysis` section, and archive a history
-    /// record.
+    /// print it, and attach the `analysis` section.
     explain: bool,
     /// The calibration the diagnosis assumes (`--cost-model` overrides).
     cost: CostModel,
@@ -312,14 +310,6 @@ impl ObsOut {
             let sec = phj_analyze::analyze(report, &self.cost);
             print!("{}", phj_analyze::render(report, &sec));
             report.analysis = Some(sec);
-            match append_history(report) {
-                Ok(path) => println!("history: {}", path.display()),
-                Err(e) => log::warn(
-                    "history",
-                    &format!("warning: could not append history: {e}"),
-                    &[("error", e.clone())],
-                ),
-            }
         }
         report.validate().map_err(|e| format!("internal: invalid run report: {e}"))?;
         if let Some(path) = &self.json {
@@ -378,28 +368,6 @@ fn cmd_blackbox(path: &str, args: &Args) -> Result<(), String> {
 fn cost_model_of(args: &Args) -> Result<CostModel, String> {
     CostModel::parse_overrides(&args.get_str("cost-model", ""))
         .map_err(|e| format!("--cost-model: {e}"))
-}
-
-/// Root of the perf-trajectory archive: `$PHJ_BENCH_OUT/history` (same
-/// environment override the bench harness honors), `bench_out/history`
-/// otherwise.
-fn history_dir() -> std::path::PathBuf {
-    std::env::var("PHJ_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("bench_out"))
-        .join("history")
-}
-
-/// Append this run to `history/<command>.jsonl`, returning the path.
-fn append_history(report: &RunReport) -> Result<std::path::PathBuf, String> {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let rec = phj_analyze::HistoryRecord::from_report(&report.command, report, unix_s);
-    let path = history_dir().join(format!("{}.jsonl", report.command));
-    phj_analyze::history::append(&path, &rec).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(path)
 }
 
 /// `phj explain <report.json>`: load, diagnose, and print. `--json PATH`

@@ -4,7 +4,7 @@
 //! over [`MemoryModel`]. Instantiated with [`NativeModel`], every hook
 //! compiles to nothing except `prefetch`, which becomes a real
 //! `prefetcht0` instruction — so `phj` runs at full speed on real hardware
-//! and its criterion benchmarks measure genuine cache behaviour.
+//! and its native timings measure genuine cache behaviour.
 //! Instantiated with [`SimModel`] (the [`SimEngine`]), the same source
 //! drives the cycle-level timing model that regenerates the paper's
 //! figures, including configurations impossible on real hardware (memory

@@ -448,7 +448,7 @@ impl<'a> Parser<'a> {
 
 /// A value with a JSON form. Together with [`FromJson`] and
 /// [`json_record!`](crate::json_record) this is the workspace's one
-/// (de)serialiser: reports, postmortems and history lines all go
+/// (de)serialiser: run reports, postmortems and bench tables all go
 /// through it.
 pub trait ToJson {
     /// The value's JSON form.
