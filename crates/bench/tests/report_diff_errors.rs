@@ -104,8 +104,17 @@ fn exit_codes_separate_regression_from_broken_input() {
     // Usage errors share the broken-input exit code.
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));
-    // Retired spellings are usage errors: they are neither read as file
-    // paths nor silently compared.
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_spellings_are_usage_errors() {
+    let dir = temp_dir("retired");
+    let old = valid_report_file(&dir, "old.json", 1_000);
+    let slow = valid_report_file(&dir, "slow.json", 2_000);
+    // The history modes and `--threshold-pct` are gone: their spellings
+    // exit 2 as usage errors, and are neither read as file paths nor
+    // silently compared.
     let (old, slow) = (old.to_str().unwrap(), slow.to_str().unwrap());
     for args in [
         &["--history", "3", old][..],

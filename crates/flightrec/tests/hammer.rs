@@ -10,7 +10,7 @@
 //! recovered == max(0, written - capacity)`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use phj_flightrec::{Event, EventKind, ThreadRing};
 
@@ -49,20 +49,32 @@ fn concurrent_writers_and_readers_never_tear() {
         let writers = 4u16;
         let rings: Vec<Arc<ThreadRing>> =
             (0..writers).map(|tid| Arc::new(ThreadRing::new(tid, cap))).collect();
+        let readers = 2usize;
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers and writers start together, so a thread the scheduler
+        // spawns late still overlaps the writes instead of missing them.
+        let start = Arc::new(Barrier::new(readers + writers as usize));
 
-        let reader_handles: Vec<_> = (0..2)
+        let reader_handles: Vec<_> = (0..readers)
             .map(|r| {
                 let rings = rings.clone();
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut snaps = 0u64;
-                    while !stop.load(Ordering::Acquire) {
+                    // Check `stop` after each pass, not before: a reader
+                    // descheduled until the writers finish still makes
+                    // one full pass over the rings.
+                    loop {
                         // Seeded skew: readers start on different rings.
                         for ring in rings.iter().cycle().skip(r + seed as usize).take(rings.len())
                         {
                             check_snapshot(&ring.snapshot(), cap);
                             snaps += 1;
+                        }
+                        if stop.load(Ordering::Acquire) {
+                            break;
                         }
                     }
                     snaps
@@ -74,7 +86,9 @@ fn concurrent_writers_and_readers_never_tear() {
             .iter()
             .map(|ring| {
                 let ring = Arc::clone(ring);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let tid = ring.tid();
                     for i in 0..writes {
                         ring.record(&checked_event(tid, i));
