@@ -1,4 +1,5 @@
-//! The GRACE hash join driver: I/O partition phase + join phase.
+//! The GRACE hash join driver: I/O partition phase + join phase, and the
+//! overflow ladder every driver joins its partition pairs through.
 //!
 //! "The GRACE hash join algorithm begins by partitioning the two joining
 //! relations such that each build partition and its hash table can fit
@@ -7,15 +8,40 @@
 //! the baseline because its two phases — (1) partitioning and (2) joining
 //! with in-memory hash tables — are the common building blocks of all
 //! hash join variants (§2).
+//!
+//! **Overflow ladder.** A build partition may still exceed the memory
+//! budget after its pass: the `max_active_partitions` cap, skew, or an
+//! under-estimated partition count. [`Ladder::join`] is the one rule for
+//! such a pair, whichever driver produced it — the sequential and the
+//! parallel in-memory joins, and the disk join's spilled pairs (a
+//! [`PairStore`] says where a pair's pages live):
+//!
+//! 1. join the pair if the build partition fits the budget;
+//! 2. otherwise repartition both sides on the stashed hash codes through
+//!    the partition program, with a fan-out coprime to the moduli already
+//!    applied ([`plan::coprime_partitions`]) — only while the largest
+//!    build sub-partition shrinks, and within [`Ladder::max_depth`];
+//! 3. otherwise join in budget-sized build chunks, streaming the probe
+//!    side past each chunk;
+//! 4. otherwise (chunked join off) fail with the store's overflow error.
+//!
+//! Steps 2–4 leave a [`DegradationEvent`] each.
 
-use phj_memsim::MemoryModel;
+use std::borrow::Cow;
+use std::ops::Range;
+
+use phj_memsim::{MemoryModel, RegionKind};
 use phj_obs::{self as obs, Recorder};
-use phj_storage::Relation;
+use phj_storage::{Relation, PAGE_SIZE};
 
+use crate::join::program::{Build, Probe};
 use crate::join::{join_pair, JoinParams, JoinScheme};
-use crate::partition::{partition_relation_rec, PartitionScheme};
+use crate::partition::{OutputBuffers, PartitionScheme, PartitionStore};
 use crate::plan;
+use crate::profile;
 use crate::sink::{JoinSink, OutputWriter};
+use crate::stage;
+use crate::table::HashTable;
 
 /// End-to-end GRACE configuration.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +70,25 @@ impl Default for GraceConfig {
             partition_scheme: PartitionScheme::combined_default(),
             join_scheme: JoinScheme::Group { g: 16 },
             max_active_partitions: 1000,
+        }
+    }
+}
+
+impl GraceConfig {
+    /// The overflow ladder of the in-memory drivers: the budget, the
+    /// fan-out cap, no depth bound, and the chunked join always on.
+    fn ladder<'s, S>(&self, sink: &'s mut S) -> Ladder<'s, InMemory, S> {
+        assert!(self.max_active_partitions >= 2, "need at least two partitions per pass");
+        Ladder {
+            budget: self.mem_budget as u64,
+            max_fanout: self.max_active_partitions,
+            max_depth: u32::MAX,
+            chunked_join: true,
+            partition_scheme: self.partition_scheme,
+            join_scheme: self.join_scheme,
+            store: InMemory,
+            sink,
+            events: Vec::new(),
         }
     }
 }
@@ -96,22 +141,20 @@ pub fn grace_join_with_sink_rec<M: MemoryModel, S: JoinSink>(
     let span = obs::span_begin(&mut rec, mem, "grace_join");
     obs::span_meta(&mut rec, "partition_scheme", cfg.partition_scheme.label());
     obs::span_meta(&mut rec, "join_scheme", cfg.join_scheme.label());
-    let p = join_level(mem, cfg, build, probe, sink, 1, 0, false, rec.as_deref_mut());
+    let p = cfg.ladder(sink).join(mem, build, probe, 1, &mut Vec::new(), &mut rec);
     obs::span_end(&mut rec, mem, span);
-    p
+    p.unwrap_or_else(|never| match never {})
 }
 
 /// Join one partition pair produced by a `moduli`-way (product over
-/// passes) partitioning, recursing into additional passes if the build
-/// side still exceeds the memory budget.
+/// passes) partitioning through the overflow ladder.
 ///
 /// This is the task a *parallel* join driver schedules per partition
-/// pair: unlike [`grace_join_with_sink_rec`] it does not reset the moduli
-/// to 1, so an oversized (skewed) pair re-partitions with fresh coprime
-/// fan-out instead of degenerating. `index` labels the pair's `"pair"`
-/// span so merged parallel reports keep per-partition skew attribution.
-/// The pair's tuples must carry stashed hash codes (every
-/// partition-phase output does).
+/// pair: an oversized (skewed) pair re-partitions with fan-out coprime
+/// to `moduli`, or joins in chunks when that cannot shrink it. `index`
+/// labels the pair's `"pair"` span so merged parallel reports keep
+/// per-partition skew attribution. The pair's tuples must carry stashed
+/// hash codes (every partition-phase output does).
 #[allow(clippy::too_many_arguments)]
 pub fn grace_join_pair<M: MemoryModel, S: JoinSink>(
     mem: &mut M,
@@ -121,53 +164,282 @@ pub fn grace_join_pair<M: MemoryModel, S: JoinSink>(
     sink: &mut S,
     moduli: usize,
     index: usize,
-    rec: Option<&mut Recorder>,
-) -> usize {
-    join_level(mem, cfg, build, probe, sink, moduli, index, true, rec)
-}
-
-/// One partitioning pass: split the pair, then join (or recurse into)
-/// each sub-pair. `moduli` is the product of partition counts already
-/// applied to these tuples' hash codes; `index` labels a directly-joined
-/// pair's span; `use_stored` whether this level's input carries stashed
-/// hash codes (true for every level but the first).
-#[allow(clippy::too_many_arguments)]
-fn join_level<M: MemoryModel, S: JoinSink>(
-    mem: &mut M,
-    cfg: &GraceConfig,
-    build: &Relation,
-    probe: &Relation,
-    sink: &mut S,
-    moduli: usize,
-    index: usize,
-    use_stored: bool,
     mut rec: Option<&mut Recorder>,
 ) -> usize {
-    assert!(cfg.max_active_partitions >= 2, "need at least two partitions per pass");
-    let needed = plan::num_partitions(build.size_bytes(), cfg.mem_budget);
-    if needed <= 1 {
-        let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: use_stored };
-        let span = obs::span_begin(&mut rec, mem, "pair");
-        obs::span_meta(&mut rec, "index", index);
-        join_pair(mem, &params, build, probe, moduli, sink, rec.as_deref_mut());
-        obs::span_end(&mut rec, mem, span);
-        return 1;
+    let p = cfg.ladder(sink).join(mem, build, probe, moduli, &mut vec![index], &mut rec);
+    p.unwrap_or_else(|never| match never {})
+}
+
+/// One degradation step taken for an oversized build partition.
+#[derive(Debug, Clone)]
+pub struct DegradationEvent {
+    /// Hierarchical partition label: `"3"`, then `"3.1"` for its sub-partition 1, …
+    pub partition: String,
+    /// Repartition depth at which the step was taken (0 = first pass).
+    pub depth: u32,
+    /// Size of the oversized build partition in bytes (whole pages).
+    pub bytes: u64,
+    /// The budget it failed to fit (on disk, the *live* budget at the pair).
+    pub budget: u64,
+    /// What the ladder did about it.
+    pub kind: DegradationKind,
+}
+
+/// What the overflow ladder did at one step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DegradationKind {
+    /// Re-partitioned into `fanout` sub-partitions.
+    Repartition {
+        /// Number of sub-partitions.
+        fanout: usize,
+    },
+    /// Joined in `chunks` build chunks of at most the budget each.
+    NljFallback {
+        /// Number of build chunks.
+        chunks: usize,
+    },
+}
+
+impl std::fmt::Display for DegradationEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let action = match &self.kind {
+            DegradationKind::Repartition { fanout } => format!("repartitioned x{fanout}"),
+            DegradationKind::NljFallback { chunks } => {
+                format!("block nested-loop fallback in {chunks} chunk(s)")
+            }
+        };
+        write!(
+            f,
+            "partition {} ({} B > budget {} B): {action} at depth {}",
+            self.partition, self.bytes, self.budget, self.depth
+        )
     }
-    let p = plan::coprime_partitions(needed.min(cfg.max_active_partitions), moduli);
-    let pass = obs::span_begin(&mut rec, mem, "partition_pass");
-    obs::span_meta(&mut rec, "fanout", p);
-    obs::span_meta(&mut rec, "moduli", moduli);
-    let build_parts =
-        partition_relation_rec(mem, cfg.partition_scheme, build, p, use_stored, rec.as_deref_mut());
-    let probe_parts =
-        partition_relation_rec(mem, cfg.partition_scheme, probe, p, use_stored, rec.as_deref_mut());
-    obs::span_end(&mut rec, mem, pass);
-    for (i, (bp, pp)) in build_parts.iter().zip(&probe_parts).enumerate() {
-        // A pair that fits the budget joins directly; one that still exceeds
-        // memory (cap hit, or skew) takes an additional pass over it (§1.1).
-        join_level(mem, cfg, bp, pp, sink, moduli * p, i, true, rec.as_deref_mut());
+}
+
+/// Where the overflow ladder reads a partition pair's pages and writes
+/// the ones it repartitions.
+pub trait PairStore {
+    /// One side of one partition.
+    type Part;
+    /// Where a repartitioning pass writes.
+    type Store: PartitionStore;
+    /// A failed read or write.
+    type Error;
+
+    /// Pages in `part`.
+    fn pages(&self, part: &Self::Part) -> usize;
+    /// Most pages to bring into memory at once to stream a side under `budget`.
+    fn stream_pages(&self, budget: u64) -> usize;
+    /// `part`'s pages in `pages`: a relation, and the range of it that holds them.
+    fn read<'a>(&'a self, part: &'a Self::Part, pages: Range<usize>) -> Pages<'a, Self::Error>;
+    /// A store for `fanout` sub-partitions of `part`.
+    fn store(&mut self, part: &Self::Part, fanout: usize) -> Result<Self::Store, Self::Error>;
+    /// The sub-partitions a finished store holds.
+    fn parts(&mut self, store: Self::Store) -> Result<Vec<Self::Part>, Self::Error>;
+    /// The error for a pair no rung could join.
+    fn overflow(&self, partition: usize, depth: u32, bytes: u64, budget: u64) -> Self::Error;
+}
+
+/// What [`PairStore::read`] returns.
+pub type Pages<'a, E> = Result<(Cow<'a, Relation>, Range<usize>), E>;
+
+/// Partitions that are relations in memory: reads borrow them whole.
+struct InMemory;
+
+impl PairStore for InMemory {
+    type Part = Relation;
+    type Store = Vec<Relation>;
+    type Error = std::convert::Infallible;
+
+    fn pages(&self, part: &Relation) -> usize {
+        part.num_pages()
     }
-    p
+    fn stream_pages(&self, _budget: u64) -> usize {
+        usize::MAX
+    }
+    fn read<'a>(&'a self, part: &'a Relation, pages: Range<usize>) -> Pages<'a, Self::Error> {
+        Ok((Cow::Borrowed(part), pages))
+    }
+    fn store(&mut self, part: &Relation, fanout: usize) -> Result<Vec<Relation>, Self::Error> {
+        Ok((0..fanout).map(|_| Relation::new(part.schema().clone())).collect())
+    }
+    fn parts(&mut self, store: Vec<Relation>) -> Result<Vec<Relation>, Self::Error> {
+        Ok(store)
+    }
+    fn overflow(&self, _: usize, _: u32, _: u64, _: u64) -> Self::Error {
+        unreachable!("the in-memory ladder always ends in the chunked join")
+    }
+}
+
+/// The overflow ladder over one [`PairStore`]: its bounds, its sink, and
+/// the steps taken so far.
+pub struct Ladder<'s, P, S> {
+    /// A build partition of at most this many bytes (whole pages) joins;
+    /// a driver may change it between pairs.
+    pub budget: u64,
+    /// Most sub-partitions one repartitioning pass writes.
+    pub max_fanout: usize,
+    /// Depth at which repartitioning stops (`u32::MAX`: only the shrink rule).
+    pub max_depth: u32,
+    /// Join in chunks what repartitioning cannot shrink (else overflow).
+    pub chunked_join: bool,
+    /// Schedule of the repartitioning passes.
+    pub partition_scheme: PartitionScheme,
+    /// Schedule of the joins.
+    pub join_scheme: JoinScheme,
+    /// Where the pairs' pages live.
+    pub store: P,
+    /// The sink every pair joins into.
+    pub sink: &'s mut S,
+    /// Degradation steps, in the order they were taken.
+    pub events: Vec<DegradationEvent>,
+}
+
+impl<P: PairStore, S: JoinSink> Ladder<'_, P, S> {
+    /// Join `build` with `probe` (see the module docs for the rungs).
+    /// `path` names the pair by its partition index at every level, or
+    /// is empty for a driver's whole input: that input carries no stashed
+    /// hash codes, and its repartitioning is its first pass rather than a
+    /// degradation. `moduli` is the product of the fan-outs already
+    /// applied to the pair's hash codes. Returns this level's fan-out (1
+    /// when the pair joined without repartitioning).
+    pub fn join<M: MemoryModel>(
+        &mut self,
+        mem: &mut M,
+        build: &P::Part,
+        probe: &P::Part,
+        moduli: usize,
+        path: &mut Vec<usize>,
+        rec: &mut Option<&mut Recorder>,
+    ) -> Result<usize, P::Error> {
+        let (budget, stored) = (self.budget, !path.is_empty());
+        let index = path.last().copied().unwrap_or(0);
+        let pages = self.store.pages(build);
+        let bytes = (pages * PAGE_SIZE) as u64;
+        if bytes <= budget {
+            let params = JoinParams { scheme: self.join_scheme, use_stored_hash: stored };
+            let (b, _) = self.store.read(build, 0..pages)?;
+            let (p, _) = self.store.read(probe, 0..self.store.pages(probe))?;
+            let span = obs::span_begin(rec, mem, "pair");
+            obs::span_meta(rec, "index", index);
+            join_pair(mem, &params, &b, &p, moduli, self.sink, rec.as_deref_mut());
+            obs::span_end(rec, mem, span);
+            return Ok(1);
+        }
+        let depth = path.len().saturating_sub(1) as u32;
+        if depth < self.max_depth {
+            let needed = plan::num_partitions(bytes as usize, budget as usize);
+            let fanout = plan::coprime_partitions(needed.min(self.max_fanout), moduli);
+            let pass = obs::span_begin(rec, mem, "partition_pass");
+            obs::span_meta(rec, "fanout", fanout);
+            obs::span_meta(rec, "moduli", moduli);
+            let sub_build = self.split(mem, build, fanout, stored, rec)?;
+            if sub_build.iter().all(|sub| self.store.pages(sub) < pages) {
+                if stored {
+                    self.record(path, bytes, DegradationKind::Repartition { fanout });
+                }
+                let sub_probe = self.split(mem, probe, fanout, stored, rec)?;
+                obs::span_end(rec, mem, pass);
+                for (i, (b, p)) in sub_build.iter().zip(&sub_probe).enumerate() {
+                    path.push(i);
+                    self.join(mem, b, p, moduli * fanout, path, rec)?;
+                    path.pop();
+                }
+                return Ok(fanout);
+            }
+            obs::span_end(rec, mem, pass);
+        }
+        if !self.chunked_join {
+            return Err(self.store.overflow(index, depth, bytes, budget));
+        }
+        let span = obs::span_begin(rec, mem, "nlj_fallback");
+        obs::span_meta(rec, "partition", label(path));
+        let chunks = self.chunked(mem, build, probe, moduli, stored)?;
+        obs::span_end(rec, mem, span);
+        self.record(path, bytes, DegradationKind::NljFallback { chunks });
+        Ok(1)
+    }
+
+    /// Run `part` through the partition program into a fresh store of
+    /// `fanout` partitions, as one `"partition"` span.
+    fn split<M: MemoryModel>(
+        &mut self,
+        mem: &mut M,
+        part: &P::Part,
+        fanout: usize,
+        stored: bool,
+        rec: &mut Option<&mut Recorder>,
+    ) -> Result<Vec<P::Part>, P::Error> {
+        let scheme = self.partition_scheme;
+        let span = obs::span_begin(rec, mem, "partition");
+        obs::span_meta(rec, "scheme", scheme.label());
+        obs::span_meta(rec, "partitions", fanout);
+        let mut out = OutputBuffers::with_store(self.store.store(part, fanout)?, fanout);
+        let (pages, step) = (self.store.pages(part), self.store.stream_pages(self.budget));
+        out.register_regions(mem);
+        let mut tuples = 0usize;
+        for start in (0..pages).step_by(step) {
+            let (rel, range) = self.store.read(part, start..start.saturating_add(step).min(pages))?;
+            tuples += range.clone().map(|pi| rel.page(pi).nslots() as usize).sum::<usize>();
+            profile::register_relation(mem, RegionKind::SlottedPages, &rel);
+            out.feed(mem, scheme, &rel, range, stored);
+        }
+        obs::span_meta(rec, "tuples", tuples);
+        let parts = self.store.parts(out.finish());
+        obs::span_end(rec, mem, span);
+        profile::clear_partition_regions(mem);
+        parts
+    }
+
+    /// Join in build chunks of at most the budget, streaming the probe
+    /// side past each chunk's table. Returns the number of chunks.
+    fn chunked<M: MemoryModel>(
+        &mut self,
+        mem: &mut M,
+        build: &P::Part,
+        probe: &P::Part,
+        moduli: usize,
+        stored: bool,
+    ) -> Result<usize, P::Error> {
+        let schedule = self.join_scheme.schedule();
+        let chunk = (self.budget as usize / PAGE_SIZE).max(1);
+        let step = self.store.stream_pages(self.budget);
+        let (bpages, ppages) = (self.store.pages(build), self.store.pages(probe));
+        for start in (0..bpages).step_by(chunk) {
+            let (b, brange) = self.store.read(build, start..(start + chunk).min(bpages))?;
+            let n: usize = brange.clone().map(|pi| b.page(pi).nslots() as usize).sum();
+            let mut table = HashTable::new(plan::hash_table_buckets(n, moduli), n);
+            stage::run(schedule, mem, &mut Build::new(&mut table, &b, stored), &b, brange);
+            table.assert_quiescent();
+            for start in (0..ppages).step_by(step) {
+                let prange = start..start.saturating_add(step).min(ppages);
+                let (p, prange) = self.store.read(probe, prange)?;
+                let mut prog = Probe::new(&table, &b, &p, stored, &mut *self.sink);
+                stage::run(schedule, mem, &mut prog, &p, prange);
+            }
+        }
+        Ok(bpages.div_ceil(chunk))
+    }
+
+    /// Log one step: the event trail and the flight recorder (code 0 =
+    /// repartition with its fan-out, code 1 = chunked join with its chunk
+    /// count).
+    fn record(&mut self, path: &[usize], bytes: u64, kind: DegradationKind) {
+        let depth = path.len().saturating_sub(1) as u32;
+        let (code, detail) = match kind {
+            DegradationKind::Repartition { fanout } => (0, fanout),
+            DegradationKind::NljFallback { chunks } => (1, chunks),
+        };
+        let (a, b) = (depth as u64 + 1, detail as u64);
+        phj_flightrec::event(phj_flightrec::EventKind::Degrade, code, a, b);
+        let (partition, budget) = (label(path), self.budget);
+        self.events.push(DegradationEvent { partition, depth, bytes, budget, kind });
+    }
+}
+
+/// `"3.1"` for the path `[3, 1]`.
+fn label(path: &[usize]) -> String {
+    path.iter().map(usize::to_string).collect::<Vec<_>>().join(".")
 }
 
 #[cfg(test)]

@@ -14,20 +14,7 @@
 /// numbers and bucket numbers.
 #[inline]
 pub fn hash_key(key: &[u8]) -> u32 {
-    hash_key_seeded(key, 0)
-}
-
-/// [`hash_key`] with a nonzero `seed` folded into the initial state.
-///
-/// Seed 0 reproduces `hash_key` exactly (stashed hash codes and stored
-/// checksums stay valid). Recursive repartitioning uses successive seeds so
-/// that keys which all collided into one partition at depth *d* spread out
-/// again at depth *d*+1 — the same reason GRACE re-partitioning picks an
-/// independent hash function.
-#[inline]
-pub fn hash_key_seeded(key: &[u8], seed: u32) -> u32 {
-    let mut h: u32 = 0x9E37_79B9
-        ^ seed.wrapping_mul(0x85EB_CA6B).rotate_left(11);
+    let mut h: u32 = 0x9E37_79B9;
     let mut chunks = key.chunks_exact(4);
     for c in &mut chunks {
         let w = u32::from_le_bytes(c.try_into().unwrap());
@@ -115,30 +102,24 @@ mod tests {
     }
 
     #[test]
-    fn seed_zero_matches_unseeded() {
-        for key in [&b""[..], b"a", b"abcd", b"abcdefgh", b"longer key bytes"] {
-            assert_eq!(hash_key(key), hash_key_seeded(key, 0));
-        }
-    }
-
-    #[test]
-    fn reseeding_splits_a_collision_class() {
-        // All keys landing in one partition under seed 0 must spread back
-        // out under a different seed — the property recursive
-        // repartitioning depends on.
-        let parts = 8usize;
+    fn coprime_fanout_splits_a_partition() {
+        // Keys stuck in one partition of a first pass must spread evenly
+        // over a coprime second-level fan-out of the same hash code — the
+        // property recursive repartitioning on stashed codes depends on.
+        let (parts, sub) = (8usize, 9usize);
         let stuck: Vec<u32> = (0..40_000u32)
-            .filter(|k| partition_of(hash_key(&k.to_le_bytes()), parts) == 3)
+            .map(|k| hash_key(&k.to_le_bytes()))
+            .filter(|&h| partition_of(h, parts) == 3)
             .collect();
         assert!(stuck.len() > 1_000);
-        let mut counts = vec![0usize; parts];
-        for k in &stuck {
-            counts[partition_of(hash_key_seeded(&k.to_le_bytes(), 1), parts)] += 1;
+        let mut counts = vec![0usize; sub];
+        for &h in &stuck {
+            counts[partition_of(h, sub)] += 1;
         }
-        let fair = stuck.len() / parts;
+        let fair = stuck.len() / sub;
         for (p, &c) in counts.iter().enumerate() {
-            assert!(c < fair * 3, "partition {p} got {c} of fair {fair}");
-            assert!(c > fair / 3, "partition {p} got {c} of fair {fair}");
+            assert!(c < fair * 3, "sub-partition {p} got {c} of fair {fair}");
+            assert!(c > fair / 3, "sub-partition {p} got {c} of fair {fair}");
         }
     }
 

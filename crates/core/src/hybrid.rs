@@ -57,7 +57,7 @@ impl Default for HybridConfig {
 /// One fused pass: partition 0 goes to `table`, the rest to `part`.
 struct Fused<'a, T> {
     table: T,
-    part: Partition<'a>,
+    part: Partition<'a, Vec<Relation>>,
 }
 
 #[derive(Default)]

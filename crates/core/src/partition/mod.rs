@@ -147,29 +147,8 @@ pub fn partition_relation<M: MemoryModel>(
     num_partitions: usize,
     use_stored_hash: bool,
 ) -> Vec<Relation> {
-    partition_relation_rec(mem, scheme, input, num_partitions, use_stored_hash, None)
-}
-
-/// [`partition_relation`] with an optional span recorder: the whole pass
-/// over this relation becomes one `"partition"` span annotated with the
-/// scheme, fan-out, and tuple count.
-pub fn partition_relation_rec<M: MemoryModel>(
-    mem: &mut M,
-    scheme: PartitionScheme,
-    input: &Relation,
-    num_partitions: usize,
-    use_stored_hash: bool,
-    rec: Option<&mut Recorder>,
-) -> Vec<Relation> {
-    partition_page_range(
-        mem,
-        scheme,
-        input,
-        0..input.num_pages(),
-        num_partitions,
-        use_stored_hash,
-        rec,
-    )
+    let pages = 0..input.num_pages();
+    partition_page_range(mem, scheme, input, pages, num_partitions, use_stored_hash, None)
 }
 
 /// Partition only the pages in `pages` — the morsel a parallel partition
@@ -177,7 +156,8 @@ pub fn partition_relation_rec<M: MemoryModel>(
 /// ranges into private buffers; concatenating the per-worker outputs per
 /// partition (in any order) reproduces a sequential partitioning's tuple
 /// multiset, because tuple placement depends only on the hash. With a
-/// span recorder, the pass becomes one `"partition"` span.
+/// span recorder, the pass becomes one `"partition"` span annotated with
+/// the scheme, fan-out, and tuple count.
 pub fn partition_page_range<M: MemoryModel>(
     mem: &mut M,
     scheme: PartitionScheme,
@@ -200,13 +180,35 @@ pub fn partition_page_range<M: MemoryModel>(
     let mut out = OutputBuffers::new(input, num_partitions);
     profile::register_relation(mem, RegionKind::SlottedPages, input);
     out.register_regions(mem);
-    let mut prog = Partition::new(input, &mut out, use_stored_hash);
-    stage::run(scheme.schedule(num_partitions), mem, &mut prog, input, pages);
+    out.feed(mem, scheme, input, pages, use_stored_hash);
     debug_assert_eq!(out.tuples() as usize, expect, "tuples lost");
     let parts = out.finish();
     obs::span_end(&mut rec, mem, span);
     profile::clear_partition_regions(mem);
     parts
+}
+
+/// Where a partition pass's sealed output-buffer pages go: one
+/// [`Relation`] per partition in memory; kept, probed or spilled by
+/// residency in the disk join.
+pub trait PartitionStore {
+    /// Take partition `p`'s sealed `page`: full mid-pass, or partly
+    /// filled at the pass's final flush (`last`). The store copies the
+    /// page or takes it (leaving a fresh one); the buffer is then reset.
+    fn seal(&mut self, p: usize, page: &mut Page, last: bool);
+}
+
+/// The in-memory store: each sealed page is copied onto its partition's
+/// relation (our stand-in for the disk, uncharged like a DMA write) and
+/// the buffer is reused in place — its cache lines stay where they are,
+/// which is why few-partition runs keep their buffers cache-resident
+/// (Fig 14's left region). The copy goes into a [`phj_storage::Frame`]
+/// off the process-wide free list, so once an earlier join has dropped
+/// its pages the flush faults in no fresh memory.
+impl PartitionStore for Vec<Relation> {
+    fn seal(&mut self, p: usize, page: &mut Page, _last: bool) {
+        self[p].push_page(page.clone());
+    }
 }
 
 /// Read or recompute a tuple's partition-phase hash code.
@@ -219,18 +221,19 @@ pub(crate) fn phase_hash(input: &Relation, pi: usize, slot: u16, use_stored: boo
     }
 }
 
-/// The per-partition output buffers, with the reservation protocol the
-/// staged schemes need: stage 0 *reserves* an insertion position (so its
-/// exact addresses can be prefetched) and stage 1 *commits* the copy.
-/// Reservations and commits happen in the same per-partition order, so a
-/// reservation's addresses are exact.
-pub(crate) struct OutputBuffers {
+/// The per-partition output buffers of one pass, sealing pages into a
+/// [`PartitionStore`]; input fed in chunks fills pages as one relation
+/// would. Inside is the reservation protocol the staged schemes need:
+/// stage 0 *reserves* an insertion position (so its exact addresses can
+/// be prefetched) and stage 1 *commits* the copy, in the same
+/// per-partition order, so a reservation's addresses are exact.
+pub struct OutputBuffers<S> {
     parts: Vec<PartBuf>,
+    store: S,
     tuples: u64,
 }
 
 struct PartBuf {
-    rel: Relation,
     page: Page,
     /// Slots handed out including uncommitted reservations.
     reserved_slots: u16,
@@ -241,9 +244,8 @@ struct PartBuf {
 }
 
 impl PartBuf {
-    fn fresh(schema: &phj_storage::Schema) -> Self {
+    fn fresh() -> Self {
         PartBuf {
-            rel: Relation::new(schema.clone()),
             page: Page::new(),
             reserved_slots: 0,
             reserved_data: PAGE_SIZE as u16,
@@ -252,14 +254,41 @@ impl PartBuf {
     }
 }
 
-impl OutputBuffers {
+impl OutputBuffers<Vec<Relation>> {
+    /// Buffers writing into one in-memory relation per partition.
     pub(crate) fn new(input: &Relation, num_partitions: usize) -> Self {
+        let parts = (0..num_partitions).map(|_| Relation::new(input.schema().clone()));
+        OutputBuffers::with_store(parts.collect(), num_partitions)
+    }
+}
+
+impl<S: PartitionStore> OutputBuffers<S> {
+    /// One buffer page for each of `num_partitions` partitions.
+    pub fn with_store(store: S, num_partitions: usize) -> Self {
         OutputBuffers {
-            parts: (0..num_partitions)
-                .map(|_| PartBuf::fresh(input.schema()))
-                .collect(),
+            parts: (0..num_partitions).map(|_| PartBuf::fresh()).collect(),
+            store,
             tuples: 0,
         }
+    }
+
+    /// Run the partition program under `scheme` over `input`'s pages in
+    /// `pages`, reading stashed hash codes when `use_stored_hash`.
+    pub fn feed<M: MemoryModel>(
+        &mut self,
+        mem: &mut M,
+        scheme: PartitionScheme,
+        input: &Relation,
+        pages: std::ops::Range<usize>,
+        use_stored_hash: bool,
+    ) {
+        let schedule = scheme.schedule(self.num_partitions());
+        stage::run(schedule, mem, &mut Partition::new(input, self, use_stored_hash), input, pages);
+    }
+
+    /// The store, between calls to [`OutputBuffers::feed`].
+    pub fn store(&mut self) -> &mut S {
+        &mut self.store
     }
 
     pub(crate) fn num_partitions(&self) -> usize {
@@ -292,7 +321,7 @@ impl OutputBuffers {
         let pb = &mut self.parts[p];
         debug_assert_eq!(pb.pending, 0, "direct append with reservations in flight");
         if !pb.page.fits(tuple.len()) {
-            Self::flush_buf(pb);
+            Self::flush_buf(&mut self.store, p, pb, false);
         }
         let (data_addr, slot_addr) = pb.page.next_insert_addrs(tuple.len());
         mem.write(data_addr, tuple.len());
@@ -355,20 +384,14 @@ impl OutputBuffers {
     pub(crate) fn flush(&mut self, p: usize) {
         let pb = &mut self.parts[p];
         assert_eq!(pb.pending, 0, "flush with in-flight copies (conflict bug)");
-        Self::flush_buf(pb);
+        Self::flush_buf(&mut self.store, p, pb, false);
     }
 
-    /// "Write out" the buffer page: copy it to the partition's relation
-    /// (our stand-in for the disk, uncharged like a DMA write) and reuse
-    /// the same buffer in place — the buffer's cache lines stay where
-    /// they are, which is why few-partition runs keep their buffers
-    /// cache-resident (Fig 14's left region). The copy goes into a
-    /// [`phj_storage::Frame`] off the process-wide free list, so once an
-    /// earlier join has dropped its pages the flush faults in no fresh
-    /// memory.
-    fn flush_buf(pb: &mut PartBuf) {
+    /// "Write out" partition `p`'s buffer page through the store, then
+    /// reset the buffer for reuse.
+    fn flush_buf(store: &mut S, p: usize, pb: &mut PartBuf, last: bool) {
         if pb.page.nslots() > 0 {
-            pb.rel.push_page(pb.page.clone());
+            store.seal(p, &mut pb.page, last);
             pb.page.reset();
         }
         pb.reserved_slots = 0;
@@ -381,15 +404,13 @@ impl OutputBuffers {
         self.tuples
     }
 
-    /// Flush everything and return the partition relations.
-    pub(crate) fn finish(mut self) -> Vec<Relation> {
-        self.parts
-            .iter_mut()
-            .for_each(|pb| {
-                assert_eq!(pb.pending, 0, "finish with in-flight copies");
-                Self::flush_buf(pb)
-            });
-        self.parts.into_iter().map(|pb| pb.rel).collect()
+    /// Flush every partly filled buffer and return the store.
+    pub fn finish(mut self) -> S {
+        for (p, pb) in self.parts.iter_mut().enumerate() {
+            assert_eq!(pb.pending, 0, "finish with in-flight copies");
+            Self::flush_buf(&mut self.store, p, pb, true);
+        }
+        self.store
     }
 }
 

@@ -18,12 +18,12 @@ use crate::cost::{self, CostModel};
 use crate::hash::partition_of;
 use crate::stage::{StageProgram, Step};
 
-use super::{phase_hash, OutputBuffers};
+use super::{phase_hash, OutputBuffers, PartitionStore};
 
 /// Hash + partition number + reservation → tuple copy.
-pub(crate) struct Partition<'a> {
+pub(crate) struct Partition<'a, S> {
     input: &'a Relation,
-    out: &'a mut OutputBuffers,
+    out: &'a mut OutputBuffers<S>,
     use_stored_hash: bool,
 }
 
@@ -38,15 +38,17 @@ pub(crate) struct PartState {
     reserved: (usize, usize),
 }
 
-impl<'a> Partition<'a> {
+impl<'a, S> Partition<'a, S> {
     pub(crate) fn new(
         input: &'a Relation,
-        out: &'a mut OutputBuffers,
+        out: &'a mut OutputBuffers<S>,
         use_stored_hash: bool,
     ) -> Self {
         Partition { input, out, use_stored_hash }
     }
+}
 
+impl Partition<'_, Vec<Relation>> {
     /// `[C_0, C_1]`: hash + partition number, tuple copy into the output
     /// buffer.
     pub(crate) fn stage_costs(m: &CostModel, reuse_stored_hash: bool, tuple_len: usize) -> [u64; 2] {
@@ -54,7 +56,7 @@ impl<'a> Partition<'a> {
     }
 }
 
-impl StageProgram for Partition<'_> {
+impl<S: PartitionStore> StageProgram for Partition<'_, S> {
     type State = PartState;
     const K: usize = 1;
     const BATCH: Option<u16> = Some(0);

@@ -1,6 +1,6 @@
 //! Hash join over file relations — the disk-oriented execution the
 //! paper's real-machine experiments run (§7.2), with real files, real
-//! background I/O threads, and a graceful-degradation ladder for when the
+//! background I/O threads, and core's overflow ladder for when the
 //! memory-budget estimate turns out wrong.
 //!
 //! There is **one** partition → build → probe driver
@@ -14,55 +14,47 @@
 //! | `Dynamic` | resident until evicted    | [`plan::hybrid_fanout`]  | yes       |
 //!
 //! Both inputs stream through a [`crate::SequentialReader`] (background
-//! read-ahead). Resident partitions live in memory and join their probe
-//! tuples on the fly (see `hybrid.rs` for the residency protocol);
-//! spilled ones go through a [`BackgroundWriter`] into a striped
-//! `SpillFile`, and each spilled pair is finally loaded back and
-//! joined with any in-memory scheme. Output pages stream to disk through
-//! another background writer. Under `Grace` nothing is ever resident, so
-//! the run is the classic partition-everything-then-join-pairs GRACE.
+//! read-ahead) in chunks of pages, each fed to core's partition program
+//! ([`OutputBuffers::feed`]) under the schedule of
+//! [`DiskGraceConfig::join_scheme`]. Every output-buffer page the program
+//! seals lands in the disk [`PartitionStore`](phj::partition::PartitionStore)
+//! (`hybrid.rs`): resident partitions keep their pages and join their
+//! probe pages on the fly; spilled ones go through a [`BackgroundWriter`]
+//! into a striped `SpillFile`. Output pages stream to disk through another
+//! background writer. Under `Grace` nothing is ever resident, so the run
+//! is the classic partition-everything-then-join-pairs GRACE.
 //!
-//! **Degradation ladder.** A spilled build partition larger than the
-//! memory budget (skew, or an under-estimated partition count) does not
-//! abort and does not silently thrash:
-//!
-//! 1. *Recursive repartition* — the oversized partition is re-partitioned
-//!    on disk with a different hash seed ([`phj::hash::hash_key_seeded`]),
-//!    up to [`DiskGraceConfig::max_repartition_depth`] levels deep. The
-//!    sub-spill pages keep the original seed-0 stashed hash codes, so the
-//!    join phase's stored-hash optimization stays correct.
-//! 2. *Block nested-loop fallback* — when repartitioning stops helping
-//!    (all tuples share one key) or the depth bound is hit, the partition
-//!    is joined in build chunks of at most the memory budget, streaming
-//!    the probe side past each chunk.
-//! 3. *Typed failure* — with the fallback disabled, the join returns
-//!    [`PhjError::PartitionOverflow`] instead of a wrong answer.
-//!
-//! Every step is recorded as a [`DegradationEvent`] in the report, and
-//! the report carries an order-insensitive result checksum so a degraded
-//! run can be verified against a fault-free one without loading the
-//! output.
+//! **Spilled pairs** go through core's overflow ladder ([`Ladder`]), the
+//! rule every driver shares, budgeted by the live limit at each pair and
+//! bounded by [`DiskGraceConfig::max_repartition_depth`] and
+//! [`DiskGraceConfig::nlj_fallback`]; a pair no rung can join is a
+//! [`PhjError::PartitionOverflow`], never a wrong answer. Every step is a
+//! [`DegradationEvent`] in the report, and the report carries an
+//! order-insensitive result checksum, so a degraded run can be verified
+//! against a fault-free one without loading the output.
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use phj::join::{dispatch_build, dispatch_probe, join_pair, JoinParams, JoinScheme};
+use phj::grace::{Ladder, PairStore};
+use phj::join::{JoinParams, JoinScheme};
+use phj::partition::{OutputBuffers, PartitionScheme};
+use phj::plan;
 use phj::sink::{CountSink, JoinSink};
-use phj::table::HashTable;
-use phj::{hash, plan};
 use phj_memsim::{MemoryModel, NativeModel};
 use phj_obs::{self as obs, Recorder};
-use phj_storage::{
-    tuple::key_bytes_of, tuple::materialize_join_output, Frame, Page, Relation, Schema,
-    PAGE_SIZE,
-};
+use phj_storage::{tuple::materialize_join_output, Page, Relation, Schema, PAGE_SIZE};
+
+pub use phj::grace::{DegradationEvent, DegradationKind};
 
 use crate::budget::LiveBudget;
 use crate::error::{PhjError, Result};
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::hybrid::BuildPass;
+use crate::hybrid::DiskStore;
 use crate::reader::{stall_clock_s, SequentialReader};
 use crate::stripe::StripeSet;
 use crate::writer::BackgroundWriter;
@@ -137,7 +129,9 @@ pub struct DiskGraceConfig {
     pub read_ahead: usize,
     /// Background-writer in-flight window in pages.
     pub write_window: usize,
-    /// In-memory join scheme for each partition pair.
+    /// Prefetching scheme of the run: the schedule of both partition
+    /// passes (and of repartitioning) as well as the in-memory join of
+    /// each partition pair.
     pub join_scheme: JoinScheme,
     /// Working directory for spill and output files.
     pub dir: PathBuf,
@@ -147,10 +141,10 @@ pub struct DiskGraceConfig {
     pub fault: FaultPlan,
     /// Retry policy for every page read/write.
     pub retry: RetryPolicy,
-    /// How many levels of recursive reseeded repartitioning to try for
-    /// an oversized build partition before falling back.
+    /// How many levels of repartitioning (coprime fan-out on the stashed
+    /// hash codes) to try for an oversized build partition before falling back.
     pub max_repartition_depth: u32,
-    /// Whether to fall back to a streaming block nested-loop join when
+    /// Whether to fall back to a chunked (block nested-loop) join when
     /// repartitioning cannot shrink a partition under the budget. With
     /// this off, such a partition is a [`PhjError::PartitionOverflow`].
     pub nlj_fallback: bool,
@@ -186,61 +180,6 @@ impl DiskGraceConfig {
             mode: DiskJoinMode::default(),
             live_budget: None,
         }
-    }
-}
-
-/// One degradation step taken for an oversized build partition.
-#[derive(Debug, Clone)]
-pub struct DegradationEvent {
-    /// Hierarchical partition label: `"3"` at the top level, `"3.1"` for
-    /// sub-partition 1 of a depth-1 repartition of partition 3, …
-    pub partition: String,
-    /// Repartition depth at which the step was taken (0 = top level).
-    pub depth: u32,
-    /// Size of the oversized build partition in bytes (whole pages).
-    pub bytes: u64,
-    /// The memory budget it failed to fit — the *live* budget at the
-    /// time of the event, which may be smaller than the configured
-    /// `mem_budget` if the grantor shrank the run. Robustness curves and
-    /// `phj explain` attribute spills from this pair.
-    pub budget: u64,
-    /// What the engine did about it.
-    pub kind: DegradationKind,
-}
-
-/// What the degradation ladder did at one step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DegradationKind {
-    /// Re-partitioned on disk with a fresh hash seed into `fanout`
-    /// sub-partitions.
-    Repartition {
-        /// Number of sub-partitions.
-        fanout: usize,
-        /// Hash seed used for the re-partitioning.
-        seed: u32,
-    },
-    /// Joined via streaming block nested-loop in `chunks` build chunks.
-    NljFallback {
-        /// Number of build chunks (each at most the memory budget).
-        chunks: usize,
-    },
-}
-
-impl std::fmt::Display for DegradationEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let action = match &self.kind {
-            DegradationKind::Repartition { fanout, seed } => {
-                format!("repartitioned x{fanout} with seed {seed}")
-            }
-            DegradationKind::NljFallback { chunks } => {
-                format!("block nested-loop fallback in {chunks} chunk(s)")
-            }
-        };
-        write!(
-            f,
-            "partition {} ({} B > budget {} B): {action} at depth {}",
-            self.partition, self.bytes, self.budget, self.depth
-        )
     }
 }
 
@@ -376,157 +315,202 @@ fn pass_times((t0, stall0, charged0): PassStart, fault: &FaultPlan) -> PassTimes
 }
 
 /// One relation partitioned into a spill file: which spill pages belong
-/// to each partition, and how many tuples those pages hold.
-pub(crate) struct Spilled {
+/// to each partition, and how many tuples those pages hold. Sealed pages
+/// stream out through a [`BackgroundWriter`] that can be stopped
+/// ([`SpillFile::sync`], so pages can be read back) and restarts lazily
+/// on the next write — the build spill crosses the write→read boundary
+/// twice (re-absorb at the phase boundary, pair joins at the end). A
+/// write error sticks until [`SpillFile::check`] or [`SpillFile::sync`].
+/// A `temporary` file (a repartitioning pass's) is removed once dropped.
+pub(crate) struct SpillFile {
     pub(crate) stripes: StripeSet,
+    pub(crate) schema: Schema,
     pub(crate) part_pages: Vec<Vec<u64>>,
     pub(crate) part_tuples: Vec<u64>,
-}
-
-/// A partitioned spill file being written: tuples route through one
-/// buffer page per partition, and sealed pages stream out through a
-/// [`BackgroundWriter`] that can be stopped ([`SpillFile::sync`], so
-/// pages can be read back) and restarts lazily on the next write — the
-/// build spill crosses the write→read boundary twice (re-absorb at the
-/// phase boundary, pair joins at the end). Used by both passes of the
-/// driver and by recursive repartitioning.
-pub(crate) struct SpillFile {
-    /// The page map so far (complete once [`SpillFile::flush_bufs`] ran).
-    pub(crate) map: Spilled,
     writer: Option<BackgroundWriter>,
     next_page: u64,
     window: usize,
-    bufs: Vec<Page>,
+    error: Option<PhjError>,
+    temporary: bool,
 }
 
 impl SpillFile {
-    pub(crate) fn new(cfg: &DiskGraceConfig, name: &str, p: usize) -> Result<SpillFile> {
+    pub(crate) fn new(
+        cfg: &DiskGraceConfig,
+        name: &str,
+        p: usize,
+        schema: &Schema,
+    ) -> Result<SpillFile> {
         let stripes = StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
             .map_err(|e| PhjError::io(cfg.dir.join(name), e))?
             .with_faults(cfg.fault.clone(), cfg.retry);
         Ok(SpillFile {
-            map: Spilled { stripes, part_pages: vec![Vec::new(); p], part_tuples: vec![0; p] },
+            stripes,
+            schema: schema.clone(),
+            part_pages: vec![Vec::new(); p],
+            part_tuples: vec![0; p],
             writer: None,
             next_page: 0,
             window: cfg.write_window,
-            bufs: (0..p).map(|_| Page::new()).collect(),
+            error: None,
+            temporary: false,
         })
     }
 
-    fn write_image(&mut self, part: usize, image: Frame) -> Result<()> {
+    /// Append `page` to partition `part` as a sealed image.
+    pub(crate) fn write(&mut self, part: usize, page: &Page) {
+        if self.error.is_some() {
+            return;
+        }
         let writer = self
             .writer
-            .get_or_insert_with(|| BackgroundWriter::start(self.map.stripes.clone(), self.window));
-        self.map.part_pages[part].push(self.next_page);
-        writer.write(self.next_page, image)?;
+            .get_or_insert_with(|| BackgroundWriter::start(self.stripes.clone(), self.window));
+        self.part_pages[part].push(self.next_page);
+        self.part_tuples[part] += page.nslots() as u64;
+        if let Err(e) = writer.write(self.next_page, page.sealed_image()) {
+            self.error = Some(e);
+            return;
+        }
         self.next_page += 1;
-        Ok(())
+        // Per-page spill marks are full-mode only: one per sealed page
+        // would dominate the ring at phase granularity.
+        phj_flightrec::event_full(
+            phj_flightrec::EventKind::Spill,
+            part.min(u16::MAX as usize) as u16,
+            self.part_pages[part].len() as u64,
+            self.part_tuples[part],
+        );
     }
 
-    /// Append `tuple` to partition `part`, stashing `hash` in its slot.
-    pub(crate) fn push(&mut self, part: usize, tuple: &[u8], hash: u32) -> Result<()> {
-        if !self.bufs[part].fits(tuple.len()) {
-            let image = self.bufs[part].sealed_image();
-            self.write_image(part, image)?;
-            self.bufs[part].reset();
-            // Per-page spill marks are full-mode only: one per sealed page
-            // would dominate the ring at phase granularity.
-            phj_flightrec::event_full(
-                phj_flightrec::EventKind::Spill,
-                part.min(u16::MAX as usize) as u16,
-                self.map.part_pages[part].len() as u64,
-                self.map.part_tuples[part],
-            );
-        }
-        self.bufs[part]
-            .insert(tuple, hash)
-            .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-        self.map.part_tuples[part] += 1;
-        Ok(())
-    }
-
-    /// Append a whole page evicted from memory to partition `part`.
-    pub(crate) fn push_page(&mut self, part: usize, page: &Page) -> Result<()> {
-        self.map.part_tuples[part] += page.nslots() as u64;
-        self.write_image(part, page.sealed_image())
-    }
-
-    /// Take over `page` — the open append page of a partition evicted
-    /// mid-build — as partition `part`'s buffer: its contents flush with
-    /// the next seal or at pass end.
-    pub(crate) fn adopt_buf(&mut self, part: usize, page: Page) {
-        debug_assert_eq!(self.bufs[part].nslots(), 0, "a resident partition never buffered");
-        self.map.part_tuples[part] += page.nslots() as u64;
-        self.bufs[part] = page;
-    }
-
-    /// Flush every partial buffer page so the file holds each spilled
-    /// partition completely.
-    pub(crate) fn flush_bufs(&mut self) -> Result<()> {
-        for part in 0..self.bufs.len() {
-            if self.bufs[part].nslots() > 0 {
-                let image = self.bufs[part].sealed_image();
-                self.write_image(part, image)?;
-                self.bufs[part].reset();
-            }
-        }
-        Ok(())
+    /// Surface (and clear) a write error that stuck.
+    pub(crate) fn check(&mut self) -> Result<()> {
+        self.error.take().map_or(Ok(()), Err)
     }
 
     /// Stop the writer and wait for in-flight pages — required before
     /// any page written so far may be read back.
     pub(crate) fn sync(&mut self) -> Result<()> {
+        self.check()?;
         let Some(writer) = self.writer.take() else { return Ok(()) };
         writer.finish()?;
         // One flush mark per write burst: a = total pages written, b =
-        // total tuples routed.
+        // total tuples written.
         phj_flightrec::event(
             phj_flightrec::EventKind::Flush,
-            self.bufs.len().min(u16::MAX as usize) as u16,
+            self.part_pages.len().min(u16::MAX as usize) as u16,
             self.next_page,
-            self.map.part_tuples.iter().sum(),
+            self.part_tuples.iter().sum(),
         );
         Ok(())
     }
 
-    /// Flush, sync, and hand back the completed page map.
-    pub(crate) fn finish(mut self) -> Result<Spilled> {
-        self.flush_bufs()?;
+    /// Each partition of the synced file, as the overflow ladder reads it.
+    fn into_parts(mut self, temporary: bool) -> Result<Vec<SpilledPart>> {
         self.sync()?;
-        Ok(self.map)
+        self.temporary = temporary;
+        let file = Arc::new(self);
+        let parts = 0..file.part_pages.len();
+        Ok(parts.map(|part| SpilledPart { file: Arc::clone(&file), part }).collect())
     }
 }
 
-/// Re-partition one oversized partition of `parent` into `fanout`
-/// sub-partitions, routing by the `seed`-reseeded key hash. The stashed
-/// hash codes written to the sub-spill pages are the *original* seed-0
-/// codes, so the join phase's `use_stored_hash` bucketing stays valid.
-fn repartition_spill(
-    cfg: &DiskGraceConfig,
-    schema: &Schema,
-    parent: &Spilled,
-    part: usize,
-    name: &str,
-    fanout: usize,
-    seed: u32,
-) -> Result<Spilled> {
-    let mut file = SpillFile::new(cfg, name, fanout)?;
-    for &pid in &parent.part_pages[part] {
-        let page = parent.stripes.read_page_verified(pid)?;
-        for (_, tuple, stash) in page.iter() {
-            let route = hash::hash_key_seeded(key_bytes_of(schema, tuple), seed);
-            file.push(hash::partition_of(route, fanout), tuple, stash)?;
+impl Drop for SpillFile {
+    /// Best-effort: the working directory is the caller's to delete.
+    fn drop(&mut self) {
+        if self.temporary {
+            for path in self.stripes.paths() {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
-    file.finish()
 }
 
-/// Load one partition's pages from the spill file into memory through a
-/// [`SequentialReader`], so each stripe's share streams from its own
-/// worker. Pages arrive checksum-verified.
-fn load_partition(spill: &Spilled, part: usize, schema: &Schema, ahead: usize) -> Result<Relation> {
-    let pages = spill.part_pages[part].clone();
-    SequentialReader::pages(spill.stripes.clone(), pages, ahead).into_relation(schema)
+/// One spilled partition.
+pub(crate) struct SpilledPart {
+    file: Arc<SpillFile>,
+    part: usize,
+}
+
+/// Pages of an input relation fed to the partition program at a time:
+/// 256 KB, which amortises a schedule's start-up and rides on the reserve.
+const CHUNK_PAGES: usize = 32;
+
+/// Stream `input` through a partition pass into `store`, in chunks of
+/// [`CHUNK_PAGES`] pages; any I/O error that stuck surfaces after the
+/// chunk. Returns the store and the seconds spent waiting for input
+/// pages.
+fn partition_file<'a>(
+    scheme: PartitionScheme,
+    p: usize,
+    store: DiskStore<'a>,
+    input: &FileRelation,
+    read_ahead: usize,
+) -> Result<(DiskStore<'a>, f64)> {
+    let mut out = OutputBuffers::with_store(store, p);
+    let mut scan = input.scan(read_ahead);
+    loop {
+        let mut chunk = Relation::new(input.schema().clone());
+        while chunk.num_pages() < CHUNK_PAGES {
+            let Some(page) = scan.next_page()? else { break };
+            chunk.push_page(page);
+        }
+        if chunk.num_pages() == 0 {
+            break;
+        }
+        out.feed(&mut NativeModel, scheme, &chunk, 0..chunk.num_pages(), false);
+        out.store().check()?;
+    }
+    Ok((out.finish(), scan.stall_seconds()))
+}
+
+/// The spilled pairs, as the overflow ladder reads and repartitions
+/// them.
+struct SpilledPairs<'c> {
+    cfg: &'c DiskGraceConfig,
+    /// Repartitioning passes so far (fresh spill file names).
+    passes: u64,
+}
+
+impl PairStore for SpilledPairs<'_> {
+    type Part = SpilledPart;
+    type Store = DiskStore<'static>;
+    type Error = PhjError;
+
+    fn pages(&self, part: &SpilledPart) -> usize {
+        part.file.part_pages[part.part].len()
+    }
+
+    fn stream_pages(&self, budget: u64) -> usize {
+        (budget as usize / PAGE_SIZE).max(1)
+    }
+
+    /// Load the pages through a [`SequentialReader`], so each stripe's
+    /// share streams from its own worker. Pages arrive checksum-verified.
+    fn read<'a>(
+        &'a self,
+        part: &'a SpilledPart,
+        pages: Range<usize>,
+    ) -> Result<(Cow<'a, Relation>, Range<usize>)> {
+        let (file, ids) = (&part.file, part.file.part_pages[part.part][pages].to_vec());
+        let reader = SequentialReader::pages(file.stripes.clone(), ids, self.cfg.read_ahead);
+        let rel = reader.into_relation(&file.schema)?;
+        let n = rel.num_pages();
+        Ok((Cow::Owned(rel), 0..n))
+    }
+
+    fn store(&mut self, part: &SpilledPart, fanout: usize) -> Result<DiskStore<'static>> {
+        self.passes += 1;
+        let name = format!("rp{}", self.passes);
+        Ok(DiskStore::spilling(SpillFile::new(self.cfg, &name, fanout, &part.file.schema)?))
+    }
+
+    fn parts(&mut self, store: DiskStore<'static>) -> Result<Vec<SpilledPart>> {
+        store.spill.into_parts(true)
+    }
+
+    fn overflow(&self, partition: usize, depth: u32, bytes: u64, budget: u64) -> PhjError {
+        PhjError::PartitionOverflow { partition, depth, bytes, budget }
+    }
 }
 
 /// Streams join output pages to disk as they fill, keeping an
@@ -616,176 +600,6 @@ impl JoinSink for DiskSink {
     }
 }
 
-/// The degradation ladder: what every spilled pair's join shares (the
-/// configuration, the output sink) plus the event trail it leaves.
-struct Ladder<'a> {
-    cfg: &'a DiskGraceConfig,
-    params: &'a JoinParams,
-    build_schema: &'a Schema,
-    probe_schema: &'a Schema,
-    /// Top-level partition count (kept as the bucket-coprimality modulus).
-    top_p: usize,
-    sink: &'a mut DiskSink,
-    events: Vec<DegradationEvent>,
-    /// Fresh names for recursive spill sets.
-    spill_counter: u64,
-}
-
-impl Ladder<'_> {
-    /// Join one (build, probe) partition pair, degrading as needed.
-    /// `label` is the hierarchical partition name for diagnostics;
-    /// `budget` is the [`LiveBudget`] limit *at this pair*, so degradation
-    /// events attribute against what the run actually had.
-    #[allow(clippy::too_many_arguments)]
-    fn join_pair(
-        &mut self,
-        budget: u64,
-        bspill: &Spilled,
-        pspill: &Spilled,
-        part: usize,
-        label: String,
-        depth: u32,
-        rec: &mut Option<&mut Recorder>,
-    ) -> Result<()> {
-        let cfg = self.cfg;
-        let budget = budget.max(PAGE_SIZE as u64);
-        let bpages = bspill.part_pages[part].len();
-        let bytes = (bpages * PAGE_SIZE) as u64;
-        if bytes <= budget {
-            let b = load_partition(bspill, part, self.build_schema, cfg.read_ahead)?;
-            let pr = load_partition(pspill, part, self.probe_schema, cfg.read_ahead)?;
-            debug_assert_eq!(b.num_tuples() as u64, bspill.part_tuples[part]);
-            debug_assert_eq!(pr.num_tuples() as u64, pspill.part_tuples[part]);
-            join_pair(&mut NativeModel, self.params, &b, &pr, self.top_p, self.sink, None);
-            return Ok(());
-        }
-
-        // Oversized build partition: walk the degradation ladder.
-        if depth < cfg.max_repartition_depth {
-            let fanout = plan::num_partitions(bytes as usize, budget as usize).max(2);
-            let seed = depth + 1;
-            self.spill_counter += 1;
-            let tag = self.spill_counter;
-            let sub_b = repartition_spill(
-                cfg, self.build_schema, bspill, part, &format!("rp{tag}_b"), fanout, seed,
-            )?;
-            let max_sub = sub_b.part_pages.iter().map(Vec::len).max().unwrap_or(0);
-            if max_sub < bpages {
-                let kind = DegradationKind::Repartition { fanout, seed };
-                self.record(label.clone(), depth, bytes, budget, kind);
-                let span = obs::span_begin(rec, &NativeModel, "repartition");
-                obs::span_meta(rec, "partition", &label);
-                obs::span_meta(rec, "fanout", fanout);
-                let sub_p = repartition_spill(
-                    cfg, self.probe_schema, pspill, part, &format!("rp{tag}_p"), fanout, seed,
-                )?;
-                let mut res = Ok(());
-                for sp in 0..fanout {
-                    let sub_label = format!("{label}.{sp}");
-                    res = self.join_pair(budget, &sub_b, &sub_p, sp, sub_label, depth + 1, rec);
-                    if res.is_err() {
-                        break;
-                    }
-                }
-                obs::span_end(rec, &NativeModel, span);
-                cleanup_spill(&sub_b);
-                cleanup_spill(&sub_p);
-                return res;
-            }
-            // Repartitioning did not reduce the partition (one dominant key):
-            // drop the useless sub-spill and fall through to the next rung.
-            cleanup_spill(&sub_b);
-        }
-
-        if cfg.nlj_fallback {
-            let span = obs::span_begin(rec, &NativeModel, "nlj_fallback");
-            obs::span_meta(rec, "partition", &label);
-            let chunks = self.block_nlj(budget, bspill, pspill, part)?;
-            obs::span_end(rec, &NativeModel, span);
-            self.record(label, depth, bytes, budget, DegradationKind::NljFallback { chunks });
-            return Ok(());
-        }
-
-        Err(PhjError::PartitionOverflow { partition: part, depth, bytes, budget })
-    }
-
-    /// Log one ladder step: the report trail, the depth gauge, and the
-    /// flight recorder (code 0 = recursive repartition with its fan-out,
-    /// code 1 = block nested-loop fallback with its chunk count).
-    fn record(
-        &mut self,
-        partition: String,
-        depth: u32,
-        bytes: u64,
-        budget: u64,
-        kind: DegradationKind,
-    ) {
-        let (code, detail) = match kind {
-            DegradationKind::Repartition { fanout, .. } => (0, fanout),
-            DegradationKind::NljFallback { chunks } => (1, chunks),
-        };
-        self.events.push(DegradationEvent { partition, depth, bytes, budget, kind });
-        if let Some(m) = crate::telemetry::disk_metrics() {
-            m.degradation_depth.set_max(depth as u64 + 1);
-        }
-        phj_flightrec::event(
-            phj_flightrec::EventKind::Degrade,
-            code,
-            depth as u64 + 1,
-            detail as u64,
-        );
-    }
-
-    /// Streaming block nested-loop join over one oversized partition
-    /// pair: the build side is processed in chunks of at most the memory
-    /// budget; for each chunk, the probe side streams past in bounded
-    /// batches. Joins any build partition in bounded memory at the cost
-    /// of re-reading the probe partition once per chunk. Returns the
-    /// number of build chunks.
-    fn block_nlj(
-        &mut self,
-        budget: u64,
-        bspill: &Spilled,
-        pspill: &Spilled,
-        part: usize,
-    ) -> Result<usize> {
-        let chunk_pages = (budget as usize / PAGE_SIZE).max(1);
-        let bpages = &bspill.part_pages[part];
-        let ppages = &pspill.part_pages[part];
-        let mut chunks = 0usize;
-        for bchunk in bpages.chunks(chunk_pages) {
-            let mut brel = Relation::new(self.build_schema.clone());
-            for &pid in bchunk {
-                brel.push_page(bspill.stripes.read_page_verified(pid)?);
-            }
-            chunks += 1;
-            if brel.num_tuples() == 0 {
-                continue;
-            }
-            let buckets = plan::hash_table_buckets(brel.num_tuples(), self.top_p);
-            let mut table = HashTable::new(buckets, brel.num_tuples());
-            dispatch_build(&mut NativeModel, self.params, &mut table, &brel);
-            table.assert_quiescent();
-            for pbatch in ppages.chunks(chunk_pages) {
-                let mut prel = Relation::new(self.probe_schema.clone());
-                for &pid in pbatch {
-                    prel.push_page(pspill.stripes.read_page_verified(pid)?);
-                }
-                dispatch_probe(&mut NativeModel, self.params, &table, &brel, &prel, self.sink);
-            }
-        }
-        Ok(chunks)
-    }
-}
-
-/// Remove a recursive sub-spill's files once its partitions are joined
-/// (best-effort; the working directory is the caller's to delete anyway).
-fn cleanup_spill(spill: &Spilled) {
-    for path in spill.stripes.paths() {
-        let _ = std::fs::remove_file(path);
-    }
-}
-
 /// Run the disk hash join over two file relations under
 /// [`DiskGraceConfig::mode`], writing the output to `<dir>/out.N`.
 pub fn grace_join_files(
@@ -814,6 +628,7 @@ pub fn grace_join_files_rec(
     let reserve = plan::hybrid_reserve(budget0 as usize) as u64;
     let p = cfg.mode.fanout(build.size_bytes() as usize, budget0 as usize);
     let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
+    let scheme = cfg.join_scheme.schedule().partition_scheme();
     let (bschema, pschema) = (build.schema().clone(), probe.schema().clone());
 
     // Journal the memory budget this run starts under. `a` carries the
@@ -825,70 +640,61 @@ pub fn grace_join_files_rec(
         budget0,
     );
 
-    // ---- Build pass: stream the build side into its partitions —
-    // resident ones evict victims whenever residency outgrows the live
-    // budget, spilled ones go straight to the build spill file.
+    // ---- Build pass: partition the build side — resident partitions
+    // evict victims whenever residency outgrows the live budget, spilled
+    // ones go straight to the build spill file.
     let start = pass_start(&cfg.fault);
     let span = obs::span_begin(&mut rec, &NativeModel, "partition");
     obs::span_meta(&mut rec, "partitions", p);
     obs::span_meta(&mut rec, "mode", cfg.mode.label());
-    let mut bp = BuildPass::new(cfg, &live, reserve, p)?;
-    let mut bscan = build.scan(cfg.read_ahead);
-    while let Some(page) = bscan.next_page()? {
-        for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&bschema, tuple));
-            bp.push(hash::partition_of(h, p), tuple, h)?;
-        }
-    }
-    let bstall = bscan.stall_seconds();
-    bp.finish_scan(cfg.mode.absorbs())?;
+    let store = DiskStore::build(cfg, &live, reserve, p, &bschema)?;
+    let (mut store, bstall) = partition_file(scheme, p, store, build, cfg.read_ahead)?;
+    store.finish_build(cfg.mode.absorbs())?;
     obs::span_end(&mut rec, &NativeModel, span);
     let build_pass = pass_times(start, &cfg.fault);
 
     // ---- Table build: every resident partition becomes (relation,
     // hash table); spilled partitions keep their page lists.
-    let mut pp = bp.into_probe_pass(cfg, &params, &bschema, &pschema)?;
     let mut sink = DiskSink::create(cfg, &bschema, &pschema)?;
+    let store = store.into_probe(cfg, &params, &pschema, &mut sink)?;
 
-    // ---- Probe pass: resident partitions join on the fly; tuples for
-    // spilled partitions go to the probe spill file.
+    // ---- Probe pass: resident partitions join their probe pages as
+    // they seal; pages of spilled partitions go to the probe spill file.
     let start = pass_start(&cfg.fault);
     let span = obs::span_begin(&mut rec, &NativeModel, "join");
-    let mut pscan = probe.scan(cfg.read_ahead);
-    while let Some(page) = pscan.next_page()? {
-        for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&pschema, tuple));
-            pp.push(hash::partition_of(h, p), tuple, h, &params, &mut sink)?;
-        }
-    }
-    let pstall = pscan.stall_seconds();
-    let probed = pp.finish(&params, &mut sink)?;
+    let (store, pstall) = partition_file(scheme, p, store, probe, cfg.read_ahead)?;
+    let (bspill, pspill, resident_partitions, transitions) = store.finish_probe()?;
     let probe_pass = pass_times(start, &cfg.fault);
     let start = pass_start(&cfg.fault);
 
-    // ---- Disk pairs: whatever spilled runs through the degradation
+    // ---- Disk pairs: whatever spilled runs through the overflow
     // ladder, budgeted by the live limit at each pair.
     let mut ladder = Ladder {
-        cfg,
-        params: &params,
-        build_schema: &bschema,
-        probe_schema: &pschema,
-        top_p: p,
+        budget: budget0,
+        max_fanout: usize::MAX,
+        max_depth: cfg.max_repartition_depth,
+        chunked_join: cfg.nlj_fallback,
+        partition_scheme: scheme,
+        join_scheme: cfg.join_scheme,
+        store: SpilledPairs { cfg, passes: 0 },
         sink: &mut sink,
         events: Vec::new(),
-        spill_counter: 0,
     };
-    for part in 0..p {
-        if probed.build.part_tuples[part] == 0 || probed.probe.part_tuples[part] == 0 {
+    let pairs = bspill.into_parts(false)?.into_iter().zip(pspill.into_parts(false)?);
+    for (part, (b, q)) in pairs.enumerate() {
+        if [&b, &q].iter().any(|s| s.file.part_pages[s.part].is_empty()) {
             continue; // one side empty: no matches possible
         }
         let pair_budget = live.limit();
         live.ack(pair_budget.max(reserve));
-        let label = part.to_string();
-        ladder.join_pair(pair_budget, &probed.build, &probed.probe, part, label, 0, &mut rec)?;
+        ladder.budget = pair_budget.max(PAGE_SIZE as u64);
+        ladder.join(&mut NativeModel, &b, &q, p, &mut vec![part], &mut rec)?;
         ladder.sink.check()?;
     }
     let degradation = ladder.events;
+    if let Some(m) = crate::telemetry::disk_metrics() {
+        degradation.iter().for_each(|e| m.degradation_depth.set_max(e.depth as u64 + 1));
+    }
     obs::span_end(&mut rec, &NativeModel, span);
     let (output, count) = sink.finish()?;
     let pair_pass = pass_times(start, &cfg.fault);
@@ -912,8 +718,8 @@ pub fn grace_join_files_rec(
         write_retries: stats.write_retries.load(Ordering::Relaxed),
         faults_injected: stats.total_injected(),
         slow_stall_us: stats.slow_stall_us.load(Ordering::Relaxed),
-        transitions: probed.transitions,
-        resident_partitions: probed.resident_partitions,
+        transitions,
+        resident_partitions,
         final_budget,
     })
 }

@@ -1,68 +1,57 @@
 //! Partition residency for the disk join driver
 //! ([`crate::grace::grace_join_files_rec`]): which build partitions live
-//! in memory, when they are evicted, and how probe tuples meet them.
+//! in memory, when they are evicted, and how probe pages meet them.
 //!
-//! A classic GRACE run writes *every* partition to disk and reads it all
-//! back, even when the build side nearly fits in memory — the I/O bill
-//! is flat across the budget axis. Under the resident-born policies the
-//! driver instead keeps as many build partitions memory-resident as the
-//! budget allows and joins their probe tuples on the fly; only the
-//! overflow partitions round-trip through the spill file. With a
-//! generous budget it converges on a single in-memory join; with a
-//! starved one it converges on GRACE (with a finer fanout), and in
-//! between it degrades *linearly* instead of falling off a cliff.
-//! [`DiskJoinMode::Grace`] is the zero-residency point of the same
-//! code: every partition is born [`BPart::Spilled`], so the pressure
-//! checks below never find a victim.
+//! Under the resident-born policies the driver keeps as many build
+//! partitions memory-resident as the budget allows and joins their probe
+//! tuples on the fly; only the overflow partitions round-trip through the
+//! spill file, so the I/O bill degrades *linearly* from a single
+//! in-memory join to GRACE instead of falling off a cliff.
+//! [`DiskJoinMode::Grace`] is the zero-residency point of the same code.
 //!
-//! **Residency protocol.** The build pass appends tuples into
-//! per-partition page lists and checks, at page granularity, whether
-//! `resident_bytes + reserve` still fits the live budget. When it does
-//! not, the **largest** resident partition is evicted — its pages
-//! stream to the spill file, a [`MemTransition`] records the
-//! partition's byte size and the live budget at the moment of the
-//! decision, and the partition's future tuples route straight to disk.
-//! The same check runs during the probe pass (evicting there first
-//! drains the partition's pending probe batch through its hash table,
-//! then serializes the build pages back out), so a mid-run budget
-//! shrink from a [`LiveBudget`] grantor is honored within one page's
-//! worth of work. [`DiskJoinMode::Dynamic`] additionally *re-absorbs*
-//! spilled partitions (smallest-first) at the build→probe phase
-//! boundary when the budget has headroom again — e.g. after a
-//! neighboring query finished and the grantor raised the limit.
+//! [`DiskStore`] is the disk side of core's [`PartitionStore`] seam: a
+//! page the partition program seals is kept (build pass) or probed
+//! against its partition's hash table (probe pass) if the partition is
+//! resident, and goes to the pass's spill file as a sealed image if not.
+//! The overflow ladder's repartitioning passes use it with every
+//! partition spilled.
 //!
-//! The `reserve` slice ([`plan::hybrid_reserve`]) is held back from
-//! residency to cover the probe-side batch buffers, hash-table
-//! overhead, and the join-phase working space for spilled pairs.
+//! **Residency protocol.** Every seal is a safe point: if
+//! `resident_bytes + reserve` (each resident build partition's open
+//! buffer page counted as full) outgrows the live budget, the **largest**
+//! resident partition is evicted to the build spill file and a
+//! [`MemTransition`] records its size and the live budget. A partition
+//! evicted mid-probe needs no drain step: its open probe page seals later
+//! into the probe spill and joins with the pair. So a [`LiveBudget`]
+//! shrink is honored within one page's worth of work.
+//! [`DiskJoinMode::Dynamic`] also *re-absorbs* spilled partitions
+//! (smallest-first) at the build→probe boundary when the budget has
+//! headroom again. The `reserve` ([`plan::hybrid_reserve`]) covers the
+//! probe buffer pages, hash tables, and the spilled pairs' join memory.
 //!
 //! [`DiskJoinMode::Grace`]: crate::grace::DiskJoinMode::Grace
 //! [`DiskJoinMode::Dynamic`]: crate::grace::DiskJoinMode::Dynamic
 //! [`plan::hybrid_reserve`]: phj::plan::hybrid_reserve
+//! [`PartitionStore`]: phj::partition::PartitionStore
 
 use phj::join::{dispatch_build, dispatch_probe, JoinParams};
+use phj::partition::PartitionStore;
 use phj::plan;
 use phj::table::HashTable;
 use phj_memsim::NativeModel;
-use phj_storage::{Page, Relation, RelationBuilder, Schema, PAGE_SIZE};
+use phj_storage::{Page, Relation, Schema, PAGE_SIZE};
 
 use crate::budget::LiveBudget;
-use crate::error::{PhjError, Result};
-use crate::grace::{
-    DiskGraceConfig, DiskSink, MemTransition, SpillFile, Spilled, TransitionKind,
-};
-
-/// Probe tuples for a resident partition accumulate in a small batch
-/// before flushing through the partition's hash table, so the probe
-/// loop amortizes dispatch overhead without holding unbounded memory.
-const PROBE_BATCH_BYTES: usize = PAGE_SIZE;
+use crate::error::Result;
+use crate::grace::{DiskGraceConfig, DiskSink, MemTransition, SpillFile, TransitionKind};
 
 /// The byte ledger both passes run their pressure checks against, and
 /// the transition trail they leave.
 struct Ledger<'a> {
     live: &'a LiveBudget,
     reserve: u64,
-    /// Bytes held by resident partitions, counting each open page as a
-    /// full page. Hash tables and batch buffers ride on `reserve`.
+    /// Bytes held by resident partitions, counting each open build page
+    /// as a full page. Hash tables and probe buffers ride on `reserve`.
     resident_bytes: u64,
     /// Residency transitions of both passes, in decision order.
     transitions: Vec<MemTransition>,
@@ -117,281 +106,212 @@ impl Ledger<'_> {
     }
 }
 
-/// The largest candidate, lowest index on ties — the eviction victim.
-fn largest(candidates: impl Iterator<Item = (usize, u64)>) -> Option<(usize, u64)> {
-    candidates.max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)))
-}
-
-/// One build partition during the build pass.
-enum BPart {
-    /// Memory-resident: sealed-full pages plus the open append page.
-    Res { pages: Vec<Page>, open: Page },
-    /// On disk: tuples route through the spill file's buffer page.
+/// Where one partition of a pass lives.
+enum Residency {
+    /// Build pass: in memory, as its sealed pages.
+    Kept(Relation),
+    /// Probe pass: in memory with its hash table; probe pages join it
+    /// as they seal.
+    Joining(Relation, HashTable),
+    /// On disk: sealed pages go to the pass's spill file.
     Spilled,
 }
 
-/// Build-pass state: partition residency and the build spill file.
-pub(crate) struct BuildPass<'a> {
-    ledger: Ledger<'a>,
-    parts: Vec<BPart>,
-    file: SpillFile,
+/// What the probe pass adds: the build spill file, where mid-probe
+/// victims go, and the join of sealed probe pages.
+struct Probing<'a> {
+    build_spill: SpillFile,
+    params: JoinParams,
+    sink: &'a mut DiskSink,
 }
 
-impl<'a> BuildPass<'a> {
-    pub(crate) fn new(
+/// The disk join's partition store (see the module docs). I/O errors
+/// stick in the spill files and the sink until [`DiskStore::check`].
+pub(crate) struct DiskStore<'a> {
+    parts: Vec<Residency>,
+    /// This pass's spill file.
+    pub(crate) spill: SpillFile,
+    /// The residency ledger (absent when every partition is spilled).
+    ledger: Option<Ledger<'a>>,
+    probing: Option<Probing<'a>>,
+}
+
+impl<'a> DiskStore<'a> {
+    /// The build pass's store: `p` partitions, resident-born unless the
+    /// policy is GRACE.
+    pub(crate) fn build(
         cfg: &DiskGraceConfig,
         live: &'a LiveBudget,
         reserve: u64,
         p: usize,
+        schema: &Schema,
     ) -> Result<Self> {
         let resident = cfg.mode.starts_resident();
-        let res = || BPart::Res { pages: Vec::new(), open: Page::new() };
+        let part = |_| match resident {
+            true => Residency::Kept(Relation::new(schema.clone())),
+            false => Residency::Spilled,
+        };
         let resident_bytes = if resident { (p * PAGE_SIZE) as u64 } else { 0 };
-        Ok(BuildPass {
-            ledger: Ledger { live, reserve, resident_bytes, transitions: Vec::new() },
-            parts: (0..p).map(|_| if resident { res() } else { BPart::Spilled }).collect(),
-            file: SpillFile::new(cfg, "build_spill", p)?,
-        })
+        let mut store = DiskStore {
+            parts: (0..p).map(part).collect(),
+            spill: SpillFile::new(cfg, "build_spill", p, schema)?,
+            ledger: Some(Ledger { live, reserve, resident_bytes, transitions: Vec::new() }),
+            probing: None,
+        };
+        store.enforce();
+        Ok(store)
     }
 
-    pub(crate) fn push(&mut self, part: usize, tuple: &[u8], h: u32) -> Result<()> {
-        match &mut self.parts[part] {
-            BPart::Res { pages, open } => {
-                if !open.fits(tuple.len()) {
-                    pages.push(std::mem::replace(open, Page::new()));
-                    self.ledger.resident_bytes += PAGE_SIZE as u64;
-                }
-                open.insert(tuple, h)
-                    .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-            }
-            BPart::Spilled => self.file.push(part, tuple, h)?,
-        }
-        self.enforce()
+    /// A store spilling every partition to `spill`.
+    pub(crate) fn spilling(spill: SpillFile) -> Self {
+        let parts = (0..spill.part_pages.len()).map(|_| Residency::Spilled).collect();
+        DiskStore { parts, spill, ledger: None, probing: None }
     }
 
-    /// Page-granular safe point: spill largest-first victims until
-    /// residency (plus the reserve) fits the live budget, then ack.
-    fn enforce(&mut self) -> Result<()> {
-        let Some(limit) = self.ledger.pressure() else { return Ok(()) };
-        while self.ledger.over(limit) {
-            let victim = largest(self.parts.iter().enumerate().filter_map(|(i, bp)| match bp {
-                BPart::Res { pages, .. } => Some((i, ((pages.len() + 1) * PAGE_SIZE) as u64)),
-                BPart::Spilled => None,
-            }));
+    /// Surface (and clear) an I/O error that stuck during the last chunk.
+    pub(crate) fn check(&mut self) -> Result<()> {
+        self.spill.check()?;
+        let Some(probing) = &mut self.probing else { return Ok(()) };
+        probing.build_spill.check()?;
+        probing.sink.check()
+    }
+
+    /// Safe point: spill largest-first victims until residency (plus the
+    /// reserve) fits the live budget, then ack.
+    fn enforce(&mut self) {
+        let Some(ledger) = self.ledger.as_mut() else { return };
+        let Some(limit) = ledger.pressure() else { return };
+        let (file, phase) = match &mut self.probing {
+            Some(probing) => (&mut probing.build_spill, "probe"),
+            None => (&mut self.spill, "build"),
+        };
+        while ledger.over(limit) {
+            // The largest resident partition, lowest index on ties.
+            let resident = self.parts.iter().enumerate().filter_map(|(i, r)| match r {
+                Residency::Kept(rel) => Some((i, (rel.size_bytes() + PAGE_SIZE) as u64)),
+                Residency::Joining(rel, _) => Some((i, rel.size_bytes() as u64)),
+                Residency::Spilled => None,
+            });
+            let victim = resident.max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)));
             let Some((v, bytes)) = victim else { break };
-            // Evict: stream the full pages out; the open page becomes
-            // the partition's spill buffer and keeps appending.
-            let BPart::Res { pages, open } = std::mem::replace(&mut self.parts[v], BPart::Spilled)
+            let (Residency::Kept(rel) | Residency::Joining(rel, _)) =
+                std::mem::replace(&mut self.parts[v], Residency::Spilled)
             else {
-                unreachable!("victim selection only returns resident partitions");
+                unreachable!("victim selection only returns resident partitions")
             };
-            for page in &pages {
-                self.file.push_page(v, page)?;
-            }
-            self.file.adopt_buf(v, open);
-            self.ledger.transition(v, bytes, limit, TransitionKind::SpillVictim, "build");
+            rel.pages().iter().for_each(|page| file.write(v, page));
+            ledger.transition(v, bytes, limit, TransitionKind::SpillVictim, phase);
         }
-        self.ledger.ack(limit);
-        Ok(())
+        ledger.ack(limit);
     }
 
-    /// End of the build scan: complete the spill file so its pages can
+    /// End of the build pass: complete the spill file so its pages can
     /// be read back, then (when `absorb`) pull spilled partitions back
     /// into memory, smallest-first, while the live budget has headroom —
     /// the grantor may have freed memory since the victims spilled.
-    pub(crate) fn finish_scan(&mut self, absorb: bool) -> Result<()> {
-        self.file.flush_bufs()?;
-        self.file.sync()?;
-        if !absorb {
-            return Ok(());
-        }
-        let ledger = &mut self.ledger;
-        let map = &mut self.file.map;
+    pub(crate) fn finish_build(&mut self, absorb: bool) -> Result<()> {
+        self.spill.sync()?;
+        let Some(ledger) = self.ledger.as_mut().filter(|_| absorb) else { return Ok(()) };
+        let file = &mut self.spill;
         loop {
             let limit = ledger.live.limit();
             let headroom = limit.saturating_sub(ledger.resident_bytes + ledger.reserve);
             let cand = (0..self.parts.len())
-                .filter(|&i| !map.part_pages[i].is_empty())
-                .map(|i| (i, ((map.part_pages[i].len() + 1) * PAGE_SIZE) as u64))
+                .filter(|&i| !file.part_pages[i].is_empty())
+                .map(|i| (i, ((file.part_pages[i].len() + 1) * PAGE_SIZE) as u64))
                 .filter(|&(_, bytes)| bytes <= headroom)
                 .min_by_key(|&(i, bytes)| (bytes, i));
             let Some((v, bytes)) = cand else { break };
-            let mut pages = Vec::with_capacity(map.part_pages[v].len());
-            for &pid in &map.part_pages[v] {
-                pages.push(map.stripes.read_page_verified(pid)?);
+            let mut rel = Relation::new(file.schema.clone());
+            for &pid in &file.part_pages[v] {
+                rel.push_page(file.stripes.read_page_verified(pid)?);
             }
-            map.part_pages[v].clear();
-            map.part_tuples[v] = 0;
-            self.parts[v] = BPart::Res { pages, open: Page::new() };
+            file.part_pages[v].clear();
+            file.part_tuples[v] = 0;
+            self.parts[v] = Residency::Kept(rel);
             ledger.transition(v, bytes, limit, TransitionKind::Absorb, "absorb");
         }
         ledger.ack(ledger.live.limit());
         Ok(())
     }
 
-    /// Table build: turn every resident partition into (relation, hash
-    /// table) and hand the ledger on to the probe pass.
-    pub(crate) fn into_probe_pass(
+    /// Table build: give every resident partition its hash table and
+    /// return the probe pass's store, which joins into `sink`.
+    pub(crate) fn into_probe(
         mut self,
         cfg: &DiskGraceConfig,
         params: &JoinParams,
-        build_schema: &Schema,
         probe_schema: &Schema,
-    ) -> Result<ProbePass<'a>> {
+        sink: &'a mut DiskSink,
+    ) -> Result<DiskStore<'a>> {
         let p = self.parts.len();
-        let mut built: Vec<Option<BuiltPart>> = Vec::with_capacity(p);
-        for part in self.parts {
-            let BPart::Res { pages, open } = part else {
-                built.push(None);
+        let mut resident_bytes = 0;
+        for part in &mut self.parts {
+            let Residency::Kept(rel) = std::mem::replace(part, Residency::Spilled) else {
                 continue;
             };
-            let mut rel = Relation::new(build_schema.clone());
-            for page in pages {
-                rel.push_page(page);
-            }
-            if open.nslots() > 0 {
-                rel.push_page(open);
-            } else {
-                // The empty open page leaves residency with its owner.
-                self.ledger.resident_bytes -= PAGE_SIZE as u64;
-            }
+            resident_bytes += rel.size_bytes() as u64;
             let n = rel.num_tuples();
             let mut table = HashTable::new(plan::hash_table_buckets(n, p), n);
             dispatch_build(&mut NativeModel, params, &mut table, &rel);
             table.assert_quiescent();
-            built.push(Some(BuiltPart {
-                rel,
-                table,
-                batch: RelationBuilder::new(probe_schema.clone()),
-                batch_bytes: 0,
-            }));
+            *part = Residency::Joining(rel, table);
         }
-        Ok(ProbePass {
+        // The open build pages are gone: only the sealed ones stay.
+        self.ledger.as_mut().expect("the build pass has a ledger").resident_bytes = resident_bytes;
+        let mut store = DiskStore {
+            parts: self.parts,
+            spill: SpillFile::new(cfg, "probe_spill", p, probe_schema)?,
             ledger: self.ledger,
-            built,
-            bfile: self.file,
-            pfile: SpillFile::new(cfg, "probe_spill", p)?,
-            probe_schema: probe_schema.clone(),
-        })
+            probing: Some(Probing { build_spill: self.spill, params: *params, sink }),
+        };
+        store.enforce();
+        Ok(store)
+    }
+
+    /// End of the probe pass: the build and probe spill files, the
+    /// number of build partitions still resident, and the residency
+    /// transitions of both passes. The resident partitions are fully
+    /// joined; dropping them leaves the disk pairs the whole budget.
+    pub(crate) fn finish_probe(
+        mut self,
+    ) -> Result<(SpillFile, SpillFile, usize, Vec<MemTransition>)> {
+        self.check()?;
+        let resident = self.parts.iter().filter(|r| matches!(r, Residency::Joining(..))).count();
+        let build = self.probing.expect("the probe pass holds the build spill").build_spill;
+        let transitions = self.ledger.map(|l| l.transitions).unwrap_or_default();
+        Ok((build, self.spill, resident, transitions))
     }
 }
 
-/// One memory-resident partition during the probe pass: the build
-/// relation, its hash table, and the pending probe batch.
-struct BuiltPart {
-    rel: Relation,
-    table: HashTable,
-    batch: RelationBuilder,
-    batch_bytes: usize,
-}
-
-/// Probe-pass state. Owns what the build pass left resident plus both
-/// spill files.
-pub(crate) struct ProbePass<'a> {
-    ledger: Ledger<'a>,
-    built: Vec<Option<BuiltPart>>,
-    /// Build-side spill file (victims evicted mid-probe append here).
-    bfile: SpillFile,
-    /// Probe-side spill file for tuples routed to spilled partitions.
-    pfile: SpillFile,
-    probe_schema: Schema,
-}
-
-/// What the two passes leave for the spilled-pair joins and the report.
-pub(crate) struct Probed {
-    pub(crate) build: Spilled,
-    pub(crate) probe: Spilled,
-    /// Build partitions still memory-resident when the probe scan ended.
-    pub(crate) resident_partitions: usize,
-    /// Residency transitions of both passes, in decision order.
-    pub(crate) transitions: Vec<MemTransition>,
-}
-
-impl ProbePass<'_> {
-    /// Route one probe tuple: batch-join against a resident partition,
-    /// spill it for a disk pair, or drop it when the spilled build
-    /// partition is empty (no match possible).
-    pub(crate) fn push(
-        &mut self,
-        part: usize,
-        tuple: &[u8],
-        h: u32,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        if let Some(bp) = self.built[part].as_mut() {
-            bp.batch.push_hashed(tuple, h);
-            bp.batch_bytes += tuple.len();
-            if bp.batch_bytes >= PROBE_BATCH_BYTES {
-                self.flush_batch(part, params, sink)?;
+impl PartitionStore for DiskStore<'_> {
+    fn seal(&mut self, p: usize, page: &mut Page, last: bool) {
+        match &mut self.parts[p] {
+            Residency::Kept(rel) => {
+                rel.push_page(std::mem::take(page));
+                if let Some(ledger) = self.ledger.as_mut().filter(|_| !last) {
+                    // The full page joins the ledger; the open page that
+                    // replaces it is already counted.
+                    ledger.resident_bytes += PAGE_SIZE as u64;
+                }
             }
-        } else if self.bfile.map.part_tuples[part] > 0 {
-            self.pfile.push(part, tuple, h)?;
-        }
-        // else: the build partition is on disk *and* empty — an inner
-        // join can never match this tuple, so it is dropped here.
-        self.enforce(params, sink)
-    }
-
-    /// Join a resident partition's pending probe batch through its
-    /// hash table.
-    fn flush_batch(
-        &mut self,
-        part: usize,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        let Some(bp) = self.built[part].as_mut() else { return Ok(()) };
-        if bp.batch_bytes == 0 {
-            return Ok(());
-        }
-        let fresh = RelationBuilder::new(self.probe_schema.clone());
-        let prel = std::mem::replace(&mut bp.batch, fresh).finish();
-        bp.batch_bytes = 0;
-        if prel.num_tuples() > 0 {
-            dispatch_probe(&mut NativeModel, params, &bp.table, &bp.rel, &prel, sink);
-        }
-        sink.check()
-    }
-
-    /// Probe-pass safe point: evict largest-first resident partitions
-    /// until residency fits the live budget. Eviction first drains the
-    /// partition's pending probe batch (every probe tuple is joined
-    /// exactly once), then serializes the build relation back out.
-    fn enforce(&mut self, params: &JoinParams, sink: &mut DiskSink) -> Result<()> {
-        let Some(limit) = self.ledger.pressure() else { return Ok(()) };
-        while self.ledger.over(limit) {
-            let victim = largest(self.built.iter().enumerate().filter_map(|(i, bp)| {
-                bp.as_ref().map(|b| (i, (b.rel.pages().len() * PAGE_SIZE) as u64))
-            }));
-            let Some((v, bytes)) = victim else { break };
-            self.flush_batch(v, params, sink)?;
-            let bp = self.built[v].take().expect("victim is resident");
-            for page in bp.rel.pages() {
-                self.bfile.push_page(v, page)?;
+            Residency::Joining(rel, table) => {
+                let probing = self.probing.as_mut().expect("the probe pass joins");
+                let mut probe = Relation::new(self.spill.schema.clone());
+                probe.push_page(std::mem::take(page));
+                dispatch_probe(&mut NativeModel, &probing.params, table, rel, &probe, probing.sink);
             }
-            self.ledger.transition(v, bytes, limit, TransitionKind::SpillVictim, "probe");
+            // In the probe pass, a spilled partition with no build tuples
+            // drops its pages: an inner join can never match them.
+            Residency::Spilled => {
+                if self.probing.as_ref().is_none_or(|b| b.build_spill.part_tuples[p] > 0) {
+                    self.spill.write(p, page);
+                }
+            }
         }
-        self.ledger.ack(self.ledger.live.limit());
-        Ok(())
-    }
-
-    /// End of the probe scan: drain every resident partition's pending
-    /// batch, release the resident partitions (they are fully joined,
-    /// and the disk pairs want the whole budget as working memory), and
-    /// complete both spill files.
-    pub(crate) fn finish(mut self, params: &JoinParams, sink: &mut DiskSink) -> Result<Probed> {
-        for part in 0..self.built.len() {
-            self.flush_batch(part, params, sink)?;
+        if !last {
+            self.enforce();
         }
-        let resident_partitions = self.built.iter().filter(|b| b.is_some()).count();
-        self.built.clear();
-        Ok(Probed {
-            build: self.bfile.finish()?,
-            probe: self.pfile.finish()?,
-            resident_partitions,
-            transitions: self.ledger.transitions,
-        })
     }
 }
 

@@ -111,16 +111,6 @@ impl StripeSet {
         self
     }
 
-    /// The fault plan this handle injects from.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
-    /// The retry policy checked operations use.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Stripe unit in pages.
     pub fn stripe_pages(&self) -> u64 {
         self.stripe_pages
@@ -297,11 +287,6 @@ impl StripeSet {
     /// Seal a page and write its image through the checked path.
     pub fn write_page_sealed(&self, page: u64, p: &Page) -> Result<()> {
         self.write_image_checked(page, p.sealed_image())
-    }
-
-    /// Path of the stripe file holding `page` (diagnostics).
-    pub fn path_of(&self, page: u64) -> &Path {
-        &self.paths[self.stripe_of(page)]
     }
 
     /// Paths of the stripe files.

@@ -1,12 +1,14 @@
 //! Graceful-degradation tests: build partitions that cannot fit the
 //! memory budget must still produce the right answer — via recursive
-//! reseeded repartitioning when hashing can split them, via the block
-//! nested-loop fallback when it cannot (one dominant key), and via a
-//! typed [`PhjError::PartitionOverflow`] when the fallback is disabled.
-//! Correctness is checked against the in-memory engine on both the match
-//! count and the order-insensitive pair checksum. The tests pin the GRACE
-//! policy: it sends every partition down the ladder, so the shapes
-//! asserted here do not depend on what happens to stay resident.
+//! repartitioning on the stashed hash codes (coprime fan-out) when that
+//! splits them, via the block nested-loop fallback when it cannot (one
+//! dominant key), and via a typed [`PhjError::PartitionOverflow`] when
+//! the fallback is disabled. Correctness is checked against the
+//! in-memory engine on both the match count and the order-insensitive
+//! pair checksum, and the in-memory engine at each case's own tight
+//! budget — the same overflow ladder — must agree with it. The tests pin
+//! the GRACE policy: it sends every partition down the ladder, so the
+//! shapes asserted here do not depend on what happens to stay resident.
 
 use phj::grace::{grace_join_with_sink, GraceConfig};
 use phj::sink::{CountSink, JoinSink};
@@ -48,6 +50,15 @@ fn reference(build: &Relation, probe: &Relation) -> (u64, u64) {
     (sink.matches(), sink.checksum())
 }
 
+/// The in-memory GRACE at a case's own tight budget: its overflow ladder
+/// must reach the reference answer too.
+fn in_memory_at(budget: usize, build: &Relation, probe: &Relation) -> (u64, u64) {
+    let mut sink = CountSink::new();
+    let cfg = GraceConfig { mem_budget: budget, ..Default::default() };
+    grace_join_with_sink(&mut NativeModel, &cfg, build, probe, &mut sink);
+    (sink.matches(), sink.checksum())
+}
+
 #[test]
 fn all_same_key_falls_back_to_block_nlj() {
     let dir = temp_dir("samekey");
@@ -60,6 +71,7 @@ fn all_same_key_falls_back_to_block_nlj() {
     let probe = rel_from_keys(&probe_keys, 48);
     let (want_matches, want_checksum) = reference(&build, &probe);
     assert_eq!(want_matches, 2000 * 10);
+    assert_eq!(in_memory_at(4 * PAGE_SIZE, &build, &probe), (want_matches, want_checksum));
 
     let fb = FileRelation::create(&dir, "b", &build, 2, 2).unwrap();
     let fp = FileRelation::create(&dir, "p", &probe, 2, 2).unwrap();
@@ -100,6 +112,7 @@ fn hot_key_degrades_recursively_then_falls_back() {
     let probe = rel_from_keys(&probe_keys, 48);
     let (want_matches, want_checksum) = reference(&build, &probe);
     assert_eq!(want_matches, 3000 * 5 + 2000);
+    assert_eq!(in_memory_at(4 * PAGE_SIZE, &build, &probe), (want_matches, want_checksum));
 
     let fb = FileRelation::create(&dir, "b", &build, 3, 2).unwrap();
     let fp = FileRelation::create(&dir, "p", &probe, 3, 2).unwrap();
@@ -140,7 +153,7 @@ fn lumpy_keys_complete_via_recursive_repartition() {
     let dir = temp_dir("lumpy");
     // 50 distinct keys x 60 copies: partitions are lumpy (each key is an
     // indivisible ~0.4-page clump) so some top-level partitions overflow
-    // a 3-page budget, but every clump fits — reseeded repartitioning
+    // a 3-page budget, but every clump fits — coprime repartitioning
     // alone must finish the join, no fallback needed.
     let build_keys: Vec<u32> = (0..50u32).flat_map(|k| std::iter::repeat_n(k * 17 + 3, 60)).collect();
     let probe_keys: Vec<u32> = (0..50u32).map(|k| k * 17 + 3).collect();
@@ -148,6 +161,7 @@ fn lumpy_keys_complete_via_recursive_repartition() {
     let probe = rel_from_keys(&probe_keys, 48);
     let (want_matches, want_checksum) = reference(&build, &probe);
     assert_eq!(want_matches, 50 * 60);
+    assert_eq!(in_memory_at(3 * PAGE_SIZE, &build, &probe), (want_matches, want_checksum));
 
     let fb = FileRelation::create(&dir, "b", &build, 2, 2).unwrap();
     let fp = FileRelation::create(&dir, "p", &probe, 2, 2).unwrap();
@@ -215,6 +229,7 @@ fn checksum_is_degradation_invariant() {
 
     let mut got = Vec::new();
     for (tag, budget) in [("roomy", 1usize << 30), ("tight", 2 * PAGE_SIZE)] {
+        assert_eq!(in_memory_at(budget, &build, &probe), (want_matches, want_checksum), "{tag}");
         let d = temp_dir(&format!("invariant-{tag}"));
         let fb = FileRelation::create(&d, "b", &build, 2, 2).unwrap();
         let fp = FileRelation::create(&d, "p", &probe, 2, 2).unwrap();

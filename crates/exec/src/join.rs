@@ -15,8 +15,9 @@
 //!   skew data the partition phase just produced); each pair is joined
 //!   with the unmodified sequential kernel into a private
 //!   [`CountSink`], merged at the end (the checksum — word-wise pair
-//!   digest, additive fold — and match count are order-independent). An oversized (skewed) pair recursively
-//!   re-partitions inside its task via [`grace_join_pair`].
+//!   digest, additive fold — and match count are order-independent). An oversized (skewed) pair goes
+//!   down the overflow ladder inside its task via [`grace_join_pair`]:
+//!   it re-partitions, or joins in chunks when that cannot shrink it.
 //!
 //! The driver is written once, generic over a `Lanes` executor with
 //! exactly two implementations: `ThreadLanes` (real threads with work

@@ -1,6 +1,8 @@
 //! End-to-end GRACE runs against the workload oracle, plus agreement of
 //! the cache-partitioning variants with GRACE on the same inputs.
 
+use std::collections::HashMap;
+
 use phj::cachepart::{
     direct_cache_join, direct_cache_partition, two_step_join, two_step_partition,
     CachePartConfig,
@@ -8,9 +10,9 @@ use phj::cachepart::{
 use phj::grace::{grace_join, grace_join_with_sink, GraceConfig};
 use phj::join::JoinScheme;
 use phj::partition::PartitionScheme;
-use phj::sink::{CountSink, JoinSink};
+use phj::sink::{pair_digest, CountSink, JoinSink};
 use phj_memsim::NativeModel;
-use phj_storage::TupleView;
+use phj_storage::{Relation, RelationBuilder, Schema, TupleView};
 use phj_workload::JoinSpec;
 
 fn spec() -> JoinSpec {
@@ -121,4 +123,52 @@ fn single_partition_budget_still_works() {
     let res = grace_join(&mut mem, &cfg, &gen.build, &gen.probe);
     assert_eq!(res.num_partitions, 1);
     assert_eq!(res.output.num_tuples() as u64, gen.expected_matches);
+}
+
+/// 2 000 copies of one key (40-byte tuples, distinct payloads) against 3
+/// probes of it: 6 000 matches in one partition that no repartitioning
+/// can split.
+fn dominant_key() -> (Relation, Relation) {
+    let rel = |copies: u32| {
+        let mut b = RelationBuilder::new(Schema::key_payload(40));
+        for i in 0..copies {
+            let mut t = [0u8; 40];
+            t[..4].copy_from_slice(&7u32.to_le_bytes());
+            t[4..8].copy_from_slice(&i.to_le_bytes());
+            b.push(&t);
+        }
+        b.finish()
+    };
+    (rel(2_000), rel(3))
+}
+
+/// Matches and pair checksum of a `HashMap` join, which shares no join
+/// code with the engine.
+fn hash_map_join(build: &Relation, probe: &Relation) -> (u64, u64) {
+    let mut table: HashMap<&[u8], Vec<&[u8]>> = HashMap::new();
+    for (_, t, _) in build.iter() {
+        table.entry(&t[..4]).or_default().push(t);
+    }
+    let (mut matches, mut checksum) = (0u64, 0u64);
+    for (_, p, _) in probe.iter() {
+        for b in table.get(&p[..4]).into_iter().flatten() {
+            matches += 1;
+            checksum = checksum.wrapping_add(pair_digest(b, p));
+        }
+    }
+    (matches, checksum)
+}
+
+/// One key far over the budget: repartitioning cannot shrink its
+/// partition, so the overflow ladder joins it in budget-sized chunks
+/// instead of recursing.
+#[test]
+fn dominant_key_joins_in_chunks() {
+    let (build, probe) = dominant_key();
+    let want = hash_map_join(&build, &probe);
+    assert_eq!(want.0, 6_000);
+    let cfg = GraceConfig { mem_budget: 16 * 1024, ..Default::default() };
+    let mut sink = CountSink::new();
+    grace_join_with_sink(&mut NativeModel, &cfg, &build, &probe, &mut sink);
+    assert_eq!((sink.matches(), sink.checksum()), want);
 }

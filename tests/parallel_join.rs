@@ -10,14 +10,16 @@
 //!   profiling) passes every [`RunReport::validate`] structural check,
 //!   including region conservation and the per-worker lane rule.
 
+use std::collections::HashMap;
+
 use phj::aggregate::{aggregate, AggScheme};
 use phj::grace::{grace_join_with_sink, GraceConfig};
-use phj::sink::{CountSink, JoinSink};
+use phj::sink::{pair_digest, CountSink, JoinSink};
 use phj_exec::{agg_checksum, parallel_agg_native, parallel_agg_sim};
 use phj_exec::{parallel_join_native, parallel_join_sim, SimJoinOutcome};
 use phj_memsim::NativeModel;
 use phj_obs::RunReport;
-use phj_storage::Relation;
+use phj_storage::{Relation, RelationBuilder, Schema};
 use phj_workload::JoinSpec;
 
 fn workload() -> (Relation, Relation, u64) {
@@ -133,4 +135,49 @@ fn parallel_agg_matches_sequential_for_threads_1_to_8() {
         );
         assert_eq!(agg_checksum(&sim.table), agg_checksum(&seq), "sim threads={threads}");
     }
+}
+
+/// 2 000 copies of one key (40-byte tuples, distinct payloads) against 3
+/// probes of it: 6 000 matches in one partition that no repartitioning
+/// can split.
+fn dominant_key() -> (Relation, Relation) {
+    let rel = |copies: u32| {
+        let mut b = RelationBuilder::new(Schema::key_payload(40));
+        for i in 0..copies {
+            let mut t = [0u8; 40];
+            t[..4].copy_from_slice(&7u32.to_le_bytes());
+            t[4..8].copy_from_slice(&i.to_le_bytes());
+            b.push(&t);
+        }
+        b.finish()
+    };
+    (rel(2_000), rel(3))
+}
+
+/// Matches and pair checksum of a `HashMap` join, which shares no join
+/// code with the engine.
+fn hash_map_join(build: &Relation, probe: &Relation) -> (u64, u64) {
+    let mut table: HashMap<&[u8], Vec<&[u8]>> = HashMap::new();
+    for (_, t, _) in build.iter() {
+        table.entry(&t[..4]).or_default().push(t);
+    }
+    let (mut matches, mut checksum) = (0u64, 0u64);
+    for (_, p, _) in probe.iter() {
+        for b in table.get(&p[..4]).into_iter().flatten() {
+            matches += 1;
+            checksum = checksum.wrapping_add(pair_digest(b, p));
+        }
+    }
+    (matches, checksum)
+}
+
+/// The dominant key through the parallel driver at 2 threads: its pair
+/// task goes down the same overflow ladder as the sequential join.
+#[test]
+fn dominant_key_joins_in_chunks_in_parallel() {
+    let (build, probe) = dominant_key();
+    let want = hash_map_join(&build, &probe);
+    assert_eq!(want.0, 6_000);
+    let out = parallel_join_native(&small_cfg(), &build, &probe, 2, false);
+    assert_eq!((out.sink.matches(), out.sink.checksum()), want);
 }
