@@ -46,8 +46,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use phj::grace::{grace_join_with_sink_rec, GraceConfig};
-use phj::hybrid::{hybrid_join, HybridConfig};
+use phj::grace::{grace_join_with_sink_rec, hybrid_join, GraceConfig};
 use phj::join::JoinScheme;
 use phj::model::{min_group_size, min_prefetch_distance};
 use phj::partition::PartitionScheme;
@@ -432,12 +431,6 @@ fn scheme_of(args: &Args) -> Result<JoinScheme, String> {
     }
 }
 
-/// The hybrid join under `--scheme`: its fused passes and its spilled
-/// pairs all run that scheme's schedule.
-fn hybrid_config(scheme: JoinScheme, mem_budget: usize) -> HybridConfig {
-    HybridConfig { mem_budget, schedule: scheme.schedule() }
-}
-
 fn cmd_join(args: &Args) -> Result<(), String> {
     args.allow(&[
         "build-mb", "tuple-size", "matches", "pct", "scheme", "g", "d", "mem-mb", "sim",
@@ -456,8 +449,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     };
     let mem_budget = args.get_usize("mem-mb", build_mb.div_ceil(4).max(1))? << 20;
     let scheme = scheme_of(args)?;
-    let hybrid_cfg =
-        if args.flag("hybrid") { Some(hybrid_config(scheme, mem_budget)) } else { None };
+    let hybrid = args.flag("hybrid");
     println!(
         "join: {} build x {} probe tuples of {}B, scheme {}, memory {} MB{}",
         spec.build_tuples,
@@ -465,7 +457,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         tuple_size,
         scheme.label(),
         mem_budget >> 20,
-        if args.flag("hybrid") { ", hybrid" } else { "" }
+        if hybrid { ", hybrid" } else { "" }
     );
     let gen = spec.generate();
     let obs_out = ObsOut::from_args(args)?;
@@ -481,7 +473,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         report.config_kv("build_tuples", spec.build_tuples);
         report.config_kv("probe_tuples", spec.probe_tuples());
         report.config_kv("mem_budget", mem_budget);
-        report.config_kv("hybrid", args.flag("hybrid"));
+        report.config_kv("hybrid", hybrid);
     };
     let grace_cfg = GraceConfig {
         mem_budget,
@@ -493,7 +485,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     // executor, so thread counts print in a comparable format; without
     // the flag the sequential driver runs exactly as before.
     if !args.get_str("threads", "").is_empty() {
-        if hybrid_cfg.is_some() {
+        if hybrid {
             return Err("--hybrid runs single-threaded; drop --threads or --hybrid".to_string());
         }
         let threads = args.get_usize("threads", 1)?.max(1);
@@ -509,8 +501,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             .map(|r| r.begin_profiled("run", engine.snapshot(), engine.latency_hist()));
         let mut sink = CountSink::new();
         let t0 = Instant::now();
-        let p = if let Some(hybrid_cfg) = &hybrid_cfg {
-            hybrid_join(&mut engine, hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
+        let p = if hybrid {
+            hybrid_join(&mut engine, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         } else {
             grace_join_with_sink_rec(&mut engine, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         };
@@ -552,8 +544,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         let root = recorder.as_mut().map(|r| r.begin("run", native.snapshot()));
         let mut sink = CountSink::new();
         let t0 = Instant::now();
-        let p = if let Some(hybrid_cfg) = &hybrid_cfg {
-            hybrid_join(&mut native, hybrid_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
+        let p = if hybrid {
+            hybrid_join(&mut native, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         } else {
             grace_join_with_sink_rec(&mut native, &grace_cfg, &gen.build, &gen.probe, &mut sink, recorder.as_mut())
         };
@@ -1238,23 +1230,4 @@ fn cmd_params(args: &Args) -> Result<(), String> {
     );
     let _ = single_relation(1, tuple_size); // sanity: tuple size valid
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use phj::stage::Schedule;
-
-    #[test]
-    fn hybrid_config_follows_the_scheme() {
-        let mb = 1 << 20;
-        let cfg = hybrid_config(JoinScheme::Group { g: 8 }, mb);
-        assert_eq!((cfg.mem_budget, cfg.schedule), (mb, Schedule::Group { g: 8 }));
-        let cfg = hybrid_config(JoinScheme::Swp { d: 2 }, mb);
-        assert_eq!(cfg.schedule, Schedule::Pipelined { d: 2 });
-        for (scheme, prefetch_input) in [(JoinScheme::Baseline, false), (JoinScheme::Simple, true)] {
-            let cfg = hybrid_config(scheme, mb);
-            assert_eq!(cfg.schedule, Schedule::Sequential { prefetch_input });
-        }
-    }
 }

@@ -1,5 +1,6 @@
-//! The GRACE hash join driver: I/O partition phase + join phase, and the
-//! overflow ladder every driver joins its partition pairs through.
+//! The GRACE hash join driver: I/O partition phase + join phase, its
+//! hybrid variant with partition 0 resident, and the overflow ladder every
+//! driver joins its partition pairs through.
 //!
 //! "The GRACE hash join algorithm begins by partitioning the two joining
 //! relations such that each build partition and its hash table can fit
@@ -7,7 +8,8 @@
 //! separately as in the simple algorithm." (§1) The paper uses GRACE as
 //! the baseline because its two phases — (1) partitioning and (2) joining
 //! with in-memory hash tables — are the common building blocks of all
-//! hash join variants (§2).
+//! hash join variants (§2). [`hybrid_join`] is the classic variant on the
+//! same blocks: GRACE's fan-out, but partition 0 never leaves memory.
 //!
 //! **Overflow ladder.** A build partition may still exceed the memory
 //! budget after its pass: the `max_active_partitions` cap, skew, or an
@@ -36,6 +38,7 @@ use phj_storage::{Relation, PAGE_SIZE};
 
 use crate::join::program::{Build, Probe};
 use crate::join::{join_pair, JoinParams, JoinScheme};
+use crate::partition::program::{Fused, Partition};
 use crate::partition::{OutputBuffers, PartitionScheme, PartitionStore};
 use crate::plan;
 use crate::profile;
@@ -168,6 +171,81 @@ pub fn grace_join_pair<M: MemoryModel, S: JoinSink>(
 ) -> usize {
     let p = cfg.ladder(sink).join(mem, build, probe, moduli, &mut vec![index], &mut rec);
     p.unwrap_or_else(|never| match never {})
+}
+
+/// Run the hybrid hash join: the GRACE pipeline with partition 0 resident.
+///
+/// §2: "many refinements of \[GRACE\] have been proposed for the sake of
+/// avoiding I/O by keeping as many intermediate partitions in memory as
+/// possible [...] our techniques should be directly applicable to the
+/// other hash join algorithms." Partition 0 is never written out: its
+/// build tuples go straight into a hash table during the build-side
+/// partition pass, and its probe tuples are joined on the fly during the
+/// probe-side pass. Both passes are one [`Fused`] stage program under
+/// `cfg.join_scheme`'s schedule. The fan-out is GRACE's first pass
+/// ([`plan::num_partitions`] capped by `max_active_partitions`), and every
+/// spilled pair joins through the overflow ladder ([`grace_join_pair`]).
+///
+/// Returns the number of partitions (including partition 0). With a span
+/// recorder, the two fused passes and each spilled pair get their own
+/// spans under a `"hybrid_join"` root.
+pub fn hybrid_join<M: MemoryModel, S: JoinSink>(
+    mem: &mut M,
+    cfg: &GraceConfig,
+    build: &Relation,
+    probe: &Relation,
+    sink: &mut S,
+    mut rec: Option<&mut Recorder>,
+) -> usize {
+    let schedule = cfg.join_scheme.schedule();
+    let p = plan::num_partitions(build.size_bytes(), cfg.mem_budget).min(cfg.max_active_partitions);
+    let whole = obs::span_begin(&mut rec, mem, "hybrid_join");
+    obs::span_meta(&mut rec, "partitions", p);
+    obs::span_meta(&mut rec, "schedule", cfg.join_scheme.label());
+
+    // Pass 1: partition the build side, building partition 0's table on
+    // the fly. Its buckets are sized for a 1/p share, its arena for the
+    // whole build side (a dominant key may land every tuple in it): the
+    // arena must never reallocate behind registered addresses.
+    let pass1 = obs::span_begin(&mut rec, mem, "hybrid_build_pass");
+    obs::span_meta(&mut rec, "tuples", build.num_tuples());
+    let buckets = plan::hash_table_buckets(build.num_tuples() / p + 1, p);
+    let mut table = HashTable::new(buckets, build.num_tuples());
+    let mut build_out = OutputBuffers::new(build, p);
+    profile::register_table(mem, &table);
+    profile::register_relation(mem, RegionKind::BuildTuples, build);
+    build_out.register_regions(mem);
+    let mut pass = Fused {
+        table: Build::new(&mut table, build, false),
+        part: Partition::new(build, &mut build_out, false),
+    };
+    stage::run(schedule, mem, &mut pass, build, 0..build.num_pages());
+    let build_parts = build_out.finish();
+    table.assert_quiescent();
+    obs::span_end(&mut rec, mem, pass1);
+    mem.region_clear(RegionKind::PartitionBuffers);
+
+    // Pass 2: partition the probe side, probing partition 0 on the fly.
+    let pass2 = obs::span_begin(&mut rec, mem, "hybrid_probe_pass");
+    obs::span_meta(&mut rec, "tuples", probe.num_tuples());
+    let mut probe_out = OutputBuffers::new(probe, p);
+    profile::register_relation(mem, RegionKind::ProbeTuples, probe);
+    probe_out.register_regions(mem);
+    let mut pass = Fused {
+        table: Probe::new(&table, build, probe, false, sink),
+        part: Partition::new(probe, &mut probe_out, false),
+    };
+    stage::run(schedule, mem, &mut pass, probe, 0..probe.num_pages());
+    let probe_parts = probe_out.finish();
+    obs::span_end(&mut rec, mem, pass2);
+    mem.region_clear(RegionKind::PartitionBuffers);
+    profile::clear_join_regions(mem);
+
+    for (i, (b, pr)) in build_parts.iter().zip(&probe_parts).enumerate().skip(1) {
+        grace_join_pair(mem, cfg, b, pr, sink, p, i, rec.as_deref_mut());
+    }
+    obs::span_end(&mut rec, mem, whole);
+    p
 }
 
 /// One degradation step taken for an oversized build partition.
@@ -446,8 +524,9 @@ fn label(path: &[usize]) -> String {
 mod tests {
     use super::*;
     use crate::sink::CountSink;
-    use phj_memsim::NativeModel;
+    use phj_memsim::{NativeModel, SimEngine};
     use phj_storage::{RelationBuilder, Schema};
+    use phj_workload::JoinSpec;
 
     fn rel(keys: &[u32], size: usize) -> Relation {
         let schema = Schema::key_payload(size);
@@ -541,5 +620,191 @@ mod tests {
             }
         }
         assert!(want.matches() > 0);
+    }
+
+    fn spec(n: usize) -> JoinSpec {
+        JoinSpec {
+            build_tuples: n,
+            tuple_size: 40,
+            matches_per_build: 2,
+            pct_match: 75,
+            seed: 321,
+        }
+    }
+
+    /// A hybrid configuration, and the GRACE one to compare it with: both
+    /// phases under `js`'s schedule.
+    fn hybrid_cfg(mem_budget: usize, js: JoinScheme) -> GraceConfig {
+        let partition_scheme = js.schedule().partition_scheme();
+        GraceConfig { mem_budget, partition_scheme, join_scheme: js, ..Default::default() }
+    }
+
+    #[test]
+    fn hybrid_matches_grace() {
+        let gen = spec(4000).generate();
+        for js in [JoinScheme::Group { g: 16 }, JoinScheme::Baseline] {
+            let cfg = hybrid_cfg(64 * 1024, js);
+            let mut mem = NativeModel;
+            let mut hybrid_sink = CountSink::new();
+            let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut hybrid_sink, None);
+            assert!(p > 1, "expected spill partitions, got {p}");
+            assert_eq!(hybrid_sink.matches(), gen.expected_matches);
+            let mut grace_sink = CountSink::new();
+            grace_join_with_sink(&mut mem, &cfg, &gen.build, &gen.probe, &mut grace_sink);
+            assert_eq!(hybrid_sink, grace_sink);
+        }
+    }
+
+    #[test]
+    fn hybrid_all_in_memory() {
+        // Budget big enough that p == 1: everything joins on the fly.
+        let gen = spec(1000).generate();
+        let cfg = hybrid_cfg(1 << 30, JoinScheme::Group { g: 8 });
+        let mut mem = NativeModel;
+        let mut sink = CountSink::new();
+        let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
+        assert_eq!(p, 1);
+        assert_eq!(sink.matches(), gen.expected_matches);
+    }
+
+    #[test]
+    fn hybrid_heavy_duplicates() {
+        let mut b = RelationBuilder::new(Schema::key_payload(24));
+        let mut pr = RelationBuilder::new(Schema::key_payload(24));
+        let mut t = [0u8; 24];
+        for _ in 0..300 {
+            t[..4].copy_from_slice(&5u32.to_le_bytes());
+            b.push(&t);
+            pr.push(&t);
+            t[..4].copy_from_slice(&9u32.to_le_bytes());
+            pr.push(&t);
+        }
+        let (build, probe) = (b.finish(), pr.finish());
+        let cfg = hybrid_cfg(8 * 1024, JoinScheme::Group { g: 4 });
+        let mut mem = NativeModel;
+        let mut sink = CountSink::new();
+        hybrid_join(&mut mem, &cfg, &build, &probe, &mut sink, None);
+        assert_eq!(sink.matches(), 300 * 300);
+    }
+
+    #[test]
+    fn hybrid_with_swp_spill_join_matches() {
+        let gen = spec(3000).generate();
+        let cfg = hybrid_cfg(64 * 1024, JoinScheme::Swp { d: 2 });
+        let mut mem = NativeModel;
+        let mut sink = CountSink::new();
+        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
+        assert_eq!(sink.matches(), gen.expected_matches);
+    }
+
+    #[test]
+    fn hybrid_saves_cycles_over_grace_in_sim() {
+        // Partition 0 skips one write+read round trip per tuple, so the
+        // hybrid spends fewer CPU cycles end to end.
+        let gen = spec(20_000).generate();
+        let cfg = hybrid_cfg(256 * 1024, JoinScheme::Group { g: 16 });
+        let run = |hybrid: bool| {
+            let mut mem = SimEngine::paper();
+            let mut sink = CountSink::new();
+            if hybrid {
+                hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, None);
+            } else {
+                grace_join_with_sink(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
+            }
+            assert_eq!(sink.matches(), gen.expected_matches);
+            mem.breakdown().total()
+        };
+        let grace = run(false);
+        let hybrid = run(true);
+        assert!(hybrid < grace, "hybrid {hybrid} vs grace {grace}");
+    }
+
+    fn swp_spec(n: usize) -> JoinSpec {
+        JoinSpec {
+            build_tuples: n,
+            tuple_size: 40,
+            matches_per_build: 2,
+            pct_match: 75,
+            seed: 654,
+        }
+    }
+
+    #[test]
+    fn swp_hybrid_matches_group_hybrid_and_grace() {
+        let gen = swp_spec(4000).generate();
+        let cfg = hybrid_cfg(64 * 1024, JoinScheme::Group { g: 16 });
+        let mut mem = NativeModel;
+        let mut swp_sink = CountSink::new();
+        let swp = GraceConfig { join_scheme: JoinScheme::Swp { d: 2 }, ..cfg };
+        let p = hybrid_join(&mut mem, &swp, &gen.build, &gen.probe, &mut swp_sink, None);
+        assert!(p > 1);
+        assert_eq!(swp_sink.matches(), gen.expected_matches);
+        let mut grp_sink = CountSink::new();
+        hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut grp_sink, None);
+        assert_eq!(swp_sink, grp_sink);
+        let mut grace_sink = CountSink::new();
+        grace_join_with_sink(&mut mem, &cfg, &gen.build, &gen.probe, &mut grace_sink);
+        assert_eq!(swp_sink, grace_sink);
+    }
+
+    #[test]
+    fn swp_hybrid_various_distances() {
+        let gen = swp_spec(1500).generate();
+        let cfg = hybrid_cfg(32 * 1024, JoinScheme::Group { g: 8 });
+        let mut reference: Option<CountSink> = None;
+        for d in [1usize, 2, 4, 7] {
+            let mut mem = NativeModel;
+            let mut sink = CountSink::new();
+            let swp = GraceConfig { join_scheme: JoinScheme::Swp { d }, ..cfg };
+            hybrid_join(&mut mem, &swp, &gen.build, &gen.probe, &mut sink, None);
+            assert_eq!(sink.matches(), gen.expected_matches, "D={d}");
+            match &reference {
+                None => reference = Some(sink),
+                Some(r) => assert_eq!(&sink, r, "D={d}"),
+            }
+        }
+    }
+
+    #[test]
+    fn swp_hybrid_heavy_duplicates_and_tiny_buffers() {
+        // Duplicate keys force bucket queues; large tuples force constant
+        // buffer-full parking: both protocols at once.
+        let keys: Vec<u32> = (0..200u32).map(|i| i % 3).collect();
+        let (build, probe) = (rel(&keys, 1500), rel(&keys, 1500));
+        let cfg = hybrid_cfg(16 * 1024, JoinScheme::Swp { d: 3 });
+        let mut mem = NativeModel;
+        let mut sink = CountSink::new();
+        hybrid_join(&mut mem, &cfg, &build, &probe, &mut sink, None);
+        // Each key appears ~67 times on both sides within its class.
+        let mut want = 0u64;
+        let mut counts = std::collections::HashMap::new();
+        for i in 0..200u32 {
+            *counts.entry(i % 3).or_insert(0u64) += 1;
+        }
+        for i in 0..200u32 {
+            want += counts[&(i % 3)];
+        }
+        assert_eq!(sink.matches(), want);
+    }
+
+    #[test]
+    fn swp_hybrid_beats_grace_in_sim() {
+        let gen = swp_spec(20_000).generate();
+        let cfg = hybrid_cfg(256 * 1024, JoinScheme::Group { g: 16 });
+        let run = |swp: bool| {
+            let mut mem = SimEngine::paper();
+            let mut sink = CountSink::new();
+            if swp {
+                let swp = GraceConfig { join_scheme: JoinScheme::Swp { d: 2 }, ..cfg };
+                hybrid_join(&mut mem, &swp, &gen.build, &gen.probe, &mut sink, None);
+            } else {
+                grace_join_with_sink(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink);
+            }
+            assert_eq!(sink.matches(), gen.expected_matches);
+            mem.breakdown().total()
+        };
+        let grace = run(false);
+        let swp = run(true);
+        assert!(swp < grace, "swp hybrid {swp} vs grace {grace}");
     }
 }

@@ -284,6 +284,19 @@ pub(crate) mod tests {
     use super::*;
     use crate::sink::{CountSink, JoinSink};
 
+    #[test]
+    fn schedule_round_trips_every_scheme() {
+        for (scheme, schedule) in [
+            (JoinScheme::Baseline, Schedule::Sequential { prefetch_input: false }),
+            (JoinScheme::Simple, Schedule::Sequential { prefetch_input: true }),
+            (JoinScheme::Group { g: 8 }, Schedule::Group { g: 8 }),
+            (JoinScheme::Swp { d: 2 }, Schedule::Pipelined { d: 2 }),
+        ] {
+            assert_eq!(scheme.schedule(), schedule);
+            assert_eq!(schedule.join_scheme(), scheme);
+        }
+    }
+
     /// The join through a `HashMap` over key bytes, sharing no code with
     /// the kernels: the expected value of every scheme test.
     pub(crate) fn reference(build: &Relation, probe: &Relation) -> CountSink {

@@ -50,7 +50,6 @@ pub mod chained;
 pub mod cost;
 pub mod grace;
 pub mod hash;
-pub mod hybrid;
 pub mod join;
 pub mod model;
 pub mod partition;

@@ -10,12 +10,20 @@
 //! committed; the pipeline parks it on the partition's waiting queue until
 //! the last in-flight copy lands. Either way the buffer is then written
 //! out and the tuple appended without prefetching.
+//!
+//! [`Fused`] is the hybrid hash join's mixed-path pass: partition 0 goes
+//! to a join-phase table program (`k = 2` insert, `k = 3` probe), every
+//! other partition to [`Partition`]. Per-tuple state records the path and
+//! each stage dispatches on it — the multiple-code-path situation of §4.4
+//! — so busy buckets and full output buffers coexist in one loop under
+//! either scheduler's conflict protocol (§5.3).
 
 use phj_memsim::MemoryModel;
 use phj_storage::Relation;
 
 use crate::cost::{self, CostModel};
 use crate::hash::partition_of;
+use crate::join::program::TableProgram;
 use crate::stage::{StageProgram, Step};
 
 use super::{phase_hash, OutputBuffers, PartitionStore};
@@ -31,9 +39,9 @@ pub(crate) struct Partition<'a, S> {
 pub(crate) struct PartState {
     pi: usize,
     slot: u16,
-    pub(crate) hash: u32,
+    hash: u32,
     /// Output partition of the tuple.
-    pub(crate) p: usize,
+    p: usize,
     /// Output `(data_addr, slot_addr)` reserved in stage 0.
     reserved: (usize, usize),
 }
@@ -114,5 +122,67 @@ impl<S: PartitionStore> StageProgram for Partition<'_, S> {
             self.out.flush(p);
         }
         idle
+    }
+}
+
+/// One hybrid pass: partition 0 goes to `table`, the rest to `part`.
+pub(crate) struct Fused<'a, T> {
+    pub(crate) table: T,
+    pub(crate) part: Partition<'a, Vec<Relation>>,
+}
+
+#[derive(Default)]
+pub(crate) struct FusedState<S> {
+    resident: bool,
+    table: S,
+    part: PartState,
+}
+
+impl<T: TableProgram> StageProgram for Fused<'_, T> {
+    type State = FusedState<T::State>;
+    const K: usize = T::K;
+
+    #[inline]
+    fn load<M: MemoryModel>(
+        &mut self,
+        mem: &mut M,
+        s: &mut Self::State,
+        pi: usize,
+        slot: u16,
+        bk: u64,
+    ) {
+        self.part.load(mem, &mut s.part, pi, slot, bk);
+        s.resident = s.part.p == 0;
+        if s.resident {
+            self.table.enter(&mut s.table, pi, slot, s.part.hash);
+        }
+    }
+
+    #[inline]
+    fn stage<M: MemoryModel>(
+        &mut self,
+        mem: &mut M,
+        k: usize,
+        s: &mut Self::State,
+        me: u32,
+        bk: u64,
+    ) -> Step {
+        if s.resident {
+            self.table.stage(mem, k, &mut s.table, me, bk)
+        } else {
+            self.part.stage(mem, k, &mut s.part, me, bk)
+        }
+    }
+
+    fn resolve<M: MemoryModel>(&mut self, mem: &mut M, s: &mut Self::State) {
+        if s.resident {
+            self.table.resolve(mem, &mut s.table)
+        } else {
+            self.part.resolve(mem, &mut s.part)
+        }
+    }
+
+    fn try_release(&mut self, p: usize) -> bool {
+        self.part.try_release(p)
     }
 }

@@ -7,11 +7,13 @@ use phj::cachepart::{
     direct_cache_join, direct_cache_partition, two_step_join, two_step_partition,
     CachePartConfig,
 };
-use phj::grace::{grace_join, grace_join_with_sink, GraceConfig};
+use phj::grace::{grace_join, grace_join_with_sink, hybrid_join, GraceConfig};
+use phj::hash::{hash_key, partition_of};
 use phj::join::JoinScheme;
 use phj::partition::PartitionScheme;
 use phj::sink::{pair_digest, CountSink, JoinSink};
 use phj_memsim::NativeModel;
+use phj_obs::{Recorder, SpanRecord};
 use phj_storage::{Relation, RelationBuilder, Schema, TupleView};
 use phj_workload::JoinSpec;
 
@@ -125,15 +127,15 @@ fn single_partition_budget_still_works() {
     assert_eq!(res.output.num_tuples() as u64, gen.expected_matches);
 }
 
-/// 2 000 copies of one key (40-byte tuples, distinct payloads) against 3
+/// 2 000 copies of `key` (40-byte tuples, distinct payloads) against 3
 /// probes of it: 6 000 matches in one partition that no repartitioning
 /// can split.
-fn dominant_key() -> (Relation, Relation) {
+fn dominant_key(key: u32) -> (Relation, Relation) {
     let rel = |copies: u32| {
         let mut b = RelationBuilder::new(Schema::key_payload(40));
         for i in 0..copies {
             let mut t = [0u8; 40];
-            t[..4].copy_from_slice(&7u32.to_le_bytes());
+            t[..4].copy_from_slice(&key.to_le_bytes());
             t[4..8].copy_from_slice(&i.to_le_bytes());
             b.push(&t);
         }
@@ -164,11 +166,51 @@ fn hash_map_join(build: &Relation, probe: &Relation) -> (u64, u64) {
 /// instead of recursing.
 #[test]
 fn dominant_key_joins_in_chunks() {
-    let (build, probe) = dominant_key();
+    let (build, probe) = dominant_key(7);
     let want = hash_map_join(&build, &probe);
     assert_eq!(want.0, 6_000);
     let cfg = GraceConfig { mem_budget: 16 * 1024, ..Default::default() };
     let mut sink = CountSink::new();
     grace_join_with_sink(&mut NativeModel, &cfg, &build, &probe, &mut sink);
     assert_eq!((sink.matches(), sink.checksum()), want);
+}
+
+/// The hybrid join of [`dominant_key`]`(key)` at a 16 KiB budget (six
+/// partitions) under a group, a pipelined and a sequential schedule: each
+/// run equals the `HashMap` join. Returns the partition the key lands in
+/// and each run's spans.
+fn hybrid_dominant_key(key: u32) -> (usize, Vec<Vec<SpanRecord>>) {
+    let (build, probe) = dominant_key(key);
+    let want = hash_map_join(&build, &probe);
+    let mut runs = Vec::new();
+    for join_scheme in [JoinScheme::Group { g: 16 }, JoinScheme::Swp { d: 2 }, JoinScheme::Baseline] {
+        let cfg = GraceConfig { mem_budget: 16 * 1024, join_scheme, ..Default::default() };
+        let (mut sink, mut rec) = (CountSink::new(), Recorder::new());
+        let p = hybrid_join(&mut NativeModel, &cfg, &build, &probe, &mut sink, Some(&mut rec));
+        assert_eq!(p, 6);
+        assert_eq!((sink.matches(), sink.checksum()), want, "{join_scheme:?}");
+        runs.push(rec.finish());
+    }
+    (partition_of(hash_key(&key.to_le_bytes()), 6), runs)
+}
+
+/// The key resident in partition 0: its table holds the whole build side.
+#[test]
+fn hybrid_dominant_key_in_the_resident_partition() {
+    let (part, _) = hybrid_dominant_key(24);
+    assert_eq!(part, 0);
+}
+
+/// The key in a spilled partition 6x the budget: the pair goes through
+/// the overflow ladder and joins in chunks.
+#[test]
+fn hybrid_dominant_key_in_a_spilled_partition_joins_in_chunks() {
+    let (part, runs) = hybrid_dominant_key(7);
+    assert_eq!(part, 4);
+    for spans in runs {
+        assert_eq!(spans[0].name, "hybrid_join");
+        let nlj: Vec<_> = spans.iter().filter(|s| s.name == "nlj_fallback").collect();
+        assert_eq!(nlj.len(), 1, "one chunked join under hybrid_join");
+        assert!(nlj[0].meta.contains(&("partition".into(), "4".into())));
+    }
 }

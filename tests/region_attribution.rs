@@ -3,8 +3,7 @@
 //! (per-region counters partition the global cache stats, and the join
 //! phase's misses land on the hash-table regions).
 
-use phj::grace::{grace_join_with_sink_rec, GraceConfig};
-use phj::hybrid::{hybrid_join, HybridConfig};
+use phj::grace::{grace_join_with_sink_rec, hybrid_join, GraceConfig};
 use phj::profile::skew_profile;
 use phj::sink::CountSink;
 use phj_memsim::{RegionKind, SimEngine};
@@ -146,7 +145,7 @@ fn hybrid_regions_stay_consistent() {
     mem.enable_region_profiling();
     let mut rec = Recorder::new();
     let mut sink = CountSink::new();
-    let cfg = HybridConfig { mem_budget: 32 * 1024, ..Default::default() };
+    let cfg = GraceConfig { mem_budget: 32 * 1024, ..Default::default() };
     let root = rec.begin_profiled("run", mem.snapshot(), mem.latency_hist());
     let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
     rec.end_profiled(root, mem.snapshot(), mem.latency_hist());

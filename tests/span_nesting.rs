@@ -3,10 +3,9 @@
 //! per-partition build/probe), and the recorded cycle deltas must
 //! account for the whole simulated run.
 
-use phj::grace::{grace_join_with_sink_rec, GraceConfig};
-use phj::hybrid::{hybrid_join, HybridConfig};
+use phj::grace::{grace_join_with_sink_rec, hybrid_join, GraceConfig};
+use phj::join::JoinScheme;
 use phj::sink::{CountSink, JoinSink};
-use phj::stage::Schedule;
 use phj_memsim::SimEngine;
 use phj_obs::{Recorder, RunReport, SpanRecord};
 use phj_workload::JoinSpec;
@@ -86,7 +85,11 @@ fn hybrid_spans_follow_phase_structure() {
     let mut mem = SimEngine::paper();
     let mut rec = Recorder::new();
     let mut sink = CountSink::new();
-    let cfg = HybridConfig { mem_budget: 32 * 1024, schedule: Schedule::Group { g: 8 } };
+    let cfg = GraceConfig {
+        mem_budget: 32 * 1024,
+        join_scheme: JoinScheme::Group { g: 8 },
+        ..Default::default()
+    };
     let p = hybrid_join(&mut mem, &cfg, &gen.build, &gen.probe, &mut sink, Some(&mut rec));
     let spans = rec.finish();
     assert!(p > 1);
