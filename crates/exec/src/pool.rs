@@ -1,4 +1,4 @@
-//! The worker pool: seed per-worker deques LPT-greedy, run one OS
+//! The worker pool: seed one task list per worker LPT-greedy, run one OS
 //! thread per worker, rebalance by stealing.
 //!
 //! Two entry points share one scheduling core:
@@ -17,26 +17,35 @@
 //!   (connection handlers), and [`Pool::execute`] runs the same
 //!   fork-join region as the free function on the pooled threads.
 //!
-//! [`execute`] is now a thin wrapper — `Pool::new(n - 1)` plus one
-//! region plus shutdown — so both paths exercise identical scheduling
-//! code. A region on a `Pool` works by *caller participation*: the
-//! calling thread becomes worker 0 and runs the normal work-stealing
-//! loop inline, while workers `1..n` are enqueued at the *front* of the
-//! pool's job queue (regions must not be starved by a backlog of
-//! fire-and-forget jobs). Because the caller is itself a worker, the
-//! region makes progress even when every pool thread is busy: worker 0
-//! drains and steals everything, and once its own loop is done it
-//! dequeues and runs *its own region's* still-queued jobs inline (each
-//! finds every task already claimed and no-ops) before blocking on the
-//! completion barrier. That drain step is what makes the progress
-//! guarantee unconditional: a pool saturated by long-lived
-//! [`Pool::spawn`] jobs — or by other callers' regions — never gets the
-//! chance to strand a region's jobs in the queue, so mixing persistent
-//! connection handlers and fork-join regions on one pool cannot
-//! deadlock.
+//! Each worker of a region owns a `Mutex<VecDeque<usize>>` of task
+//! indices, filled with its [`lpt_assign`] list (descending weight)
+//! before any worker starts. The owner takes from the front, its
+//! largest remaining task; a thief takes from the back of a victim's
+//! list, its smallest, which keeps the big tasks with the worker LPT
+//! planned them for. A list is locked only to pop one index: the task
+//! runs after the guard drops, so a panicking task never poisons a
+//! list. Tasks never spawn tasks, so a worker that finds every list
+//! empty is done.
 //!
-//! Region jobs borrow the caller's stack (the task slice, the deques,
-//! `f`). The pool queue requires `'static` jobs, so the borrow is
+//! [`execute`] is a thin wrapper — `Pool::new(n - 1)` plus one region
+//! plus shutdown — so both paths exercise identical scheduling code. A
+//! region on a `Pool` works by *caller participation*: the calling
+//! thread becomes worker 0 and runs the normal worker loop inline,
+//! while workers `1..n` are enqueued at the *front* of the pool's job
+//! queue (regions must not be starved by a backlog of fire-and-forget
+//! jobs). Because the caller is itself a worker, the region makes
+//! progress even when every pool thread is busy: worker 0 drains and
+//! steals everything, and once its own loop is done it dequeues and
+//! runs *its own region's* still-queued jobs inline (each finds every
+//! list empty and no-ops) before blocking on the completion barrier.
+//! That drain step is what makes the progress guarantee unconditional:
+//! a pool saturated by long-lived [`Pool::spawn`] jobs — or by other
+//! callers' regions — never gets the chance to strand a region's jobs
+//! in the queue, so mixing persistent connection handlers and
+//! fork-join regions on one pool cannot deadlock.
+//!
+//! Region jobs borrow the caller's stack (the task slice, the task
+//! lists, `f`). The pool queue requires `'static` jobs, so the borrow is
 //! erased with a `transmute` and re-justified at runtime: `execute`
 //! blocks on a completion barrier until *every* region job has finished
 //! running before it touches the results or lets the borrowed frame
@@ -50,7 +59,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::deque::{Injector, Steal, WorkDeque};
 use crate::schedule::lpt_assign;
 use crate::telemetry::exec_metrics;
 
@@ -61,7 +69,8 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Tasks this worker ran.
     pub tasks: u64,
-    /// Tasks it obtained by stealing from another worker's deque.
+    /// Tasks it took from another worker's list: tasks LPT planned for
+    /// a different worker.
     pub steals: u64,
     /// Wall time spent inside task bodies, in nanoseconds.
     pub busy_ns: u64,
@@ -73,9 +82,9 @@ pub struct WorkerStats {
 ///
 /// Tasks are pre-assigned to workers by [`lpt_assign`] over `weights`
 /// (heaviest first to the least-loaded worker); a worker that drains its
-/// own deque pulls from the injector, then steals FIFO from the other
-/// workers, so a bad estimate degrades into rebalancing rather than
-/// idling. `f` is called as `f(&mut state, task_index, &tasks[task_index])`.
+/// own list steals the smallest remaining task of another worker, so a
+/// bad estimate degrades into rebalancing rather than idling. `f` is
+/// called as `f(&mut state, task_index, &tasks[task_index])`.
 ///
 /// Returns the per-task results (indexed like `tasks`), the worker
 /// states (in worker order, for merging), and the per-worker counters.
@@ -219,11 +228,12 @@ impl Pool {
     ///
     /// The calling thread participates as worker 0, so a region needs
     /// only `states.len() - 1` pool jobs and completes even on a
-    /// saturated pool: after its own work-stealing loop finishes, the
-    /// caller dequeues and runs any of its region jobs no pool thread
-    /// picked up (each finds every task already claimed and no-ops), so
-    /// the completion barrier cannot wait on a job that never runs.
-    /// Requires at least one pool thread when `states.len() > 1`.
+    /// saturated pool: once its own worker loop has found every task
+    /// list empty, the caller dequeues and runs any of its region jobs
+    /// no pool thread picked up (each finds the lists empty too and
+    /// no-ops), so the completion barrier cannot wait on a job that
+    /// never runs. Requires at least one pool thread when
+    /// `states.len() > 1`.
     pub fn execute<W, T, R, F>(
         &self,
         states: Vec<W>,
@@ -287,21 +297,10 @@ impl Pool {
             return (results, states, vec![stats]);
         }
 
-        // Seed each worker's deque in reverse (ascending weight), so the
-        // owner's LIFO pop yields its largest task first while thieves'
-        // FIFO steals take its smallest.
-        let deques: Vec<WorkDeque> = assignment
-            .iter()
-            .map(|list| {
-                let d = WorkDeque::with_capacity(tasks.len());
-                for &i in list.iter().rev() {
-                    d.push(i).expect("deque sized for the whole task list");
-                }
-                d
-            })
-            .collect();
-        let injector = Injector::new();
-        let claimed = AtomicUsize::new(0);
+        let lists = TaskLists {
+            lists: assignment.into_iter().map(|l| Mutex::new(l.into())).collect(),
+            taken: AtomicUsize::new(0),
+        };
         let total = tasks.len();
 
         let sync: Arc<RegionSync<W, R>> = Arc::new(RegionSync {
@@ -314,9 +313,7 @@ impl Pool {
         let state0 = states.next().expect("n >= 1");
         let region_id = self.shared.next_region.fetch_add(1, Ordering::Relaxed);
         {
-            let deques = &deques;
-            let injector = &injector;
-            let claimed = &claimed;
+            let lists = &lists;
             let f = &f;
             let mut q = self.shared.queue.lock().unwrap();
             for (off, state) in states.enumerate() {
@@ -324,22 +321,22 @@ impl Pool {
                 let sync = Arc::clone(&sync);
                 let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     let out = catch_unwind(AssertUnwindSafe(move || {
-                        worker_loop(w, state, tasks, deques, injector, claimed, total, f)
+                        worker_loop(w, state, tasks, lists, f)
                     }));
                     sync.slots.lock().unwrap()[w - 1] = Some(out);
                     let mut d = sync.done.lock().unwrap();
                     *d += 1;
                     sync.cv.notify_all();
                 });
-                // SAFETY: the job borrows `tasks`, `deques`, `injector`,
-                // `claimed`, and `f` from this stack frame. Its last
-                // access to any of them is inside `worker_loop`, which
-                // returns before the job stores into `sync` and bumps
-                // the barrier — and this function blocks on that
-                // barrier (all `n - 1` jobs) before returning or
-                // unwinding, so every erased borrow is dead before the
-                // frame is. `sync` itself is `Arc`-owned heap state and
-                // may legitimately be released after the frame ends.
+                // SAFETY: the job borrows `tasks`, `lists` and `f` from
+                // this stack frame. Its last access to any of them is
+                // inside `worker_loop`, which returns before the job
+                // stores into `sync` and bumps the barrier — and this
+                // function blocks on that barrier (all `n - 1` jobs)
+                // before returning or unwinding, so every erased borrow
+                // is dead before the frame is. `sync` itself is
+                // `Arc`-owned heap state and may legitimately be
+                // released after the frame ends.
                 let job: Job = unsafe {
                     std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job)
                 };
@@ -352,17 +349,15 @@ impl Pool {
         // The caller is worker 0: run the same loop inline. Catch a
         // panic (a task body may throw) but do NOT propagate it yet —
         // region jobs still borrow this frame until the barrier opens.
-        let out0 = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(0, state0, tasks, &deques, &injector, &claimed, total, &f)
-        }));
+        let out0 = catch_unwind(AssertUnwindSafe(|| worker_loop(0, state0, tasks, &lists, &f)));
 
         // A saturated pool (long-lived `spawn` jobs, other callers'
         // regions) may never dequeue this region's jobs; reclaim any
         // still queued and run them inline so the barrier below cannot
         // wait forever on a job that will never be scheduled. Each
-        // reclaimed job finds every task already claimed (worker 0 only
-        // returned once `claimed == total`) and no-ops straight into
-        // its barrier increment.
+        // reclaimed job finds every list empty (worker 0 only returned
+        // once it found them so, and lists never refill) and no-ops
+        // straight into its barrier increment.
         loop {
             let reclaimed = {
                 let mut q = self.shared.queue.lock().unwrap();
@@ -455,17 +450,47 @@ fn worker_thread(shared: &Shared) {
     }
 }
 
-/// One region worker: drain the own deque, pull from the injector,
-/// steal from the others, stop once every task is claimed.
-#[allow(clippy::too_many_arguments)]
+/// The task lists of one multi-worker region.
+struct TaskLists {
+    /// Worker `w`'s remaining tasks, largest first.
+    lists: Vec<Mutex<VecDeque<usize>>>,
+    /// Tasks taken so far, for the queue-depth gauge.
+    taken: AtomicUsize,
+}
+
+impl TaskLists {
+    /// Worker `me`'s next task: the front of its own list, else the back
+    /// of the first non-empty list after it. Each lock is held only for
+    /// its pop.
+    fn next(&self, me: usize, stats: &mut WorkerStats) -> Option<usize> {
+        let own = self.lists[me].lock().unwrap().pop_front();
+        if own.is_some() {
+            return own;
+        }
+        let n = self.lists.len();
+        for off in 1..n {
+            let victim = (me + off) % n;
+            let stolen = self.lists[victim].lock().unwrap().pop_back();
+            if let Some(i) = stolen {
+                stats.steals += 1;
+                phj_flightrec::event(phj_flightrec::EventKind::Steal, 1, me as u64, victim as u64);
+                return Some(i);
+            }
+        }
+        // The worker's one empty round, journaled only in full mode like
+        // every per-task event.
+        phj_flightrec::event_full(phj_flightrec::EventKind::Steal, 0, me as u64, 0);
+        None
+    }
+}
+
+/// One region worker: run tasks from its own list, then steal, until
+/// every list is empty.
 fn worker_loop<W, T, R, F>(
     w: usize,
     mut state: W,
     tasks: &[T],
-    deques: &[WorkDeque],
-    injector: &Injector,
-    claimed: &AtomicUsize,
-    total: usize,
+    lists: &TaskLists,
     f: &F,
 ) -> WorkerOut<W, R>
 where
@@ -475,33 +500,21 @@ where
     let mut stats = WorkerStats { worker: w, ..Default::default() };
     let mut results: Vec<(usize, R)> = Vec::new();
     let mut busy_ns = 0u64;
-    loop {
-        let next = deques[w]
-            .pop()
-            .or_else(|| injector.pop())
-            .or_else(|| steal_round(w, deques, &mut stats));
-        match next {
-            Some(i) => {
-                let done = claimed.fetch_add(1, Ordering::SeqCst) + 1;
-                if let Some(m) = exec_metrics() {
-                    m.queue_depth.set((total - done.min(total)) as u64);
-                }
-                let t0 = Instant::now();
-                phj_flightrec::event_full(phj_flightrec::EventKind::Task, w as u16, i as u64, 0);
-                let r = f(&mut state, i, &tasks[i]);
-                let dt = t0.elapsed().as_nanos() as u64;
-                busy_ns += dt;
-                stats.tasks += 1;
-                if let Some(m) = exec_metrics() {
-                    m.task_ns.record(dt);
-                }
-                results.push((i, r));
-            }
-            // Tasks never spawn tasks, so once every task has been
-            // claimed no new work can appear.
-            None if claimed.load(Ordering::SeqCst) >= total => break,
-            None => std::thread::yield_now(),
+    while let Some(i) = lists.next(w, &mut stats) {
+        if let Some(m) = exec_metrics() {
+            let taken = lists.taken.fetch_add(1, Ordering::Relaxed) + 1;
+            m.queue_depth.set((tasks.len() - taken) as u64);
         }
+        let t0 = Instant::now();
+        phj_flightrec::event_full(phj_flightrec::EventKind::Task, w as u16, i as u64, 0);
+        let r = f(&mut state, i, &tasks[i]);
+        let dt = t0.elapsed().as_nanos() as u64;
+        busy_ns += dt;
+        stats.tasks += 1;
+        if let Some(m) = exec_metrics() {
+            m.task_ns.record(dt);
+        }
+        results.push((i, r));
     }
     stats.busy_ns = busy_ns;
     stats.idle_ns = (start.elapsed().as_nanos() as u64).saturating_sub(busy_ns);
@@ -518,34 +531,6 @@ fn publish_worker(stats: &WorkerStats) {
         m.busy_ns.add(stats.busy_ns);
         m.idle_ns.add(stats.idle_ns);
     }
-}
-
-/// One full round of steal attempts over the other workers' deques.
-fn steal_round(me: usize, deques: &[WorkDeque], stats: &mut WorkerStats) -> Option<usize> {
-    let n = deques.len();
-    for off in 1..n {
-        let victim = (me + off) % n;
-        loop {
-            match deques[victim].steal() {
-                Steal::Task(i) => {
-                    stats.steals += 1;
-                    phj_flightrec::event(
-                        phj_flightrec::EventKind::Steal,
-                        1,
-                        me as u64,
-                        victim as u64,
-                    );
-                    return Some(i);
-                }
-                Steal::Retry => std::hint::spin_loop(),
-                Steal::Empty => break,
-            }
-        }
-    }
-    // A fully empty round is journaled only in full mode: misses are
-    // frequent during ramp-down and would wash out the ring otherwise.
-    phj_flightrec::event_full(phj_flightrec::EventKind::Steal, 0, me as u64, 0);
-    None
 }
 
 #[cfg(test)]
@@ -602,6 +587,47 @@ mod tests {
         });
         assert_eq!(results, (0..32).collect::<Vec<_>>());
         assert_eq!(stats.iter().map(|s| s.tasks).sum::<u64>(), 32);
+    }
+
+    #[test]
+    fn a_thief_takes_the_smallest_task_and_the_owner_keeps_its_order() {
+        // LPT over two workers: worker 0 gets [0, 3, 4], worker 1 gets
+        // [1, 2], each largest first.
+        let weights = [10u64, 9, 8, 2, 1];
+        assert_eq!(lpt_assign(&weights, 2), vec![vec![0, 3, 4], vec![1, 2]]);
+        let tasks = [(); 5];
+        let release = AtomicBool::new(false);
+        let owner_took_3 = AtomicBool::new(false);
+        let (_, states, stats) =
+            execute(vec![Vec::new(); 2], &tasks, &weights, |log: &mut Vec<usize>, i, _| {
+                log.push(i);
+                match i {
+                    // Worker 0 is held inside its first task until the
+                    // thief has stolen, so only worker 1 takes tasks.
+                    0 => {
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    3 => owner_took_3.store(true, Ordering::Release),
+                    // The stolen task releases worker 0, then holds the
+                    // thief until worker 0 has taken its next task.
+                    4 => {
+                        release.store(true, Ordering::Release);
+                        while !owner_took_3.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    _ => {}
+                }
+            });
+        // The thief drained its own list, then took worker 0's last
+        // (smallest) task, not its next one...
+        assert_eq!(states[1], vec![1, 2, 4]);
+        // ...and the released owner went on with its next-largest task.
+        assert_eq!(states[0], vec![0, 3]);
+        assert_eq!((stats[0].worker, stats[0].steals), (0, 0));
+        assert_eq!((stats[1].worker, stats[1].steals), (1, 1));
     }
 
     #[test]

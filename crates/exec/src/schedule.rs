@@ -13,11 +13,11 @@ use std::ops::Range;
 /// Assign `weights.len()` tasks to `workers` workers, LPT-greedy.
 ///
 /// Returns one task-index list per worker, each in **descending** weight
-/// order — the order the worker should execute them (and the order the
-/// pool seeds its deque so that bottom-pop yields the largest remaining
-/// task while thieves steal the smallest). Ties break toward the lower
-/// task index and the lower worker id, so the assignment is fully
-/// deterministic.
+/// order — the order the worker should execute them, and the order of
+/// the pool's per-worker task lists: the owner takes the largest
+/// remaining task from the front while thieves take the smallest from
+/// the back. Ties break toward the lower task index and the lower
+/// worker id, so the assignment is fully deterministic.
 pub fn lpt_assign(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
     let workers = workers.max(1);
     let mut order: Vec<usize> = (0..weights.len()).collect();

@@ -388,7 +388,7 @@ pub fn describe(ev: &PmEvent) -> String {
             if ev.code == 1 {
                 format!("steal: worker {} took from worker {}", ev.a, ev.b)
             } else {
-                format!("steal miss: worker {} found all deques empty", ev.a)
+                format!("steal miss: worker {} found every task list empty", ev.a)
             }
         }
         EventKind::Task => format!("task {} on worker {}", ev.a, ev.code),
