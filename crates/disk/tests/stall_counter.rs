@@ -32,13 +32,16 @@ fn stall_counter_counts_only_main_thread_waits() {
     w.finish().unwrap();
     assert!(slow.stats().slow_stall_us.load(std::sync::atomic::Ordering::Relaxed) > 0);
 
-    // A capped disk behind a one-page window: sends block.
+    // A capped disk behind a one-page window: sends block. The frames
+    // are sealed before the writer starts, so the send loop offers pages
+    // faster than the cap drains them even in a debug build.
     let capped = FaultPlan::disabled().stripe_mb_per_s(20.0);
     let s = StripeSet::create(&dir, "capped", 1, 4).unwrap().with_faults(capped, retry);
+    let frames: Vec<_> = (0..64u32).map(sealed).collect();
     let before = stall.value();
     let w = BackgroundWriter::start(s, 1);
-    for p in 0..64u64 {
-        w.write(p, sealed(p as u32)).unwrap();
+    for (p, frame) in (0..64u64).zip(frames) {
+        w.write(p, frame).unwrap();
     }
     w.finish().unwrap();
     assert!(stall.value() > before, "a full write-back window is main-thread stall");
