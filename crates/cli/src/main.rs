@@ -491,7 +491,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         let threads = args.get_usize("threads", 1)?.max(1);
         return join_parallel(args, &obs_out, &grace_cfg, &gen, &spec, scheme, mem_budget, threads);
     }
-    if args.flag("sim") {
+    let matches = if args.flag("sim") {
         let mut engine = SimEngine::paper();
         if wants_regions(args) {
             engine.enable_region_profiling();
@@ -536,6 +536,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             attach_regions(&mut report, &engine, args.flag("heatmap"), heat_width(args)?);
             obs_out.write(&mut report)?;
         }
+        sink.matches()
     } else {
         if wants_regions(args) {
             println!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
@@ -567,12 +568,10 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             fingerprint(&mut report);
             obs_out.write(&mut report)?;
         }
-    }
+        sink.matches()
+    };
     if gen.expected_matches > 0 {
-        let mut s = CountSink::new();
-        let mut m = NativeModel;
-        grace_join_with_sink_rec(&mut m, &grace_cfg, &gen.build, &gen.probe, &mut s, None);
-        assert_eq!(s.matches(), gen.expected_matches);
+        assert_eq!(matches, gen.expected_matches, "join missed matches");
     }
     Ok(())
 }
