@@ -19,12 +19,15 @@
 //! * [`FileRelation`] — an on-disk relation with its schema and page
 //!   count;
 //! * [`reader::SequentialReader`] — background read-ahead over a page
-//!   list: one worker thread per stripe file streams pages into a
-//!   bounded queue while the main thread computes; the reader reports
-//!   how long the main thread blocked;
+//!   list: one worker per stripe file reads runs of consecutive pages
+//!   with one `preadv` each and streams the pages into a bounded queue
+//!   while the main thread computes; the reader reports how long the
+//!   main thread blocked;
 //! * [`writer::BackgroundWriter`] — background write-back with a bounded
-//!   in-flight window; a send into a full window is main-thread stall
-//!   too (the report's per-pass [`PassTimes`] add both up);
+//!   in-flight window, one `pwritev` per run of consecutive pages; a
+//!   send into a full window is main-thread stall too (the report's
+//!   per-pass [`PassTimes`] add both up). Reader and writer workers run
+//!   on threads reused from a bounded idle list, not spawned per use;
 //! * [`grace`] — the one partition → build → probe join driver over
 //!   [`FileRelation`]s: inputs stream through the reader, spilled
 //!   partitions go out through the writer, and each spilled pair is
@@ -41,6 +44,7 @@ mod hybrid;
 pub mod reader;
 pub mod stripe;
 mod telemetry;
+mod worker;
 pub mod writer;
 
 use std::path::{Path, PathBuf};

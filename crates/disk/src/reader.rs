@@ -7,22 +7,26 @@
 //! possible."
 //!
 //! A reader scans a list of pages: a whole relation in page order, or
-//! one spilled partition's scattered pages. One worker thread per stripe
-//! file reads that stripe's pages in list order and sends them into a
-//! bounded channel (the read-ahead window).
+//! one spilled partition's scattered pages. One worker per stripe file,
+//! on a reused I/O thread ([`crate::worker`]), reads that stripe's pages
+//! in list order and sends them, verified, one by one into a bounded
+//! channel (the read-ahead window). Consecutive ids in the list that sit
+//! in one stripe unit move as one run, up to the stripe's share of the
+//! window, with one `preadv` ([`StripeSet::read_run`]), so a worker holds
+//! at most one run besides the pages queued in its channel.
 //! [`SequentialReader::next_page`] reassembles list order by pulling
 //! from the queue of each page's stripe. Time spent blocked on a queue
 //! is the main thread's I/O stall, as plotted in Fig 9.
 
 use std::cell::Cell;
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use phj_storage::{Page, Relation, Schema};
 
 use crate::error::{PhjError, Result};
 use crate::stripe::StripeSet;
+use crate::worker::Worker;
 
 type PageMsg = Result<(u64, Page)>;
 
@@ -53,25 +57,26 @@ pub(crate) fn stall_clock_s() -> f64 {
 pub struct SequentialReader {
     stripes: StripeSet,
     rx: Vec<Receiver<PageMsg>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<Worker>,
     pages: Vec<u64>,
     next: usize,
     stall: f64,
 }
 
 impl SequentialReader {
-    /// Start worker threads scanning pages `[start, end)` with a total
+    /// Start workers scanning pages `[start, end)` with a total
     /// read-ahead window of `read_ahead` pages (split across stripes).
     pub fn start(stripes: StripeSet, start: u64, end: u64, read_ahead: usize) -> Self {
         Self::pages(stripes, (start..end).collect(), read_ahead)
     }
 
-    /// Start worker threads reading `pages` in list order (any order,
-    /// any stripes) with a total read-ahead window of `read_ahead` pages
+    /// Start workers reading `pages` in list order (any order, any
+    /// stripes) with a total read-ahead window of `read_ahead` pages
     /// (split across stripes).
     pub fn pages(stripes: StripeSet, pages: Vec<u64>, read_ahead: usize) -> Self {
         let n = stripes.num_stripes();
         let per_stripe = (read_ahead / n).max(1);
+        let run = stripes.run_limit(per_stripe);
         let mut rx = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for s in 0..n {
@@ -79,7 +84,7 @@ impl SequentialReader {
             rx.push(r);
             let mine = pages.iter().copied().filter(|&p| stripes.stripe_of(p) == s).collect();
             let stripes = stripes.clone();
-            workers.push(std::thread::spawn(move || worker(stripes, mine, tx)));
+            workers.push(Worker::start(move || worker(stripes, mine, run, tx)));
         }
         SequentialReader { stripes, rx, workers, pages, next: 0, stall: 0.0 }
     }
@@ -129,21 +134,32 @@ impl Drop for SequentialReader {
         }
         self.rx.clear();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            w.join();
         }
     }
 }
 
 /// One stripe's worker: read its share of the list in order through the
-/// verified path (cap, fault injection, retries, checksum), pushing into
-/// the bounded channel.
-fn worker(stripes: StripeSet, pages: Vec<u64>, tx: SyncSender<PageMsg>) {
-    for page in pages {
-        let msg = stripes.read_page_verified(page).map(|pg| (page, pg));
-        let failed = msg.is_err();
-        if tx.send(msg).is_err() || failed {
-            return; // reader dropped, or error delivered
+/// verified path (cap, fault injection, retries, checksum), in runs of
+/// consecutive ids of at most `run` pages, pushing page by page into the
+/// bounded channel.
+fn worker(stripes: StripeSet, pages: Vec<u64>, run: usize, tx: SyncSender<PageMsg>) {
+    // Stop once the reader is dropped or an error has been delivered.
+    let mut send = |page: u64, res: Result<Page>| {
+        let failed = res.is_err();
+        tx.send(res.map(|pg| (page, pg))).is_ok() && !failed
+    };
+    let mut rest = &pages[..];
+    while let Some(&first) = rest.first() {
+        let n = 1 + rest
+            .windows(2)
+            .take(run - 1)
+            .take_while(|w| w[1] == w[0] + 1 && stripes.continues_run(w[1]))
+            .count();
+        if !stripes.read_run(first, n, &mut send) {
+            return;
         }
+        rest = &rest[n..];
     }
 }
 
@@ -231,6 +247,40 @@ mod tests {
             assert_eq!(r.next_page().unwrap().unwrap().hash_code(0), p as u32);
         }
         assert!(plan.stats().read_retries.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_stripe_fails_at_its_first_missing_page() {
+        // Stripe file 0 holds units 0 (pages 0..8), 2 (16..24) and 4
+        // (32..40). Cut it inside unit 2, at page 20's start and halfway
+        // through page 20: the scan delivers pages 0..20, then a typed
+        // error naming page 20, whatever its read-ahead fetched as a run.
+        let dir = temp_dir("short");
+        for cut in [0, phj_storage::PAGE_SIZE as u64 / 2] {
+            let s = StripeSet::create(&dir, "t", 2, 8).unwrap();
+            write_pages(&s, 40);
+            let file = std::fs::OpenOptions::new().write(true).open(&s.paths()[0]).unwrap();
+            file.set_len(s.offset_of(20) + cut).unwrap();
+            let mut r = SequentialReader::start(s.clone(), 0, 40, 16);
+            let mut seen = Vec::new();
+            let err = loop {
+                match r.next_page() {
+                    Ok(Some(page)) => seen.push(page.hash_code(0)),
+                    Ok(None) => panic!("the scan ended without an error"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(seen, (0..20).collect::<Vec<u32>>());
+            match err {
+                PhjError::Io { path, page: Some(20), attempts, source } => {
+                    assert_eq!(path, s.paths()[0]);
+                    assert_eq!(attempts, crate::fault::RetryPolicy::default().max_attempts);
+                    assert_eq!(source.kind(), std::io::ErrorKind::UnexpectedEof);
+                }
+                other => panic!("expected an I/O error at page 20, got {other}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -32,7 +32,7 @@ use phj_memsim::{MemoryModel, NativeModel, SimEngine, Snapshot};
 use phj_obs::{Recorder, RegionsSection, SpanId};
 use phj_storage::{Relation, RelationBuilder};
 
-use crate::pool::{self, WorkerStats};
+use crate::pool::{Pool, WorkerStats};
 use crate::schedule::{lpt_assign, page_morsels};
 
 /// Morsels per worker per relation: enough over-decomposition that
@@ -105,18 +105,21 @@ pub(crate) trait Lanes {
     ) -> Vec<R>;
 }
 
-/// Real threads over [`pool::execute`] (native model, real prefetches,
-/// work stealing). Worker recorders share the driving recorder's
-/// wall-clock origin, so the merged trace shows genuine overlap.
+/// Real threads over one [`Pool`] (native model, real prefetches, work
+/// stealing): the caller plus `threads - 1` pool threads, started once
+/// and reused by every phase. Worker recorders share the driving
+/// recorder's wall-clock origin, so the merged trace shows genuine
+/// overlap.
 pub(crate) struct ThreadLanes {
     threads: usize,
+    pool: Pool,
     /// Per-worker counters, one entry per phase run so far.
     pub(crate) phase_stats: Vec<Vec<WorkerStats>>,
 }
 
 impl ThreadLanes {
     pub(crate) fn new(threads: usize) -> Self {
-        ThreadLanes { threads, phase_stats: Vec::new() }
+        ThreadLanes { threads, pool: Pool::new(threads - 1), phase_stats: Vec::new() }
     }
 }
 
@@ -137,9 +140,10 @@ impl Lanes for ThreadLanes {
         let origin = rec.as_ref().map(|r| r.origin());
         let states: Vec<Option<Recorder>> =
             (0..self.threads).map(|_| origin.map(Recorder::with_origin)).collect();
-        let (results, states, stats) = pool::execute(states, tasks, weights, |wrec, _i, task| {
-            f(&mut NativeModel, wrec.as_mut(), task)
-        });
+        let (results, states, stats) =
+            self.pool.execute(states, tasks, weights, |wrec, _i, task| {
+                f(&mut NativeModel, wrec.as_mut(), task)
+            });
         if let Some(r) = rec.as_mut() {
             for (w, wrec) in states.into_iter().enumerate() {
                 if let Some(wr) = wrec {

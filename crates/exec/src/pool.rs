@@ -7,15 +7,15 @@
 //!   one state value per worker (the worker's private memory model,
 //!   sink, recorder…), runs every task exactly once, and hands the
 //!   states back along with the per-task results and per-worker
-//!   counters. Threads live only for the duration of the call, which
-//!   keeps the barrier between join phases explicit and is all the CLI
-//!   drivers need.
+//!   counters. Threads live only for the duration of the call.
 //! * [`Pool`] — a persistent handle whose worker threads outlive any
 //!   single region. A long-running daemon creates one `Pool` at startup
 //!   and reuses the same OS threads for every query instead of
-//!   respawning per request: [`Pool::spawn`] runs fire-and-forget jobs
-//!   (connection handlers), and [`Pool::execute`] runs the same
-//!   fork-join region as the free function on the pooled threads.
+//!   respawning per request, and each native parallel join or
+//!   aggregation owns one `Pool` for all of its phases:
+//!   [`Pool::spawn`] runs fire-and-forget jobs (connection handlers),
+//!   and [`Pool::execute`] runs the same fork-join region as the free
+//!   function on the pooled threads.
 //!
 //! Each worker of a region owns a `Mutex<VecDeque<usize>>` of task
 //! indices, filled with its [`lpt_assign`] list (descending weight)
