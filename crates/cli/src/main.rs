@@ -196,9 +196,11 @@ USAGE:
              [--json PATH] [--trace-out PATH] [DIAGNOSIS] [TELEMETRY]
   phj disk   [--build-mb N] [--mem-mb N] [--mem-budget BYTES] [--stripes S]
              [--mode grace|hybrid|dynamic] [--dir PATH] [--fault-plan SPEC]
-             [--max-depth D] [--json PATH] [DIAGNOSIS] [TELEMETRY]
+             [--json PATH] [DIAGNOSIS] [TELEMETRY]
              --mode is the residency policy of the one disk-join driver
-             (default dynamic, here and in `phj client --query disk`)
+             (default dynamic, here and in `phj client --query disk`);
+             an oversized partition repartitions while it shrinks, else
+             joins in budget-sized chunks
   phj tune   [--build-mb N] [--tuple-size B] [--profile-regions] [--heatmap]
              [--width W] [--json PATH] [--trace-out PATH] [DIAGNOSIS]
              [TELEMETRY]
@@ -927,9 +929,9 @@ fn render_chain(e: &phj_disk::PhjError) -> String {
 
 fn cmd_disk(args: &Args) -> Result<(), String> {
     args.allow(&[
-        "build-mb", "mem-mb", "mem-budget", "stripes", "dir", "fault-plan", "max-depth",
-        "mode", "json", "trace-out", "metrics-addr", "sample-interval", "dashboard", "width",
-        "explain", "cost-model", "flightrec", "postmortem", "log-format",
+        "build-mb", "mem-mb", "mem-budget", "stripes", "dir", "fault-plan", "mode", "json",
+        "trace-out", "metrics-addr", "sample-interval", "dashboard", "width", "explain",
+        "cost-model", "flightrec", "postmortem", "log-format",
     ])?;
     let mode_str = args.get_str("mode", phj_disk::DiskJoinMode::default().label());
     let mode = phj_disk::DiskJoinMode::parse(&mode_str)
@@ -943,7 +945,6 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         bytes => bytes,
     };
     let stripes = args.get_usize("stripes", 6)?.max(1);
-    let max_depth = args.get_usize("max-depth", 2)? as u32;
     let fault = match args.get_str("fault-plan", "").as_str() {
         "" => phj_disk::FaultPlan::disabled(),
         spec => phj_disk::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
@@ -981,8 +982,6 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         mem_budget,
         num_stripes: stripes,
         fault: fault.clone(),
-        retry,
-        max_repartition_depth: max_depth,
         mode,
         ..phj_disk::DiskGraceConfig::new(&dir)
     };
@@ -1068,7 +1067,6 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         run.config_kv("mem_budget", cfg.mem_budget);
         run.config_kv("mode", mode.label());
         run.config_kv("stripes", stripes);
-        run.config_kv("max_depth", max_depth);
         run.config_kv("resident_partitions", report.resident_partitions);
         run.config_kv("final_budget", report.final_budget);
         run.config_kv("transitions", report.transitions.len());

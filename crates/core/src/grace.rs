@@ -21,13 +21,14 @@
 //! 1. join the pair if the build partition fits the budget;
 //! 2. otherwise repartition both sides on the stashed hash codes through
 //!    the partition program, with a fan-out coprime to the moduli already
-//!    applied ([`plan::coprime_partitions`]) — only while the largest
-//!    build sub-partition shrinks, and within [`Ladder::max_depth`];
+//!    applied ([`plan::coprime_partitions`]) — at any depth, as long as
+//!    every build sub-partition is smaller than the partition it came from;
 //! 3. otherwise join in budget-sized build chunks, streaming the probe
-//!    side past each chunk;
-//! 4. otherwise (chunked join off) fail with the store's overflow error.
+//!    side past each chunk.
 //!
-//! Steps 2–4 leave a [`DegradationEvent`] each.
+//! The rule has no knobs: each repartitioning level strictly shrinks the
+//! pages left to split, so the ladder always ends in a join. Steps 2 and
+//! 3 leave a [`DegradationEvent`] each.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -78,15 +79,13 @@ impl Default for GraceConfig {
 }
 
 impl GraceConfig {
-    /// The overflow ladder of the in-memory drivers: the budget, the
-    /// fan-out cap, no depth bound, and the chunked join always on.
+    /// The overflow ladder of the in-memory drivers: the budget and the
+    /// fan-out cap.
     fn ladder<'s, S>(&self, sink: &'s mut S) -> Ladder<'s, InMemory, S> {
         assert!(self.max_active_partitions >= 2, "need at least two partitions per pass");
         Ladder {
             budget: self.mem_budget as u64,
             max_fanout: self.max_active_partitions,
-            max_depth: u32::MAX,
-            chunked_join: true,
             partition_scheme: self.partition_scheme,
             join_scheme: self.join_scheme,
             store: InMemory,
@@ -314,8 +313,6 @@ pub trait PairStore {
     fn store(&mut self, part: &Self::Part, fanout: usize) -> Result<Self::Store, Self::Error>;
     /// The sub-partitions a finished store holds.
     fn parts(&mut self, store: Self::Store) -> Result<Vec<Self::Part>, Self::Error>;
-    /// The error for a pair no rung could join.
-    fn overflow(&self, partition: usize, depth: u32, bytes: u64, budget: u64) -> Self::Error;
 }
 
 /// What [`PairStore::read`] returns.
@@ -344,9 +341,6 @@ impl PairStore for InMemory {
     fn parts(&mut self, store: Vec<Relation>) -> Result<Vec<Relation>, Self::Error> {
         Ok(store)
     }
-    fn overflow(&self, _: usize, _: u32, _: u64, _: u64) -> Self::Error {
-        unreachable!("the in-memory ladder always ends in the chunked join")
-    }
 }
 
 /// The overflow ladder over one [`PairStore`]: its bounds, its sink, and
@@ -357,10 +351,6 @@ pub struct Ladder<'s, P, S> {
     pub budget: u64,
     /// Most sub-partitions one repartitioning pass writes.
     pub max_fanout: usize,
-    /// Depth at which repartitioning stops (`u32::MAX`: only the shrink rule).
-    pub max_depth: u32,
-    /// Join in chunks what repartitioning cannot shrink (else overflow).
-    pub chunked_join: bool,
     /// Schedule of the repartitioning passes.
     pub partition_scheme: PartitionScheme,
     /// Schedule of the joins.
@@ -391,7 +381,6 @@ impl<P: PairStore, S: JoinSink> Ladder<'_, P, S> {
         rec: &mut Option<&mut Recorder>,
     ) -> Result<usize, P::Error> {
         let (budget, stored) = (self.budget, !path.is_empty());
-        let index = path.last().copied().unwrap_or(0);
         let pages = self.store.pages(build);
         let bytes = (pages * PAGE_SIZE) as u64;
         if bytes <= budget {
@@ -399,37 +388,31 @@ impl<P: PairStore, S: JoinSink> Ladder<'_, P, S> {
             let (b, _) = self.store.read(build, 0..pages)?;
             let (p, _) = self.store.read(probe, 0..self.store.pages(probe))?;
             let span = obs::span_begin(rec, mem, "pair");
-            obs::span_meta(rec, "index", index);
+            obs::span_meta(rec, "index", path.last().copied().unwrap_or(0));
             join_pair(mem, &params, &b, &p, moduli, self.sink, rec.as_deref_mut());
             obs::span_end(rec, mem, span);
             return Ok(1);
         }
-        let depth = path.len().saturating_sub(1) as u32;
-        if depth < self.max_depth {
-            let needed = plan::num_partitions(bytes as usize, budget as usize);
-            let fanout = plan::coprime_partitions(needed.min(self.max_fanout), moduli);
-            let pass = obs::span_begin(rec, mem, "partition_pass");
-            obs::span_meta(rec, "fanout", fanout);
-            obs::span_meta(rec, "moduli", moduli);
-            let sub_build = self.split(mem, build, fanout, stored, rec)?;
-            if sub_build.iter().all(|sub| self.store.pages(sub) < pages) {
-                if stored {
-                    self.record(path, bytes, DegradationKind::Repartition { fanout });
-                }
-                let sub_probe = self.split(mem, probe, fanout, stored, rec)?;
-                obs::span_end(rec, mem, pass);
-                for (i, (b, p)) in sub_build.iter().zip(&sub_probe).enumerate() {
-                    path.push(i);
-                    self.join(mem, b, p, moduli * fanout, path, rec)?;
-                    path.pop();
-                }
-                return Ok(fanout);
+        let needed = plan::num_partitions(bytes as usize, budget as usize);
+        let fanout = plan::coprime_partitions(needed.min(self.max_fanout), moduli);
+        let pass = obs::span_begin(rec, mem, "partition_pass");
+        obs::span_meta(rec, "fanout", fanout);
+        obs::span_meta(rec, "moduli", moduli);
+        let sub_build = self.split(mem, build, fanout, stored, rec)?;
+        if sub_build.iter().all(|sub| self.store.pages(sub) < pages) {
+            if stored {
+                self.record(path, bytes, DegradationKind::Repartition { fanout });
             }
+            let sub_probe = self.split(mem, probe, fanout, stored, rec)?;
             obs::span_end(rec, mem, pass);
+            for (i, (b, p)) in sub_build.iter().zip(&sub_probe).enumerate() {
+                path.push(i);
+                self.join(mem, b, p, moduli * fanout, path, rec)?;
+                path.pop();
+            }
+            return Ok(fanout);
         }
-        if !self.chunked_join {
-            return Err(self.store.overflow(index, depth, bytes, budget));
-        }
+        obs::span_end(rec, mem, pass);
         let span = obs::span_begin(rec, mem, "nlj_fallback");
         obs::span_meta(rec, "partition", label(path));
         let chunks = self.chunked(mem, build, probe, moduli, stored)?;

@@ -1,11 +1,12 @@
 //! Typed errors for the disk substrate.
 //!
 //! Everything that can go wrong between a page image and a join result —
-//! an exhausted retry budget, a torn write, a checksum mismatch, a build
-//! partition that no amount of repartitioning will shrink — surfaces as a
-//! [`PhjError`] naming the file, page, and partition involved, instead of
-//! a panic backtrace. The CLI renders the `Display` chain and exits
-//! nonzero.
+//! an exhausted retry budget, a torn write, a checksum mismatch, an
+//! output tuple too large for a page, a lost I/O worker — surfaces as a
+//! [`PhjError`] naming the file and page involved, instead of a panic
+//! backtrace. An oversized build partition is not among them: core's
+//! overflow ladder always ends in a join. The CLI renders the `Display`
+//! chain and exits nonzero.
 
 use std::fmt;
 use std::io;
@@ -53,19 +54,6 @@ pub enum PhjError {
         stored: u32,
         /// Checksum recomputed from the image.
         computed: u32,
-    },
-    /// A build partition still exceeds the memory budget after every
-    /// degradation step (repartition depth exhausted, nested-loop
-    /// fallback disabled).
-    PartitionOverflow {
-        /// Partition number within its repartition level.
-        partition: usize,
-        /// Recursive repartition depth at which the engine gave up.
-        depth: u32,
-        /// Size of the oversized partition in bytes.
-        bytes: u64,
-        /// The memory budget it had to fit into.
-        budget: u64,
     },
     /// A join-output tuple is larger than a page can hold.
     TupleTooLarge {
@@ -124,11 +112,6 @@ impl fmt::Display for PhjError {
                 f,
                 "checksum mismatch on page {page} in {}: header {stored:#010x}, contents {computed:#010x}",
                 path.display()
-            ),
-            PhjError::PartitionOverflow { partition, depth, bytes, budget } => write!(
-                f,
-                "partition {partition} overflows the memory budget at repartition depth \
-                 {depth}: {bytes} B > {budget} B and nested-loop fallback is disabled"
             ),
             PhjError::TupleTooLarge { bytes } => {
                 write!(f, "join output tuple of {bytes} B exceeds the page size")

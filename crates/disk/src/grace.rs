@@ -25,10 +25,10 @@
 //! is the classic partition-everything-then-join-pairs GRACE.
 //!
 //! **Spilled pairs** go through core's overflow ladder ([`Ladder`]), the
-//! rule every driver shares, budgeted by the live limit at each pair and
-//! bounded by [`DiskGraceConfig::max_repartition_depth`] and
-//! [`DiskGraceConfig::nlj_fallback`]; a pair no rung can join is a
-//! [`PhjError::PartitionOverflow`], never a wrong answer. Every step is a
+//! one fixed rule every driver shares, budgeted by the live limit at each
+//! pair: repartition while the largest build sub-partition shrinks, at
+//! any depth, else join in budget-sized chunks, so an oversized
+//! partition is never an error. Every step is a
 //! [`DegradationEvent`] in the report, and the report carries an
 //! order-insensitive result checksum, so a degraded run can be verified
 //! against a fault-free one without loading the output.
@@ -125,10 +125,6 @@ pub struct DiskGraceConfig {
     pub num_stripes: usize,
     /// Stripe unit in pages (256 KB = 32 pages of 8 KB in §7.2).
     pub stripe_pages: u64,
-    /// Read-ahead window in pages.
-    pub read_ahead: usize,
-    /// Background-writer in-flight window in pages.
-    pub write_window: usize,
     /// Prefetching scheme of the run: the schedule of both partition
     /// passes (and of repartitioning) as well as the in-memory join of
     /// each partition pair.
@@ -137,17 +133,9 @@ pub struct DiskGraceConfig {
     pub dir: PathBuf,
     /// Fault plan injected into every spill/output stripe set (the
     /// *input* relations carry their own plan; see
-    /// [`FileRelation::set_faults`]). Disabled by default.
+    /// [`FileRelation::set_faults`]). Disabled by default. Every page
+    /// read and write retries under [`RetryPolicy::default`].
     pub fault: FaultPlan,
-    /// Retry policy for every page read/write.
-    pub retry: RetryPolicy,
-    /// How many levels of repartitioning (coprime fan-out on the stashed
-    /// hash codes) to try for an oversized build partition before falling back.
-    pub max_repartition_depth: u32,
-    /// Whether to fall back to a chunked (block nested-loop) join when
-    /// repartitioning cannot shrink a partition under the budget. With
-    /// this off, such a partition is a [`PhjError::PartitionOverflow`].
-    pub nlj_fallback: bool,
     /// Query id stamped (full u64, payload `a`) on the flight-recorder
     /// `Grant` event this run journals, so a host multiplexing several
     /// joins through one journal (the query daemon tags by query id)
@@ -168,19 +156,27 @@ impl DiskGraceConfig {
             mem_budget: 50 << 20,
             num_stripes: 6,
             stripe_pages: 32,
-            read_ahead: 256,
-            write_window: 256,
             join_scheme: JoinScheme::Group { g: 16 },
             dir: dir.to_path_buf(),
             fault: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
-            max_repartition_depth: 2,
-            nlj_fallback: true,
             grant_tag: 0,
             mode: DiskJoinMode::default(),
             live_budget: None,
         }
     }
+}
+
+/// Read-ahead window of every scan, in pages.
+const READ_AHEAD: usize = 256;
+
+/// In-flight window of every background writer, in pages.
+const WRITE_WINDOW: usize = 256;
+
+/// `<dir>/<name>.N`, striped as `cfg` says, under its fault plan.
+fn create_stripes(cfg: &DiskGraceConfig, name: &str) -> Result<StripeSet> {
+    StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
+        .map(|stripes| stripes.with_faults(cfg.fault.clone(), RetryPolicy::default()))
+        .map_err(|e| PhjError::io(cfg.dir.join(name), e))
 }
 
 /// Which way a partition crossed the memory/disk boundary mid-run.
@@ -329,7 +325,6 @@ pub(crate) struct SpillFile {
     pub(crate) part_tuples: Vec<u64>,
     writer: Option<BackgroundWriter>,
     next_page: u64,
-    window: usize,
     error: Option<PhjError>,
     temporary: bool,
 }
@@ -341,17 +336,13 @@ impl SpillFile {
         p: usize,
         schema: &Schema,
     ) -> Result<SpillFile> {
-        let stripes = StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
-            .map_err(|e| PhjError::io(cfg.dir.join(name), e))?
-            .with_faults(cfg.fault.clone(), cfg.retry);
         Ok(SpillFile {
-            stripes,
+            stripes: create_stripes(cfg, name)?,
             schema: schema.clone(),
             part_pages: vec![Vec::new(); p],
             part_tuples: vec![0; p],
             writer: None,
             next_page: 0,
-            window: cfg.write_window,
             error: None,
             temporary: false,
         })
@@ -364,7 +355,7 @@ impl SpillFile {
         }
         let writer = self
             .writer
-            .get_or_insert_with(|| BackgroundWriter::start(self.stripes.clone(), self.window));
+            .get_or_insert_with(|| BackgroundWriter::start(self.stripes.clone(), WRITE_WINDOW));
         self.part_pages[part].push(self.next_page);
         self.part_tuples[part] += page.nslots() as u64;
         if let Err(e) = writer.write(self.next_page, page.sealed_image()) {
@@ -444,10 +435,9 @@ fn partition_file<'a>(
     p: usize,
     store: DiskStore<'a>,
     input: &FileRelation,
-    read_ahead: usize,
 ) -> Result<(DiskStore<'a>, f64)> {
     let mut out = OutputBuffers::with_store(store, p);
-    let mut scan = input.scan(read_ahead);
+    let mut scan = input.scan(READ_AHEAD);
     loop {
         let mut chunk = Relation::new(input.schema().clone());
         while chunk.num_pages() < CHUNK_PAGES {
@@ -492,7 +482,7 @@ impl PairStore for SpilledPairs<'_> {
         pages: Range<usize>,
     ) -> Result<(Cow<'a, Relation>, Range<usize>)> {
         let (file, ids) = (&part.file, part.file.part_pages[part.part][pages].to_vec());
-        let reader = SequentialReader::pages(file.stripes.clone(), ids, self.cfg.read_ahead);
+        let reader = SequentialReader::pages(file.stripes.clone(), ids, READ_AHEAD);
         let rel = reader.into_relation(&file.schema)?;
         let n = rel.num_pages();
         Ok((Cow::Owned(rel), 0..n))
@@ -506,10 +496,6 @@ impl PairStore for SpilledPairs<'_> {
 
     fn parts(&mut self, store: DiskStore<'static>) -> Result<Vec<SpilledPart>> {
         store.spill.into_parts(true)
-    }
-
-    fn overflow(&self, partition: usize, depth: u32, bytes: u64, budget: u64) -> PhjError {
-        PhjError::PartitionOverflow { partition, depth, bytes, budget }
     }
 }
 
@@ -533,13 +519,11 @@ pub(crate) struct DiskSink {
 impl DiskSink {
     /// Create `<dir>/out.N` and start its background writer.
     fn create(cfg: &DiskGraceConfig, build: &Schema, probe: &Schema) -> Result<DiskSink> {
-        let stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
-            .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
-            .with_faults(cfg.fault.clone(), cfg.retry);
+        let stripes = create_stripes(cfg, "out")?;
         Ok(DiskSink {
             build_schema: build.clone(),
             probe_schema: probe.clone(),
-            writer: BackgroundWriter::start(stripes.clone(), cfg.write_window),
+            writer: BackgroundWriter::start(stripes.clone(), WRITE_WINDOW),
             stripes,
             page: Page::new(),
             next_page: 0,
@@ -648,7 +632,7 @@ pub fn grace_join_files_rec(
     obs::span_meta(&mut rec, "partitions", p);
     obs::span_meta(&mut rec, "mode", cfg.mode.label());
     let store = DiskStore::build(cfg, &live, reserve, p, &bschema)?;
-    let (mut store, bstall) = partition_file(scheme, p, store, build, cfg.read_ahead)?;
+    let (mut store, bstall) = partition_file(scheme, p, store, build)?;
     store.finish_build(cfg.mode.absorbs())?;
     obs::span_end(&mut rec, &NativeModel, span);
     let build_pass = pass_times(start, &cfg.fault);
@@ -662,7 +646,7 @@ pub fn grace_join_files_rec(
     // they seal; pages of spilled partitions go to the probe spill file.
     let start = pass_start(&cfg.fault);
     let span = obs::span_begin(&mut rec, &NativeModel, "join");
-    let (store, pstall) = partition_file(scheme, p, store, probe, cfg.read_ahead)?;
+    let (store, pstall) = partition_file(scheme, p, store, probe)?;
     let (bspill, pspill, resident_partitions, transitions) = store.finish_probe()?;
     let probe_pass = pass_times(start, &cfg.fault);
     let start = pass_start(&cfg.fault);
@@ -672,8 +656,6 @@ pub fn grace_join_files_rec(
     let mut ladder = Ladder {
         budget: budget0,
         max_fanout: usize::MAX,
-        max_depth: cfg.max_repartition_depth,
-        chunked_join: cfg.nlj_fallback,
         partition_scheme: scheme,
         join_scheme: cfg.join_scheme,
         store: SpilledPairs { cfg, passes: 0 },

@@ -109,7 +109,8 @@ proptest! {
 
         // Inputs are written fault-free (the workload must exist), then
         // all subsequent I/O — input scans, spills, output — runs under
-        // the plan.
+        // the plan. Spills and output retry under the driver's fixed
+        // policy: the same attempt budget, a longer backoff.
         let mut fb = FileRelation::create(&dir, "b", &build, 3, 2).unwrap();
         let mut fp = FileRelation::create(&dir, "p", &probe, 3, 2).unwrap();
         fb.set_faults(plan.clone(), retry);
@@ -120,7 +121,6 @@ proptest! {
             num_stripes: 2,
             stripe_pages: 2,
             fault: plan.clone(),
-            retry,
             ..DiskGraceConfig::new(&dir)
         };
 
@@ -201,7 +201,6 @@ proptest! {
             num_stripes: 2,
             stripe_pages: 2,
             fault: plan.clone(),
-            retry,
             ..DiskGraceConfig::new(&dir)
         };
 
@@ -251,7 +250,6 @@ proptest! {
         let dir = temp_dir("torn");
         let (build, probe) = workload();
         let plan = FaultPlan::seeded(seed).torn_writes(torn);
-        let retry = RetryPolicy::default();
         let fb = FileRelation::create(&dir, "b", &build, 2, 2).unwrap();
         let fp = FileRelation::create(&dir, "p", &probe, 2, 2).unwrap();
         let cfg = DiskGraceConfig {
@@ -259,7 +257,6 @@ proptest! {
             num_stripes: 2,
             stripe_pages: 2,
             fault: plan.clone(),
-            retry,
             ..DiskGraceConfig::new(&dir)
         };
         match grace_join_files(&cfg, &fb, &fp) {

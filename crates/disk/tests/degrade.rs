@@ -1,9 +1,8 @@
 //! Graceful-degradation tests: build partitions that cannot fit the
 //! memory budget must still produce the right answer — via recursive
-//! repartitioning on the stashed hash codes (coprime fan-out) when that
-//! splits them, via the block nested-loop fallback when it cannot (one
-//! dominant key), and via a typed [`PhjError::PartitionOverflow`] when
-//! the fallback is disabled. Correctness is checked against the
+//! repartitioning on the stashed hash codes (coprime fan-out) at any
+//! depth while that shrinks them, and via the block nested-loop fallback
+//! when it cannot (one dominant key). Correctness is checked against the
 //! in-memory engine on both the match count and the order-insensitive
 //! pair checksum, and the in-memory engine at each case's own tight
 //! budget — the same overflow ladder — must agree with it. The tests pin
@@ -13,7 +12,8 @@
 use phj::grace::{grace_join_with_sink, GraceConfig};
 use phj::sink::{CountSink, JoinSink};
 use phj_disk::{
-    grace_join_files, DegradationKind, DiskGraceConfig, DiskJoinMode, FileRelation, PhjError,
+    grace_join_files, DegradationEvent, DegradationKind, DiskGraceConfig, DiskJoinMode,
+    FileRelation,
 };
 use phj_memsim::NativeModel;
 use phj_storage::{Relation, RelationBuilder, Schema, PAGE_SIZE};
@@ -191,28 +191,48 @@ fn lumpy_keys_complete_via_recursive_repartition() {
 }
 
 #[test]
-fn overflow_without_fallback_is_a_typed_error() {
-    let dir = temp_dir("overflow");
-    let build = rel_from_keys(&vec![42u32; 2000], 48);
-    let probe = rel_from_keys(&[42u32], 48);
+fn a_pair_that_still_shrinks_at_depth_2_repartitions_again() {
+    let dir = temp_dir("depth2");
+    // Keys picked by hash residue so that, under a 4-page budget, the
+    // 33-page build lands whole in top-level partition 4 of 9; most of
+    // it in sub-partition 7 of the depth-0 fan-out of 10; most of that
+    // in sub-partition 3 of the depth-1 fan-out of 11. The 24-page
+    // partition 4.7.3 is still distinct keys, so a depth-2 pass shrinks
+    // it and no pair needs the chunked join.
+    let h = |k: &u32| phj::hash::hash_key(&k.to_le_bytes()) as usize;
+    let pick = |n: usize, keep: &dyn Fn(usize) -> bool| {
+        (0u32..).filter(|k| h(k) % 9 == 4 && keep(h(k))).take(n).collect::<Vec<_>>()
+    };
+    let mut keys = pick(3500, &|h| h % 10 == 7 && h % 11 == 3);
+    keys.extend(pick(700, &|h| h % 10 == 7 && h % 11 != 3));
+    keys.extend(pick(600, &|h| h % 10 != 7));
+    let build = rel_from_keys(&keys, 48);
+    let probe = rel_from_keys(&keys, 48);
+    let (want_matches, want_checksum) = reference(&build, &probe);
+    assert_eq!(want_matches, keys.len() as u64);
+    assert_eq!(in_memory_at(4 * PAGE_SIZE, &build, &probe), (want_matches, want_checksum));
+
     let fb = FileRelation::create(&dir, "b", &build, 2, 2).unwrap();
     let fp = FileRelation::create(&dir, "p", &probe, 2, 2).unwrap();
     let cfg = DiskGraceConfig {
         mem_budget: 4 * PAGE_SIZE,
         num_stripes: 2,
         stripe_pages: 2,
-        nlj_fallback: false,
         mode: DiskJoinMode::Grace,
         ..DiskGraceConfig::new(&dir)
     };
-    let err = grace_join_files(&cfg, &fb, &fp).unwrap_err();
-    match err {
-        PhjError::PartitionOverflow { depth, bytes, budget, .. } => {
-            assert!(bytes > budget, "{bytes} vs {budget}");
-            assert!(depth <= cfg.max_repartition_depth);
-        }
-        other => panic!("expected PartitionOverflow, got {other}"),
-    }
+    let report = grace_join_files(&cfg, &fb, &fp).unwrap();
+    assert_eq!((report.matches, report.checksum), (want_matches, want_checksum));
+    let events = &report.degradation;
+    let repartition = |e: &&DegradationEvent| matches!(e.kind, DegradationKind::Repartition { .. });
+    assert!(
+        events.iter().filter(repartition).any(|e| e.depth == 2),
+        "expected a repartition at depth 2, got {events:?}"
+    );
+    assert!(
+        !events.iter().any(|e| matches!(e.kind, DegradationKind::NljFallback { .. })),
+        "a shrinking pair fell to the chunked join: {events:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -39,5 +39,5 @@ pub use agg::{agg_checksum, parallel_agg_native, parallel_agg_sim, NativeAggOutc
 pub use join::{
     parallel_join_native, parallel_join_sim, LaneStats, NativeJoinOutcome, SimJoinOutcome,
 };
-pub use pool::{execute, Pool, WorkerStats};
+pub use pool::{Pool, WorkerStats};
 pub use schedule::{lpt_assign, page_morsels};

@@ -1,21 +1,16 @@
 //! The worker pool: seed one task list per worker LPT-greedy, run one OS
 //! thread per worker, rebalance by stealing.
 //!
-//! Two entry points share one scheduling core:
-//!
-//! * [`execute`] — the original one-shot fork-join region. It consumes
-//!   one state value per worker (the worker's private memory model,
-//!   sink, recorder…), runs every task exactly once, and hands the
-//!   states back along with the per-task results and per-worker
-//!   counters. Threads live only for the duration of the call.
-//! * [`Pool`] — a persistent handle whose worker threads outlive any
-//!   single region. A long-running daemon creates one `Pool` at startup
-//!   and reuses the same OS threads for every query instead of
-//!   respawning per request, and each native parallel join or
-//!   aggregation owns one `Pool` for all of its phases:
-//!   [`Pool::spawn`] runs fire-and-forget jobs (connection handlers),
-//!   and [`Pool::execute`] runs the same fork-join region as the free
-//!   function on the pooled threads.
+//! [`Pool`] is a persistent handle whose worker threads outlive any
+//! single region. A long-running daemon creates one `Pool` at startup
+//! and reuses the same OS threads for every query instead of respawning
+//! per request, and each native parallel join or aggregation owns one
+//! `Pool` for all of its phases. [`Pool::spawn`] runs fire-and-forget
+//! jobs (connection handlers); [`Pool::execute`] runs a fork-join
+//! region. A region consumes one state value per worker (the worker's
+//! private memory model, sink, recorder…), runs every task exactly once,
+//! and hands the states back along with the per-task results and
+//! per-worker counters.
 //!
 //! Each worker of a region owns a `Mutex<VecDeque<usize>>` of task
 //! indices, filled with its [`lpt_assign`] list (descending weight)
@@ -27,17 +22,15 @@
 //! list. Tasks never spawn tasks, so a worker that finds every list
 //! empty is done.
 //!
-//! [`execute`] is a thin wrapper — `Pool::new(n - 1)` plus one region
-//! plus shutdown — so both paths exercise identical scheduling code. A
-//! region on a `Pool` works by *caller participation*: the calling
-//! thread becomes worker 0 and runs the normal worker loop inline,
-//! while workers `1..n` are enqueued at the *front* of the pool's job
-//! queue (regions must not be starved by a backlog of fire-and-forget
-//! jobs). Because the caller is itself a worker, the region makes
-//! progress even when every pool thread is busy: worker 0 drains and
-//! steals everything, and once its own loop is done it dequeues and
-//! runs *its own region's* still-queued jobs inline (each finds every
-//! list empty and no-ops) before blocking on the completion barrier.
+//! A region works by *caller participation*: the calling thread becomes
+//! worker 0 and runs the normal worker loop inline, while workers `1..n`
+//! are enqueued at the *front* of the pool's job queue (regions must not
+//! be starved by a backlog of fire-and-forget jobs). Because the caller
+//! is itself a worker, the region makes progress even when every pool
+//! thread is busy: worker 0 drains and steals everything, and once its
+//! own loop is done it dequeues and runs *its own region's* still-queued
+//! jobs inline (each finds every list empty and no-ops) before blocking
+//! on the completion barrier.
 //! That drain step is what makes the progress guarantee unconditional:
 //! a pool saturated by long-lived [`Pool::spawn`] jobs — or by other
 //! callers' regions — never gets the chance to strand a region's jobs
@@ -62,7 +55,7 @@ use std::time::Instant;
 use crate::schedule::lpt_assign;
 use crate::telemetry::exec_metrics;
 
-/// Per-worker execution counters for one [`execute`] region.
+/// Per-worker execution counters for one [`Pool::execute`] region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Worker index.
@@ -76,39 +69,6 @@ pub struct WorkerStats {
     pub busy_ns: u64,
     /// Wall time spent looking for work, in nanoseconds.
     pub idle_ns: u64,
-}
-
-/// Run every task exactly once across `states.len()` workers.
-///
-/// Tasks are pre-assigned to workers by [`lpt_assign`] over `weights`
-/// (heaviest first to the least-loaded worker); a worker that drains its
-/// own list steals the smallest remaining task of another worker, so a
-/// bad estimate degrades into rebalancing rather than idling. `f` is
-/// called as `f(&mut state, task_index, &tasks[task_index])`.
-///
-/// Returns the per-task results (indexed like `tasks`), the worker
-/// states (in worker order, for merging), and the per-worker counters.
-///
-/// With a single worker the tasks run inline on the caller's thread in
-/// the same LPT order — no threads are spawned, so a `threads == 1`
-/// driver stays deterministic to the instruction.
-pub fn execute<W, T, R, F>(
-    states: Vec<W>,
-    tasks: &[T],
-    weights: &[u64],
-    f: F,
-) -> (Vec<R>, Vec<W>, Vec<WorkerStats>)
-where
-    W: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut W, usize, &T) -> R + Sync,
-{
-    assert!(!states.is_empty(), "need at least one worker");
-    let pool = Pool::new(states.len() - 1);
-    let out = pool.execute(states, tasks, weights, f);
-    pool.shutdown();
-    out
 }
 
 /// A fire-and-forget job on the pool's queue.
@@ -223,8 +183,20 @@ impl Pool {
         }
     }
 
-    /// Run a fork-join region on the pool: semantics identical to the
-    /// free [`execute`], but worker threads are reused across calls.
+    /// Run every task exactly once across `states.len()` workers.
+    ///
+    /// Tasks are pre-assigned to workers by [`lpt_assign`] over `weights`
+    /// (heaviest first to the least-loaded worker); a worker that drains
+    /// its own list steals the smallest remaining task of another worker,
+    /// so a bad estimate degrades into rebalancing rather than idling. `f`
+    /// is called as `f(&mut state, task_index, &tasks[task_index])`.
+    ///
+    /// Returns the per-task results (indexed like `tasks`), the worker
+    /// states (in worker order, for merging), and the per-worker counters.
+    ///
+    /// With a single worker the tasks run inline on the caller's thread
+    /// in the same LPT order — no pool thread is involved, so a
+    /// `threads == 1` driver stays deterministic to the instruction.
     ///
     /// The calling thread participates as worker 0, so a region needs
     /// only `states.len() - 1` pool jobs and completes even on a
@@ -547,7 +519,8 @@ mod tests {
             let weights: Vec<u64> = tasks.iter().map(|t| t % 13 + 1).collect();
             let ran = AtomicU64::new(0);
             let states: Vec<u64> = vec![0; threads];
-            let (results, states, stats) = execute(states, &tasks, &weights, |acc, i, t| {
+            let (results, states, stats) =
+                Pool::new(threads - 1).execute(states, &tasks, &weights, |acc, i, t| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 *acc += t;
                 i as u64 * 2
@@ -566,7 +539,7 @@ mod tests {
         let tasks = [1u64, 2, 3];
         let weights = [5u64, 50, 20];
         let (results, states, _) =
-            execute(vec![Vec::new()], &tasks, &weights, |log: &mut Vec<usize>, i, _| {
+            Pool::new(0).execute(vec![Vec::new()], &tasks, &weights, |log: &mut Vec<usize>, i, _| {
                 log.push(i);
                 i
             });
@@ -581,7 +554,7 @@ mod tests {
         // Tasks that sleep differently force real stealing.
         let tasks: Vec<u64> = (0..32).map(|i| if i == 0 { 20 } else { 1 }).collect();
         let weights = vec![1u64; 32]; // deliberately wrong estimates
-        let (results, _, stats) = execute(vec![(); 4], &tasks, &weights, |_, i, ms| {
+        let (results, _, stats) = Pool::new(3).execute(vec![(); 4], &tasks, &weights, |_, i, ms| {
             std::thread::sleep(std::time::Duration::from_millis(*ms));
             i
         });
@@ -598,8 +571,9 @@ mod tests {
         let tasks = [(); 5];
         let release = AtomicBool::new(false);
         let owner_took_3 = AtomicBool::new(false);
+        let pool = Pool::new(1);
         let (_, states, stats) =
-            execute(vec![Vec::new(); 2], &tasks, &weights, |log: &mut Vec<usize>, i, _| {
+            pool.execute(vec![Vec::new(); 2], &tasks, &weights, |log: &mut Vec<usize>, i, _| {
                 log.push(i);
                 match i {
                     // Worker 0 is held inside its first task until the
