@@ -18,13 +18,15 @@
 //! parallel in-memory joins, and the disk join's spilled pairs (a
 //! [`PairStore`] says where a pair's pages live):
 //!
-//! 1. join the pair if the build partition fits the budget;
+//! 1. join the pair if the build partition fits the budget — under simple
+//!    prefetching when its working set fits the cache
+//!    ([`JoinScheme::for_pair`]), else under the configured scheme;
 //! 2. otherwise repartition both sides on the stashed hash codes through
 //!    the partition program, with a fan-out coprime to the moduli already
 //!    applied ([`plan::coprime_partitions`]) — at any depth, as long as
 //!    every build sub-partition is smaller than the partition it came from;
 //! 3. otherwise join in budget-sized build chunks, streaming the probe
-//!    side past each chunk.
+//!    side past each chunk (each chunk's scheme picked as in step 1).
 //!
 //! The rule has no knobs: each repartitioning level strictly shrinks the
 //! pages left to split, so the ladder always ends in a join. Steps 2 and
@@ -55,7 +57,10 @@ pub struct GraceConfig {
     pub mem_budget: usize,
     /// Partition-phase algorithm.
     pub partition_scheme: PartitionScheme,
-    /// Join-phase algorithm.
+    /// Join-phase algorithm. A staged scheme joins only the pairs whose
+    /// working set misses the cache; the rest run simple prefetching
+    /// ([`JoinScheme::for_pair`]). The hybrid's fused passes run it as
+    /// given.
     pub join_scheme: JoinScheme,
     /// Maximum concurrently active partitions per pass — "storage
     /// managers can handle only hundreds of active partitions per hash
@@ -353,7 +358,8 @@ pub struct Ladder<'s, P, S> {
     pub max_fanout: usize,
     /// Schedule of the repartitioning passes.
     pub partition_scheme: PartitionScheme,
-    /// Schedule of the joins.
+    /// Scheme of the joins, per pair or chunk as
+    /// [`JoinScheme::for_pair`] picks it from the working set.
     pub join_scheme: JoinScheme,
     /// Where the pairs' pages live.
     pub store: P,
@@ -384,9 +390,10 @@ impl<P: PairStore, S: JoinSink> Ladder<'_, P, S> {
         let pages = self.store.pages(build);
         let bytes = (pages * PAGE_SIZE) as u64;
         if bytes <= budget {
-            let params = JoinParams { scheme: self.join_scheme, use_stored_hash: stored };
             let (b, _) = self.store.read(build, 0..pages)?;
             let (p, _) = self.store.read(probe, 0..self.store.pages(probe))?;
+            let scheme = self.join_scheme.for_pair(pages, b.num_tuples());
+            let params = JoinParams { scheme, use_stored_hash: stored };
             let span = obs::span_begin(rec, mem, "pair");
             obs::span_meta(rec, "index", path.last().copied().unwrap_or(0));
             join_pair(mem, &params, &b, &p, moduli, self.sink, rec.as_deref_mut());
@@ -462,13 +469,13 @@ impl<P: PairStore, S: JoinSink> Ladder<'_, P, S> {
         moduli: usize,
         stored: bool,
     ) -> Result<usize, P::Error> {
-        let schedule = self.join_scheme.schedule();
         let chunk = (self.budget as usize / PAGE_SIZE).max(1);
         let step = self.store.stream_pages(self.budget);
         let (bpages, ppages) = (self.store.pages(build), self.store.pages(probe));
         for start in (0..bpages).step_by(chunk) {
             let (b, brange) = self.store.read(build, start..(start + chunk).min(bpages))?;
             let n: usize = brange.clone().map(|pi| b.page(pi).nslots() as usize).sum();
+            let schedule = self.join_scheme.for_pair(brange.len(), n).schedule();
             let mut table = HashTable::new(plan::hash_table_buckets(n, moduli), n);
             stage::run(schedule, mem, &mut Build::new(&mut table, &b, stored), &b, brange);
             table.assert_quiescent();

@@ -39,6 +39,7 @@ use phj_storage::{tuple::key_bytes_of, Page, Relation, PAGE_SIZE};
 
 use crate::cost;
 use crate::hash::hash_key;
+use crate::plan;
 use crate::profile;
 use crate::stage::{self, Schedule};
 
@@ -61,24 +62,30 @@ pub enum PartitionScheme {
         /// Prefetch distance `D`.
         d: usize,
     },
-    /// Simple when the output buffers fit in cache, group otherwise.
+    /// Simple when the output buffers fit in cache, a staged schedule
+    /// otherwise.
     Combined {
-        /// Group size `G` for the many-partitions regime.
-        g: usize,
+        /// Schedule for the many-partitions regime: group in the paper's
+        /// combined scheme.
+        staged: Schedule,
         /// Use simple prefetching when `num_partitions` ≤ this. The
         /// default ([`PartitionScheme::combined_default`]) derives it
-        /// from the 1 MB L2: 128 pages minus headroom.
+        /// from the 1 MB L2 ([`plan::CACHED_OUTPUT_BUFFERS`]).
         cache_pages: usize,
     },
 }
 
 impl PartitionScheme {
-    /// The paper's combined scheme with the Table-2 cache geometry: the
-    /// 1 MB L2 holds 128 pages; half of it for output buffers (the rest
-    /// streams input and holds metadata) puts the switch point at 64
-    /// partitions, which is where the simulated Fig-14 curves cross.
+    /// The paper's combined scheme with the Table-2 cache geometry:
+    /// simple up to [`plan::CACHED_OUTPUT_BUFFERS`] (64) partitions,
+    /// group prefetching with `G = 12` beyond.
     pub fn combined_default() -> Self {
-        PartitionScheme::Combined { g: 12, cache_pages: 64 }
+        PartitionScheme::combined(Schedule::Group { g: 12 })
+    }
+
+    /// The combined scheme with `staged` for the many-partitions regime.
+    pub fn combined(staged: Schedule) -> Self {
+        PartitionScheme::Combined { staged, cache_pages: plan::CACHED_OUTPUT_BUFFERS }
     }
 
     /// Short label for reports.
@@ -88,8 +95,13 @@ impl PartitionScheme {
             PartitionScheme::Simple => "simple".into(),
             PartitionScheme::Group { g } => format!("group(G={g})"),
             PartitionScheme::Swp { d } => format!("swp(D={d})"),
-            PartitionScheme::Combined { g, cache_pages } => {
-                format!("combined(G={g},≤{cache_pages}p→simple)")
+            PartitionScheme::Combined { staged, cache_pages } => {
+                let knob = match staged {
+                    Schedule::Group { g } => format!("G={g}"),
+                    Schedule::Pipelined { d } => format!("D={d}"),
+                    Schedule::Sequential { .. } => staged.partition_scheme().label(),
+                };
+                format!("combined({knob},≤{cache_pages}p→simple)")
             }
         }
     }
@@ -102,11 +114,11 @@ impl PartitionScheme {
             PartitionScheme::Simple => Schedule::Sequential { prefetch_input: true },
             PartitionScheme::Group { g } => Schedule::Group { g },
             PartitionScheme::Swp { d } => Schedule::Pipelined { d },
-            PartitionScheme::Combined { g, cache_pages } => {
+            PartitionScheme::Combined { staged, cache_pages } => {
                 if num_partitions <= cache_pages {
                     Schedule::Sequential { prefetch_input: true }
                 } else {
-                    Schedule::Group { g }
+                    staged
                 }
             }
         }

@@ -4,8 +4,38 @@
 //! [...] which are used by the hash join algorithms to compute numbers of
 //! partitions and hash table sizes" (§7.1). Here the statistics come from
 //! the in-memory relations directly.
+//!
+//! It is also where §7.4's combined scheme reads the cache size: "we
+//! choose the prefetching algorithm based on the cache size and the
+//! number of partitions". Prefetching only pays when a phase's working
+//! set misses the cache, so both phases fall back to simple prefetching
+//! when theirs fits [`L2_BYTES`]: the partition phase when its output
+//! buffers do ([`crate::partition::PartitionScheme::combined_default`]),
+//! the join phase when a pair's build pages and hash table do
+//! ([`crate::join::JoinScheme::for_pair`]).
+
+use phj_storage::PAGE_SIZE;
 
 use crate::hash::gcd;
+use crate::table::HashTable;
+
+/// The L2 capacity of the paper's simulated machine (Table 2: 1 MB), the
+/// one cache size the combined scheme's switch points derive from. A
+/// constant until the host's own geometry can supply it.
+pub const L2_BYTES: usize = 1 << 20;
+
+/// Output buffers up to which the partition phase runs simple
+/// prefetching: the L2 holds [`L2_BYTES`] / 8 KB = 128 pages, and half of
+/// it goes to output buffers (the rest streams input and holds metadata),
+/// which is where the simulated Fig-14 curves cross.
+pub const CACHED_OUTPUT_BUFFERS: usize = L2_BYTES / PAGE_SIZE / 2;
+
+/// Bytes a pair's join phase works in: its `build_pages` of build
+/// partition plus the hash table over its `build_tuples` tuples, whose
+/// [`hash_table_buckets`] come to about one bucket header per tuple.
+pub fn join_working_set(build_pages: usize, build_tuples: usize) -> usize {
+    build_pages * PAGE_SIZE + build_tuples * HashTable::header_len()
+}
 
 /// Number of I/O partitions so that each build partition (plus slack for
 /// its hash table) fits in `mem_budget` bytes of join-phase memory.
@@ -150,6 +180,16 @@ mod tests {
             assert!(hybrid_fanout(build, budget) >= g);
             assert!(hybrid_fanout(build, budget) <= g + 4);
         }
+    }
+
+    #[test]
+    fn cache_switch_points_derive_from_the_l2() {
+        assert_eq!(CACHED_OUTPUT_BUFFERS, 64);
+        // 32-byte bucket headers: 27 pages of 2 000 100-byte tuples plus
+        // their table is ~280 KB; 80 pages of 6 000 is ~840 KB.
+        assert_eq!(join_working_set(27, 2000), 27 * PAGE_SIZE + 2000 * 32);
+        assert!(join_working_set(80, 6000) <= L2_BYTES);
+        assert!(join_working_set(128, 1) > L2_BYTES);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! Both inputs stream through a [`crate::SequentialReader`] (background
 //! read-ahead) in chunks of pages, each fed to core's partition program
-//! ([`OutputBuffers::feed`]) under the schedule of
-//! [`DiskGraceConfig::join_scheme`]. Every output-buffer page the program
+//! ([`OutputBuffers::feed`]) under the partition scheme
+//! [`DiskGraceConfig::join_scheme`] derives
+//! ([`JoinScheme::partition_scheme`]). Every output-buffer page the program
 //! seals lands in the disk [`PartitionStore`](phj::partition::PartitionStore)
 //! (`hybrid.rs`): resident partitions keep their pages and join their
 //! probe pages on the fly; spilled ones go through a [`BackgroundWriter`]
@@ -41,7 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use phj::grace::{Ladder, PairStore};
-use phj::join::{JoinParams, JoinScheme};
+use phj::join::JoinScheme;
 use phj::partition::{OutputBuffers, PartitionScheme};
 use phj::plan;
 use phj::sink::{CountSink, JoinSink};
@@ -125,9 +126,12 @@ pub struct DiskGraceConfig {
     pub num_stripes: usize,
     /// Stripe unit in pages (256 KB = 32 pages of 8 KB in §7.2).
     pub stripe_pages: u64,
-    /// Prefetching scheme of the run: the schedule of both partition
-    /// passes (and of repartitioning) as well as the in-memory join of
-    /// each partition pair.
+    /// Prefetching scheme of the run's joins: each resident table and
+    /// spilled pair runs it, or simple prefetching when its working set
+    /// fits the cache ([`JoinScheme::for_pair`]). The partition passes
+    /// (and repartitioning) derive theirs from it:
+    /// [`JoinScheme::partition_scheme`] runs simple prefetching at up to
+    /// 64 partitions and this scheme's schedule beyond.
     pub join_scheme: JoinScheme,
     /// Working directory for spill and output files.
     pub dir: PathBuf,
@@ -611,8 +615,7 @@ pub fn grace_join_files_rec(
     let budget0 = live.limit().max(PAGE_SIZE as u64);
     let reserve = plan::hybrid_reserve(budget0 as usize) as u64;
     let p = cfg.mode.fanout(build.size_bytes() as usize, budget0 as usize);
-    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
-    let scheme = cfg.join_scheme.schedule().partition_scheme();
+    let scheme = cfg.join_scheme.partition_scheme();
     let (bschema, pschema) = (build.schema().clone(), probe.schema().clone());
 
     // Journal the memory budget this run starts under. `a` carries the
@@ -640,7 +643,7 @@ pub fn grace_join_files_rec(
     // ---- Table build: every resident partition becomes (relation,
     // hash table); spilled partitions keep their page lists.
     let mut sink = DiskSink::create(cfg, &bschema, &pschema)?;
-    let store = store.into_probe(cfg, &params, &pschema, &mut sink)?;
+    let store = store.into_probe(cfg, &pschema, &mut sink)?;
 
     // ---- Probe pass: resident partitions join their probe pages as
     // they seal; pages of spilled partitions go to the probe spill file.

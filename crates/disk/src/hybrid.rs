@@ -111,8 +111,10 @@ enum Residency {
     /// Build pass: in memory, as its sealed pages.
     Kept(Relation),
     /// Probe pass: in memory with its hash table; probe pages join it
-    /// as they seal.
-    Joining(Relation, HashTable),
+    /// as they seal, under the scheme
+    /// [`JoinScheme::for_pair`](phj::join::JoinScheme::for_pair) picked
+    /// for its working set.
+    Joining(Relation, HashTable, JoinParams),
     /// On disk: sealed pages go to the pass's spill file.
     Spilled,
 }
@@ -121,7 +123,6 @@ enum Residency {
 /// victims go, and the join of sealed probe pages.
 struct Probing<'a> {
     build_spill: SpillFile,
-    params: JoinParams,
     sink: &'a mut DiskSink,
 }
 
@@ -189,12 +190,12 @@ impl<'a> DiskStore<'a> {
             // The largest resident partition, lowest index on ties.
             let resident = self.parts.iter().enumerate().filter_map(|(i, r)| match r {
                 Residency::Kept(rel) => Some((i, (rel.size_bytes() + PAGE_SIZE) as u64)),
-                Residency::Joining(rel, _) => Some((i, rel.size_bytes() as u64)),
+                Residency::Joining(rel, ..) => Some((i, rel.size_bytes() as u64)),
                 Residency::Spilled => None,
             });
             let victim = resident.max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)));
             let Some((v, bytes)) = victim else { break };
-            let (Residency::Kept(rel) | Residency::Joining(rel, _)) =
+            let (Residency::Kept(rel) | Residency::Joining(rel, ..)) =
                 std::mem::replace(&mut self.parts[v], Residency::Spilled)
             else {
                 unreachable!("victim selection only returns resident partitions")
@@ -240,7 +241,6 @@ impl<'a> DiskStore<'a> {
     pub(crate) fn into_probe(
         mut self,
         cfg: &DiskGraceConfig,
-        params: &JoinParams,
         probe_schema: &Schema,
         sink: &'a mut DiskSink,
     ) -> Result<DiskStore<'a>> {
@@ -252,10 +252,12 @@ impl<'a> DiskStore<'a> {
             };
             resident_bytes += rel.size_bytes() as u64;
             let n = rel.num_tuples();
+            let scheme = cfg.join_scheme.for_pair(rel.num_pages(), n);
+            let params = JoinParams { scheme, use_stored_hash: true };
             let mut table = HashTable::new(plan::hash_table_buckets(n, p), n);
-            dispatch_build(&mut NativeModel, params, &mut table, &rel);
+            dispatch_build(&mut NativeModel, &params, &mut table, &rel);
             table.assert_quiescent();
-            *part = Residency::Joining(rel, table);
+            *part = Residency::Joining(rel, table, params);
         }
         // The open build pages are gone: only the sealed ones stay.
         self.ledger.as_mut().expect("the build pass has a ledger").resident_bytes = resident_bytes;
@@ -263,7 +265,7 @@ impl<'a> DiskStore<'a> {
             parts: self.parts,
             spill: SpillFile::new(cfg, "probe_spill", p, probe_schema)?,
             ledger: self.ledger,
-            probing: Some(Probing { build_spill: self.spill, params: *params, sink }),
+            probing: Some(Probing { build_spill: self.spill, sink }),
         };
         store.enforce();
         Ok(store)
@@ -295,11 +297,11 @@ impl PartitionStore for DiskStore<'_> {
                     ledger.resident_bytes += PAGE_SIZE as u64;
                 }
             }
-            Residency::Joining(rel, table) => {
+            Residency::Joining(rel, table, params) => {
                 let probing = self.probing.as_mut().expect("the probe pass joins");
                 let mut probe = Relation::new(self.spill.schema.clone());
                 probe.push_page(std::mem::take(page));
-                dispatch_probe(&mut NativeModel, &probing.params, table, rel, &probe, probing.sink);
+                dispatch_probe(&mut NativeModel, params, table, rel, &probe, probing.sink);
             }
             // In the probe pass, a spilled partition with no build tuples
             // drops its pages: an inner join can never match them.
