@@ -222,8 +222,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("aggregate/Group { g: 16 }", 0xfa0a0fb17bcd1aa1),
     ("aggregate/Swp { d: 1 }", 0x3ae77d51a72d67f6),
     ("aggregate/Swp { d: 4 }", 0xfa118c47e57be820),
-    ("hybrid/group(G=4)", 0x36d74cfe215ee8cf),
-    ("hybrid/swp(D=3)", 0x55fd7775d98aeeff),
+    ("hybrid/group(G=4)", 0xe37fcc712a0bff78),
+    ("hybrid/swp(D=3)", 0xb8d7556684b10fc1),
     ("chained/baseline", 0x43a49c6b042b5fb6),
     ("chained/group(G=16)", 0x9e8041efdc6f1413),
 ];
