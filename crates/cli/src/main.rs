@@ -57,6 +57,17 @@ use phj_memsim::{MemConfig, MemoryModel, NativeModel, SimEngine};
 use phj_obs::{trace_text, Recorder, RunReport};
 use phj_workload::{single_relation, tuples_for, JoinSpec};
 
+/// `println!` for the CLI's output: a reader that stops reading stdout
+/// (`phj help | head -1`) ends the run with exit 0 ([`write_stdout`]).
+macro_rules! outln {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*), true) };
+}
+
+/// `print!` for the CLI's output, as [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*), false) };
+}
+
 mod args;
 mod log;
 mod serve;
@@ -137,7 +148,7 @@ fn main() -> ExitCode {
             }
         },
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => {
@@ -164,6 +175,24 @@ fn main() -> ExitCode {
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Write `args` (and a newline) to stdout. A closed stdout (`EPIPE`) is
+/// not a crash: whoever wanted the output has gone, so the process exits
+/// 0 at once — no panic, hence no postmortem. Any other write error
+/// panics as `println!` does.
+fn write_stdout(args: std::fmt::Arguments, newline: bool) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_fmt(args).and_then(|()| match newline {
+        true => stdout.write_all(b"\n"),
+        false => Ok(()),
+    });
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
     }
 }
 
@@ -309,17 +338,17 @@ impl ObsOut {
         attach_flightrec(report);
         if self.explain {
             let sec = phj_analyze::analyze(report, &self.cost);
-            print!("{}", phj_analyze::render(report, &sec));
+            out!("{}", phj_analyze::render(report, &sec));
             report.analysis = Some(sec);
         }
         report.validate().map_err(|e| format!("internal: invalid run report: {e}"))?;
         if let Some(path) = &self.json {
             std::fs::write(path, report.render()).map_err(|e| format!("{path}: {e}"))?;
-            println!("run report: {path}");
+            outln!("run report: {path}");
         }
         if let Some(path) = &self.trace {
             std::fs::write(path, trace_text(report)).map_err(|e| format!("{path}: {e}"))?;
-            println!("trace (load in chrome://tracing or ui.perfetto.dev): {path}");
+            outln!("trace (load in chrome://tracing or ui.perfetto.dev): {path}");
         }
         Ok(())
     }
@@ -356,11 +385,11 @@ fn cmd_blackbox(path: &str, args: &Args) -> Result<(), String> {
     pm.validate().map_err(|e| format!("{path}: invalid postmortem: {e}"))?;
     let width = args.get_usize("width", 100)?;
     let tail = args.get_usize("tail", 20)?;
-    print!("{}", pm.render(width, tail));
+    out!("{}", pm.render(width, tail));
     let out = args.get_str("trace-out", "");
     if !out.is_empty() {
         std::fs::write(&out, pm.to_trace().render()).map_err(|e| format!("{out}: {e}"))?;
-        println!("trace (load in chrome://tracing or ui.perfetto.dev): {out}");
+        outln!("trace (load in chrome://tracing or ui.perfetto.dev): {out}");
     }
     Ok(())
 }
@@ -380,7 +409,7 @@ fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
     let mut report = RunReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     report.validate().map_err(|e| format!("{path}: invalid report: {e}"))?;
     let sec = phj_analyze::analyze(&report, &cost);
-    print!("{}", phj_analyze::render(&report, &sec));
+    out!("{}", phj_analyze::render(&report, &sec));
     report.analysis = Some(sec);
     report
         .validate()
@@ -388,7 +417,7 @@ fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
     let out = args.get_str("json", "");
     if !out.is_empty() {
         std::fs::write(&out, report.render()).map_err(|e| format!("{out}: {e}"))?;
-        println!("annotated report: {out}");
+        outln!("annotated report: {out}");
     }
     Ok(())
 }
@@ -416,7 +445,7 @@ fn attach_regions(report: &mut RunReport, engine: &SimEngine, heatmap: bool, wid
     }
     if heatmap {
         if let Some(text) = phj_obs::heatmap::render_width(report, width) {
-            print!("{text}");
+            out!("{text}");
         }
     }
 }
@@ -452,7 +481,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     let mem_budget = args.get_usize("mem-mb", build_mb.div_ceil(4).max(1))? << 20;
     let scheme = scheme_of(args)?;
     let hybrid = args.flag("hybrid");
-    println!(
+    outln!(
         "join: {} build x {} probe tuples of {}B, scheme {}, memory {} MB{}",
         spec.build_tuples,
         spec.probe_tuples(),
@@ -513,8 +542,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             r.end_profiled(root, engine.snapshot(), engine.latency_hist());
         }
         let b = engine.breakdown();
-        println!("partitions: {p}, matches: {}", sink.matches());
-        println!(
+        outln!("partitions: {p}, matches: {}", sink.matches());
+        outln!(
             "simulated: {:.1} Mcycles = busy {:.1} + dcache {:.1} + dtlb {:.1} + other {:.1}",
             b.total() as f64 / 1e6,
             b.busy as f64 / 1e6,
@@ -530,7 +559,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             report.matches = sink.matches();
             fingerprint(&mut report);
             ObsOut::config_mem(&mut report, &MemConfig::paper());
-            println!(
+            outln!(
                 "prefetch coverage: {:.1}%, pollution: {:.1}%",
                 100.0 * report.prefetch_coverage(),
                 100.0 * report.pollution_rate()
@@ -541,7 +570,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         sink.matches()
     } else {
         if wants_regions(args) {
-            println!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
+            outln!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
         }
         let mut native = NativeModel;
         let root = recorder.as_mut().map(|r| r.begin("run", native.snapshot()));
@@ -556,8 +585,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         if let (Some(r), Some(root)) = (recorder.as_mut(), root) {
             r.end(root, native.snapshot());
         }
-        println!("partitions: {p}, matches: {}", sink.matches());
-        println!(
+        outln!("partitions: {p}, matches: {}", sink.matches());
+        outln!(
             "native: {:?} ({:.1} M tuples/s through the probe side)",
             wall,
             gen.probe.num_tuples() as f64 / wall.as_secs_f64() / 1e6
@@ -613,14 +642,14 @@ fn join_parallel(
             phj_exec::parallel_join_sim(cfg, &gen.build, &gen.probe, threads, want_obs, want_regions);
         let wall = t0.elapsed();
         matches = out.sink.matches();
-        println!(
+        outln!(
             "partitions: {}, matches: {}, checksum: {:#018x}",
             out.partitions,
             out.sink.matches(),
             out.sink.checksum()
         );
         let b = out.totals.breakdown;
-        println!(
+        outln!(
             "simulated critical path over {threads} lanes: {:.1} Mcycles = busy {:.1} + dcache {:.1} + dtlb {:.1} + other {:.1}",
             b.total() as f64 / 1e6,
             b.busy as f64 / 1e6,
@@ -629,7 +658,7 @@ fn join_parallel(
             b.other_stall as f64 / 1e6,
         );
         for lane in &out.lanes {
-            println!(
+            outln!(
                 "  lane {}: {} tasks, {:.1} Mcycles",
                 lane.lane,
                 lane.tasks,
@@ -643,7 +672,7 @@ fn join_parallel(
             report.matches = out.sink.matches();
             fingerprint(&mut report);
             ObsOut::config_mem(&mut report, &MemConfig::paper());
-            println!(
+            outln!(
                 "prefetch coverage: {:.1}%, pollution: {:.1}%",
                 100.0 * report.prefetch_coverage(),
                 100.0 * report.pollution_rate()
@@ -654,34 +683,34 @@ fn join_parallel(
             }
             if args.flag("heatmap") {
                 if let Some(text) = phj_obs::heatmap::render_width(&report, heat_width(args)?) {
-                    print!("{text}");
+                    out!("{text}");
                 }
             }
             obs_out.write(&mut report)?;
         }
     } else {
         if want_regions {
-            println!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
+            outln!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
         }
         let want_obs = obs_out.json.is_some() || obs_out.trace.is_some() || obs_out.explain;
         let t0 = Instant::now();
         let out = phj_exec::parallel_join_native(cfg, &gen.build, &gen.probe, threads, want_obs);
         let wall = t0.elapsed();
         matches = out.sink.matches();
-        println!(
+        outln!(
             "partitions: {}, matches: {}, checksum: {:#018x}",
             out.partitions,
             out.sink.matches(),
             out.sink.checksum()
         );
-        println!(
+        outln!(
             "native ({threads} threads): {:?} ({:.1} M tuples/s through the probe side)",
             wall,
             gen.probe.num_tuples() as f64 / wall.as_secs_f64() / 1e6
         );
         for (phase, stats) in [("partition", &out.partition_stats), ("join", &out.join_stats)] {
             for w in stats.iter() {
-                println!(
+                outln!(
                     "  {phase} worker {}: {} tasks ({} stolen), busy {:.2} ms, idle {:.2} ms",
                     w.worker,
                     w.tasks,
@@ -736,7 +765,7 @@ fn cmd_agg(args: &Args) -> Result<(), String> {
     };
     let buckets = plan::hash_table_buckets(keys, 1);
     let extract = |t: &[u8]| t[4] as i64;
-    println!("aggregating {rows} rows into {keys} groups ({scheme:?})");
+    outln!("aggregating {rows} rows into {keys} groups ({scheme:?})");
     let obs_out = ObsOut::from_args(args)?;
     if !args.get_str("threads", "").is_empty() {
         let threads = args.get_usize("threads", 1)?.max(1);
@@ -772,7 +801,7 @@ fn cmd_agg(args: &Args) -> Result<(), String> {
             r.end_profiled(root.unwrap(), engine.snapshot(), engine.latency_hist());
         }
         let b = engine.breakdown();
-        println!(
+        outln!(
             "groups: {}; simulated {:.1} Mcycles ({:.0}% dcache stalls)",
             table.num_groups(),
             b.total() as f64 / 1e6,
@@ -789,7 +818,7 @@ fn cmd_agg(args: &Args) -> Result<(), String> {
         }
     } else {
         if wants_regions(args) {
-            println!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
+            outln!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
         }
         let mut native = NativeModel;
         let root = recorder.as_mut().map(|r| r.begin("run", native.snapshot()));
@@ -801,7 +830,7 @@ fn cmd_agg(args: &Args) -> Result<(), String> {
             r.end(inner.unwrap(), native.snapshot());
             r.end(root.unwrap(), native.snapshot());
         }
-        println!("groups: {}; native {:?}", table.num_groups(), wall);
+        outln!("groups: {}; native {:?}", table.num_groups(), wall);
         if let Some(rec) = recorder.take() {
             let mut report =
                 RunReport::from_recorder("agg", rec, native.snapshot(), wall.as_nanos() as u64);
@@ -843,7 +872,7 @@ fn agg_parallel(
             phj_exec::parallel_agg_sim(scheme, input, buckets, extract, threads, want_obs, want_regions);
         let wall = t0.elapsed();
         let b = out.totals.breakdown;
-        println!(
+        outln!(
             "groups: {}, checksum: {:#018x}; simulated critical path over {threads} lanes: {:.1} Mcycles ({:.0}% dcache stalls)",
             out.table.num_groups(),
             phj_exec::agg_checksum(&out.table),
@@ -851,7 +880,7 @@ fn agg_parallel(
             100.0 * b.dcache_fraction()
         );
         for lane in &out.lanes {
-            println!(
+            outln!(
                 "  lane {}: {} tasks, {:.1} Mcycles",
                 lane.lane,
                 lane.tasks,
@@ -870,27 +899,27 @@ fn agg_parallel(
             }
             if args.flag("heatmap") {
                 if let Some(text) = phj_obs::heatmap::render_width(&report, heat_width(args)?) {
-                    print!("{text}");
+                    out!("{text}");
                 }
             }
             obs_out.write(&mut report)?;
         }
     } else {
         if want_regions {
-            println!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
+            outln!("note: --profile-regions/--heatmap attribute simulated accesses; add --sim");
         }
         let want_obs = obs_out.json.is_some() || obs_out.trace.is_some() || obs_out.explain;
         let t0 = Instant::now();
         let out = phj_exec::parallel_agg_native(scheme, input, buckets, extract, threads, want_obs);
         let wall = t0.elapsed();
-        println!(
+        outln!(
             "groups: {}, checksum: {:#018x}; native ({threads} threads) {:?}",
             out.table.num_groups(),
             phj_exec::agg_checksum(&out.table),
             wall
         );
         for w in &out.stats {
-            println!(
+            outln!(
                 "  worker {}: {} tasks ({} stolen), busy {:.2} ms, idle {:.2} ms",
                 w.worker,
                 w.tasks,
@@ -963,7 +992,7 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         seed: 0xD15C,
     };
     let gen = spec.generate();
-    println!(
+    outln!(
         "on-disk {} join: {} MB build x {} MB probe across {stripes} stripe files under {}{}",
         mode.label(),
         build_mb,
@@ -998,7 +1027,7 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
             report.matches, gen.expected_matches
         ));
     }
-    println!(
+    outln!(
         "partitions: {}; partition {:.2}s + join {:.2}s; input stall {:.3}s; {} matches -> {} output pages",
         report.num_partitions,
         report.partition_s,
@@ -1007,8 +1036,8 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         report.matches,
         report.output.num_pages()
     );
-    println!("result checksum: {:#018x}", report.checksum);
-    println!(
+    outln!("result checksum: {:#018x}", report.checksum);
+    outln!(
         "residency: {} of {} partitions stayed in memory; final budget {} KB",
         report.resident_partitions,
         report.num_partitions,
@@ -1018,10 +1047,10 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
     // lives in the JSON report's config block and the flightrec.
     const SHOWN: usize = 12;
     for t in report.transitions.iter().take(SHOWN) {
-        println!("  {t}");
+        outln!("  {t}");
     }
     if report.transitions.len() > SHOWN {
-        println!("  ... and {} more transitions", report.transitions.len() - SHOWN);
+        outln!("  ... and {} more transitions", report.transitions.len() - SHOWN);
     }
     for e in &report.degradation {
         let (action, detail) = match e.kind {
@@ -1116,7 +1145,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     let build_mb = args.get_usize("build-mb", 8)?;
     let tuple_size = args.get_usize("tuple-size", 20)?;
     if wants_regions(args) {
-        println!("note: --profile-regions/--heatmap attribute simulated accesses; tune runs natively");
+        outln!("note: --profile-regions/--heatmap attribute simulated accesses; tune runs natively");
     }
     let spec = JoinSpec {
         build_tuples: tuples_for(build_mb << 20, tuple_size),
@@ -1160,16 +1189,16 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         best
     };
     let base = measure(&mut recorder, JoinScheme::Baseline);
-    println!("baseline: {:.1} ms", base * 1e3);
-    println!("  G    ms  speedup");
+    outln!("baseline: {:.1} ms", base * 1e3);
+    outln!("  G    ms  speedup");
     for g in [2usize, 4, 8, 16, 32, 64] {
         let t = measure(&mut recorder, JoinScheme::Group { g });
-        println!("{g:>3} {:>6.1}  {:.2}x", t * 1e3, base / t);
+        outln!("{g:>3} {:>6.1}  {:.2}x", t * 1e3, base / t);
     }
-    println!("  D    ms  speedup");
+    outln!("  D    ms  speedup");
     for d in [1usize, 2, 4, 8, 16] {
         let t = measure(&mut recorder, JoinScheme::Swp { d });
-        println!("{d:>3} {:>6.1}  {:.2}x", t * 1e3, base / t);
+        outln!("{d:>3} {:>6.1}  {:.2}x", t * 1e3, base / t);
     }
     let wall = t0.elapsed();
     if let Some(mut rec) = recorder.take() {
@@ -1207,20 +1236,20 @@ fn cmd_params(args: &Args) -> Result<(), String> {
             .filter(|(a, b)| a.1 != b.1)
             .map(|(a, _)| format!("{}={}", a.0, a.1))
             .collect();
-        println!("cost model overrides: {}", overrides.join(", "));
+        outln!("cost model overrides: {}", overrides.join(", "));
     }
-    println!("Table-2 memory system: T={} T_next={} cycles", cfg.t_full, cfg.t_next);
-    println!(
+    outln!("Table-2 memory system: T={} T_next={} cycles", cfg.t_full, cfg.t_next);
+    outln!(
         "probe:     Theorem 1 G >= {:<4} Theorem 2 D >= {}",
         min_group_size(cfg.t_full, cfg.t_next, &probe_costs).g,
         min_prefetch_distance(cfg.t_full, cfg.t_next, &probe_costs)
     );
-    println!(
+    outln!(
         "build:     Theorem 1 G >= {:<4} Theorem 2 D >= {}",
         min_group_size(cfg.t_full, cfg.t_next, &build_costs).g,
         min_prefetch_distance(cfg.t_full, cfg.t_next, &build_costs)
     );
-    println!(
+    outln!(
         "partition: Theorem 1 G >= {:<4} Theorem 2 D >= {}",
         min_group_size(cfg.t_full, cfg.t_next, &part_costs).g,
         min_prefetch_distance(cfg.t_full, cfg.t_next, &part_costs)

@@ -126,7 +126,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
             );
         });
     }
-    println!(
+    outln!(
         "serving on {} ({} workers, budget {} MB{}{})",
         srv.local_addr(),
         threads,
@@ -141,7 +141,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let adm = std::sync::Arc::clone(srv.admission());
     srv.stop();
     let (admitted, rejected) = adm.totals();
-    println!(
+    outln!(
         "shutdown: {admitted} admitted, {rejected} rejected, peak grant {} MB",
         adm.peak_outstanding() >> 20
     );
@@ -371,7 +371,7 @@ pub fn cmd_client(args: &Args) -> Result<(), String> {
     let rtt = t0.elapsed();
     match resp {
         Response::Pong => {
-            println!("pong from {addr} in {rtt:?}");
+            outln!("pong from {addr} in {rtt:?}");
             Ok(())
         }
         Response::Status(_) => Err("unexpected status response to a query request".to_string()),
@@ -379,14 +379,14 @@ pub fn cmd_client(args: &Args) -> Result<(), String> {
             // The same result line the local drivers print, so scripts
             // can diff a daemon run against the sequential CLI path.
             if r.kind == phj_server::query::KIND_JOIN || r.kind == phj_server::query::KIND_DISK {
-                println!(
+                outln!(
                     "partitions: {}, matches: {}, checksum: {:#018x}",
                     r.partitions, r.matches, r.checksum
                 );
             } else {
-                println!("groups: {}, checksum: {:#018x}", r.matches, r.checksum);
+                outln!("groups: {}, checksum: {:#018x}", r.matches, r.checksum);
             }
-            println!(
+            outln!(
                 "query {} served in {} us ({rtt:?} round trip)",
                 r.query_id, r.elapsed_us
             );
@@ -394,12 +394,12 @@ pub fn cmd_client(args: &Args) -> Result<(), String> {
                 .ok()
                 .and_then(|rep| rep.query_trace);
             if trace_id != 0 {
-                println!(
+                outln!(
                     "trace {trace_id:#018x}: send {:?}, wait {:?}, recv {:?}",
                     timing.send, timing.wait, timing.recv
                 );
                 match &section {
-                    Some(sec) => println!(
+                    Some(sec) => outln!(
                         "  server: queue {} us, grant {} us, exec {} us, serialize {} us, sheds {}",
                         sec.queue_wait_ns / 1_000,
                         sec.grant_wait_ns / 1_000,
@@ -407,7 +407,7 @@ pub fn cmd_client(args: &Args) -> Result<(), String> {
                         sec.serialize_ns / 1_000,
                         sec.shed_count,
                     ),
-                    None => println!(
+                    None => outln!(
                         "  server returned no query_trace section (daemon run without --trace?)"
                     ),
                 }
@@ -417,12 +417,12 @@ pub fn cmd_client(args: &Args) -> Result<(), String> {
                 let doc = merged_trace_json(trace_id, &timing, section.as_ref());
                 std::fs::write(&trace_out, doc.render())
                     .map_err(|e| format!("{trace_out}: {e}"))?;
-                println!("trace (load in chrome://tracing or ui.perfetto.dev): {trace_out}");
+                outln!("trace (load in chrome://tracing or ui.perfetto.dev): {trace_out}");
             }
             let out = args.get_str("json", "");
             if !out.is_empty() {
                 std::fs::write(&out, &r.report_json).map_err(|e| format!("{out}: {e}"))?;
-                println!("run report: {out}");
+                outln!("run report: {out}");
             }
             Ok(())
         }

@@ -62,7 +62,7 @@ pub fn init(args: &Args) -> Result<(), String> {
         addr => {
             let s = MetricsServer::start(addr, registry.clone())
                 .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
-            println!("metrics: http://{}/metrics", s.local_addr());
+            outln!("metrics: http://{}/metrics", s.local_addr());
             Some(s)
         }
     };
@@ -148,7 +148,7 @@ pub fn finish() {
         let section = freeze(state);
         if state.dashboard {
             if let Some(sec) = section {
-                print!("{}", phj_obs::render_timeseries(&sec, state.width));
+                out!("{}", phj_obs::render_timeseries(&sec, state.width));
             }
         }
         if let Some(srv) = state.server.take() {

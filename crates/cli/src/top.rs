@@ -89,11 +89,11 @@ pub fn cmd_top(args: &Args) -> Result<(), String> {
         frame += 1;
         if frame > 1 {
             // ANSI clear + home between refreshes, top(1)-style.
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
         let live = rows.iter().filter(|r| r.state < 5).count();
-        println!("phj top — {addr}: {live} in flight, {} shown", rows.len());
-        print!("{}", render(&rows));
+        outln!("phj top — {addr}: {live} in flight, {} shown", rows.len());
+        out!("{}", render(&rows));
         if iters != 0 && frame >= iters {
             return Ok(());
         }
