@@ -162,6 +162,10 @@ impl Server {
     /// Bind and start serving. Returns once the listener is live;
     /// queries run on background pool threads from then on.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
+        // Disk queries of a daemon that died without unwinding left
+        // their scratch directories behind; nothing else removes them.
+        let scratch = cfg.scratch_dir.clone().unwrap_or_else(std::env::temp_dir);
+        query::sweep_scratch(&scratch);
         let admission = Admission::new(AdmissionConfig {
             budget: cfg.mem_budget,
             min_grant: cfg.min_grant,

@@ -757,3 +757,35 @@ fn slow_queries_dump_valid_postmortems_into_a_bounded_ring() {
     let _ = std::fs::remove_dir_all(&dir);
     srv.stop();
 }
+
+/// A daemon killed without unwinding leaves its disk queries' scratch
+/// directories (`phj-serve-disk-<pid>-<query>`) behind. The next daemon
+/// to start removes those of dead processes and keeps those of live
+/// ones, its own included.
+#[test]
+fn start_sweeps_scratch_directories_of_dead_daemons() {
+    let base = std::env::temp_dir().join(format!("phj-scratch-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    // A process that has exited and been reaped: its pid names no process.
+    let mut child = std::process::Command::new("true").spawn().unwrap();
+    let dead_pid = child.id();
+    child.wait().unwrap();
+    let dead = base.join(format!("phj-serve-disk-{dead_pid}-3"));
+    let live = base.join("phj-serve-disk-1-4"); // pid 1 is always running
+    let own = base.join(format!("phj-serve-disk-{}-5", std::process::id()));
+    let other = base.join("phj-serve-disk-notapid-6");
+    for dir in [&dead, &live, &own, &other] {
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join("build.0"), b"staged stripe").unwrap();
+    }
+    let srv = Server::start(ServeConfig {
+        scratch_dir: Some(base.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    srv.stop();
+    let (dead_gone, kept) = (!dead.exists(), [&live, &own, &other].map(|d| d.exists()));
+    std::fs::remove_dir_all(&base).unwrap();
+    assert!(dead_gone, "a dead daemon's scratch directory survived the sweep");
+    assert_eq!(kept, [true; 3], "live, own and unparsable directories must be kept");
+}
