@@ -5,7 +5,7 @@
 //! The workspace can *predict* join behaviour (Theorems 1 and 2 in
 //! [`phj::model`], calibrated stage costs in [`phj::cost`]) and it can
 //! *measure* it ([`phj_obs::RunReport`]: spans, cache-stat deltas,
-//! region attribution, fault counters, sampled timeseries). This crate
+//! region attribution, fault counters). This crate
 //! closes the loop: it recomputes the predictions from a report's config
 //! fingerprint and holds them against what the run actually did, so
 //! "prefetching hid the misses" stops being an eyeball judgment over

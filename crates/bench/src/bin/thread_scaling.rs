@@ -11,12 +11,12 @@
 //!   (meaningful only on a multi-core host).
 //!
 //! The simulated sweep additionally runs a third time with the live
-//! telemetry sampler scraping every 10 ms, and the sim table carries a
-//! sampler-overhead column (`cycles on / cycles off - 1`) — the
-//! measured price of leaving `--sample-interval 10` on in production.
-//! The sampler-off pass runs *before* `phj_metrics::install()`: the
-//! registry is process-global and irreversible, so ordering is what
-//! keeps the off-measurement honest.
+//! metrics registry installed, and the sim table carries a
+//! registry-overhead column (`cycles on / cycles off - 1`) — the
+//! measured price of the instrumentation every engine crate publishes
+//! once `--metrics-addr` is given. The registry-off pass runs *before*
+//! `phj_metrics::install()`: the registry is process-global and
+//! irreversible, so ordering is what keeps the off-measurement honest.
 //!
 //! The native sweep then reruns with the flight recorder at `phase` and
 //! `full` granularity (`scaling_join_flightrec`): the recorder, like the
@@ -29,16 +29,12 @@
 //! per-worker `scaling_join_workers` table recording each lane/worker's
 //! busy and idle share — the raw data behind the efficiency column.
 
-use std::time::Duration;
-
 use phj::grace::GraceConfig;
 use phj::sink::JoinSink;
 use phj_bench::report::{mcycles, scaled, Table};
 use phj_workload::JoinSpec;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Scrape interval for the sampler-overhead column.
-const SAMPLER_INTERVAL_MS: u64 = 10;
 
 fn ratio(base: f64, now: f64) -> f64 {
     if now > 0.0 {
@@ -63,7 +59,7 @@ fn main() {
         ..Default::default()
     };
 
-    // Pass 1: sampler OFF. Must complete before install() below — the
+    // Pass 1: registry OFF. Must complete before install() below — the
     // metrics registry is process-global and cannot be uninstalled, so
     // the clean baseline has to be measured first.
     let off: Vec<_> = THREADS
@@ -75,15 +71,8 @@ fn main() {
         })
         .collect();
 
-    // Pass 2: identical joins with the telemetry sampler scraping the
-    // now-installed registry every SAMPLER_INTERVAL_MS.
-    let registry = phj_metrics::install().clone();
-    let sampler = phj_metrics::Sampler::start(
-        registry,
-        Duration::from_millis(SAMPLER_INTERVAL_MS),
-        4096,
-        None,
-    );
+    // Pass 2: identical joins publishing into the now-installed registry.
+    let registry = phj_metrics::install();
     let on: Vec<u64> = THREADS
         .iter()
         .map(|&n| {
@@ -92,10 +81,8 @@ fn main() {
             out.totals.breakdown.total()
         })
         .collect();
-    let ring = sampler.stop();
-    assert!(!ring.series().is_empty(), "sampler saw no metrics during the on-pass");
+    assert!(!registry.scrape().is_empty(), "no metrics were published during the on-pass");
 
-    let sampled_col = format!("Mcycles_sampler_{SAMPLER_INTERVAL_MS}ms");
     let mut sim = Table::new(
         "Thread scaling — simulated critical path (deterministic lanes)",
         &[
@@ -103,8 +90,8 @@ fn main() {
             "Mcycles",
             "speedup",
             "efficiency",
-            sampled_col.as_str(),
-            "sampler_overhead",
+            "Mcycles_registry",
+            "registry_overhead",
         ],
     );
     let mut native = Table::new(

@@ -20,8 +20,9 @@ impl Args {
             };
             match name {
                 // Boolean flags take no value.
-                "sim" | "hybrid" | "profile-regions" | "heatmap" | "dashboard" | "explain"
-                | "trace" => flags.push(name.to_string()),
+                "sim" | "hybrid" | "profile-regions" | "heatmap" | "explain" | "trace" => {
+                    flags.push(name.to_string())
+                }
                 _ => {
                     let value = argv
                         .next()

@@ -35,13 +35,12 @@
 //! per-partition skew profile — to the JSON report and counter tracks to
 //! the trace. `--heatmap` implies it and prints the region × latency
 //! heatmap, miss-hotspot table, and skew bars to stdout (`--width` sets
-//! the rendered width of heatmaps, skew bars, and sparklines).
+//! the rendered width of heatmaps and skew bars).
 //!
-//! `--metrics-addr`, `--sample-interval`, and `--dashboard` enable live
-//! telemetry: a lock-free registry every engine crate publishes into, a
-//! background sampler feeding a time-series ring, an optional Prometheus
-//! `/metrics` endpoint, and a `timeseries` section (with Perfetto counter
-//! tracks) in the run report. See `crates/cli/src/telemetry.rs`.
+//! `--metrics-addr HOST:PORT` enables live telemetry: the lock-free
+//! registry every engine crate publishes into, served as Prometheus text
+//! at `GET /metrics` for the whole run. Without it nothing is installed
+//! and run reports are byte-identical to an uninstrumented build.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -57,8 +56,9 @@ use phj_memsim::{MemConfig, MemoryModel, NativeModel, SimEngine};
 use phj_obs::{trace_text, Recorder, RunReport};
 use phj_workload::{single_relation, tuples_for, JoinSpec};
 
-/// `println!` for the CLI's output: a reader that stops reading stdout
-/// (`phj help | head -1`) ends the run with exit 0 ([`write_stdout`]).
+/// `println!` for the CLI's output: once a reader stops reading stdout
+/// (`phj help | head -1`) the rest of the output is dropped
+/// ([`write_stdout`]).
 macro_rules! outln {
     ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*), true) };
 }
@@ -71,7 +71,6 @@ macro_rules! out {
 mod args;
 mod log;
 mod serve;
-mod telemetry;
 mod top;
 use args::Args;
 
@@ -121,13 +120,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Telemetry starts before the command so the sampler and /metrics
-    // endpoint observe the whole run; with none of its flags present
-    // this is a no-op and nothing is installed.
-    if let Err(e) = telemetry::init(&args) {
-        eprintln!("error: {e}\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
+    // The /metrics endpoint starts before the command so a scrape
+    // observes the whole run; without `--metrics-addr` nothing is
+    // installed.
+    let metrics = match start_metrics(&args) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let result = match cmd.as_str() {
         "join" => cmd_join(&args),
         "agg" => cmd_agg(&args),
@@ -156,7 +158,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    telemetry::finish();
+    if let Some(m) = metrics {
+        m.stop();
+    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -178,12 +182,40 @@ fn main() -> ExitCode {
     }
 }
 
+/// `--metrics-addr HOST:PORT`: install the global registry and serve it
+/// at `GET /metrics` (port 0 binds an ephemeral port; the resolved
+/// address is printed).
+fn start_metrics(args: &Args) -> Result<Option<phj_metrics::MetricsServer>, String> {
+    let addr = args.get_str("metrics-addr", "");
+    if addr.is_empty() {
+        return Ok(None);
+    }
+    let server = phj_metrics::MetricsServer::start(&addr, phj_metrics::install().clone())
+        .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
+    outln!("metrics: http://{}/metrics", server.local_addr());
+    Ok(Some(server))
+}
+
+/// Set once a write to stdout has failed with `EPIPE`.
+static STDOUT_CLOSED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// Whether a reader has closed stdout; a command that would otherwise
+/// print forever (`phj top --iters 0`) stops on it.
+fn stdout_closed() -> bool {
+    STDOUT_CLOSED.load(std::sync::atomic::Ordering::Relaxed)
+}
+
 /// Write `args` (and a newline) to stdout. A closed stdout (`EPIPE`) is
-/// not a crash: whoever wanted the output has gone, so the process exits
-/// 0 at once — no panic, hence no postmortem. Any other write error
-/// panics as `println!` does.
+/// not a crash: whoever wanted the output has gone, so this and every
+/// later write are dropped while the command runs to its end — it still
+/// writes its `--json`/`--trace-out` files, removes its scratch files and
+/// exits with its own status. No panic, hence no postmortem. Any other
+/// write error panics as `println!` does.
 fn write_stdout(args: std::fmt::Arguments, newline: bool) {
     use std::io::Write;
+    if stdout_closed() {
+        return;
+    }
     let mut stdout = std::io::stdout().lock();
     let written = stdout.write_fmt(args).and_then(|()| match newline {
         true => stdout.write_all(b"\n"),
@@ -191,7 +223,9 @@ fn write_stdout(args: std::fmt::Arguments, newline: bool) {
     });
     match written {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, std::sync::atomic::Ordering::Relaxed)
+        }
         Err(e) => panic!("failed printing to stdout: {e}"),
     }
 }
@@ -231,8 +265,7 @@ USAGE:
              an oversized partition repartitions while it shrinks, else
              joins in budget-sized chunks
   phj tune   [--build-mb N] [--tuple-size B] [--profile-regions] [--heatmap]
-             [--width W] [--json PATH] [--trace-out PATH] [DIAGNOSIS]
-             [TELEMETRY]
+             [--json PATH] [--trace-out PATH] [DIAGNOSIS] [TELEMETRY]
   phj serve  [--addr HOST:PORT] [--threads N] [--mem-mb N | --mem-budget BYTES]
              [--min-grant-mb N] [--max-queue N] [--trace]
              [--slow-query-ms MS] [--slow-query-sheds N]
@@ -254,8 +287,7 @@ USAGE:
              into one Perfetto file with flow arrows
   phj top    --addr HOST:PORT [--interval-ms MS] [--iters N]
              live query table (in-flight + recently completed); one
-             snapshot by default, --iters 0 refreshes until interrupted;
-             the same table is JSON at the metrics /queries route
+             snapshot by default, --iters 0 refreshes until interrupted
   phj explain REPORT.json [--cost-model k=v,...] [--json PATH]
              model-vs-measured diagnosis of a saved run report
   phj blackbox DUMP.json [--width W] [--tail N] [--trace-out PATH]
@@ -272,12 +304,10 @@ DIAGNOSIS:
                              cell_check, cell_write, key_compare,
                              tuple_fetch, copy_base, copy_bpc)
 
-TELEMETRY (any of these turns live metrics on; none = zero overhead):
+TELEMETRY (turns live metrics on; absent = zero overhead):
   --metrics-addr HOST:PORT   serve Prometheus text at GET /metrics and
                              GET /healthz (port 0 = ephemeral; resolved
                              address printed)
-  --sample-interval MS       background sampling period (default 50)
-  --dashboard                live sparkline view + end-of-run summary
 
 GLOBAL (accepted by every command):
   --flightrec off|phase|full always-on event journal granularity
@@ -331,10 +361,9 @@ impl ObsOut {
 
     /// Validate and write the report (and its trace) where requested.
     /// Every report passes through here, so this is also where the
-    /// sampled telemetry (if any) joins the report and where `--explain`
+    /// flight-recorder summary joins the report and where `--explain`
     /// runs the diagnosis over the finished run.
     fn write(&self, report: &mut RunReport) -> Result<(), String> {
-        telemetry::attach(report);
         attach_flightrec(report);
         if self.explain {
             let sec = phj_analyze::analyze(report, &self.cost);
@@ -428,8 +457,7 @@ fn wants_regions(args: &Args) -> bool {
     args.flag("profile-regions") || args.flag("heatmap")
 }
 
-/// Heatmap/skew-bar width from `--width` (shared with the sparkline
-/// renderer, which applies its own default).
+/// Heatmap/skew-bar width from `--width`.
 fn heat_width(args: &Args) -> Result<usize, String> {
     args.get_usize("width", phj_obs::heatmap::DEFAULT_WIDTH)
 }
@@ -466,8 +494,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     args.allow(&[
         "build-mb", "tuple-size", "matches", "pct", "scheme", "g", "d", "mem-mb", "sim",
         "hybrid", "threads", "profile-regions", "heatmap", "json", "trace-out",
-        "metrics-addr", "sample-interval", "dashboard", "width", "explain", "cost-model",
-        "flightrec", "postmortem", "log-format",
+        "metrics-addr", "width", "explain", "cost-model", "flightrec", "postmortem",
+        "log-format",
     ])?;
     let build_mb = args.get_usize("build-mb", 16)?;
     let tuple_size = args.get_usize("tuple-size", 100)?;
@@ -738,8 +766,8 @@ fn cmd_agg(args: &Args) -> Result<(), String> {
     use phj::aggregate::{aggregate, AggScheme};
     args.allow(&[
         "rows", "keys", "scheme", "g", "d", "sim", "threads", "profile-regions", "heatmap",
-        "json", "trace-out", "metrics-addr", "sample-interval", "dashboard", "width",
-        "explain", "cost-model", "flightrec", "postmortem", "log-format",
+        "json", "trace-out", "metrics-addr", "width", "explain", "cost-model", "flightrec",
+        "postmortem", "log-format",
     ])?;
     let rows = args.get_usize("rows", 1_000_000)?;
     let keys = args.get_usize("keys", 100_000)?.max(1);
@@ -959,8 +987,8 @@ fn render_chain(e: &phj_disk::PhjError) -> String {
 fn cmd_disk(args: &Args) -> Result<(), String> {
     args.allow(&[
         "build-mb", "mem-mb", "mem-budget", "stripes", "dir", "fault-plan", "mode", "json",
-        "trace-out", "metrics-addr", "sample-interval", "dashboard", "width", "explain",
-        "cost-model", "flightrec", "postmortem", "log-format",
+        "trace-out", "metrics-addr", "explain", "cost-model", "flightrec", "postmortem",
+        "log-format",
     ])?;
     let mode_str = args.get_str("mode", phj_disk::DiskJoinMode::default().label());
     let mode = phj_disk::DiskJoinMode::parse(&mode_str)
@@ -1139,8 +1167,7 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
 fn cmd_tune(args: &Args) -> Result<(), String> {
     args.allow(&[
         "build-mb", "tuple-size", "profile-regions", "heatmap", "json", "trace-out",
-        "metrics-addr", "sample-interval", "dashboard", "width", "explain", "cost-model",
-        "flightrec", "postmortem", "log-format",
+        "metrics-addr", "explain", "cost-model", "flightrec", "postmortem", "log-format",
     ])?;
     let build_mb = args.get_usize("build-mb", 8)?;
     let tuple_size = args.get_usize("tuple-size", 20)?;

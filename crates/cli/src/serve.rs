@@ -53,8 +53,8 @@ fn install_stop_signals() {}
 pub fn cmd_serve(args: &Args) -> Result<(), String> {
     args.allow(&[
         "addr", "threads", "mem-mb", "mem-budget", "min-grant-mb", "max-queue",
-        "max-conns", "idle-timeout-ms", "metrics-addr", "sample-interval", "dashboard",
-        "flightrec", "postmortem", "log-format", "trace", "slow-query-ms",
+        "max-conns", "idle-timeout-ms", "metrics-addr", "flightrec", "postmortem",
+        "log-format", "trace", "slow-query-ms",
         "slow-query-sheds", "slow-query-dir", "slow-query-keep", "scratch-dir",
     ])?;
     // `--mem-budget BYTES` wins over `--mem-mb N` when both are given,
@@ -103,11 +103,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let slow_on = cfg.slow_query.is_some();
     let bind = cfg.addr.clone();
     let srv = Server::start(cfg).map_err(|e| format!("bind {bind}: {e}"))?;
-    // The metrics endpoint's `/queries` route serves the live query
-    // table; installing the provider is harmless without `--metrics-addr`
-    // (no HTTP server ever calls it).
-    let reg = std::sync::Arc::clone(srv.registry());
-    phj_metrics::set_queries_provider(std::sync::Arc::new(move || reg.to_json()));
     if slow_on {
         srv.set_slow_query_hook(|query_id, trace_id, latency, path| {
             let latency_us = latency.as_micros() as u64;

@@ -5,26 +5,16 @@
 //! then the recently-completed tail the registry retains. One snapshot
 //! by default; `--iters N --interval-ms M` refreshes like `top(1)`
 //! (`--iters 0` = until interrupted), clearing the screen between
-//! frames. The same table is served as JSON at the metrics endpoint's
-//! `/queries` route; this command is the terminal-native view.
+//! frames. Kind names come from [`phj_server::query::kind_name`].
 
 use std::time::Duration;
 
 use phj_obs::QUERY_STATES;
 use phj_server::proto::{Request, Response, StatusRow};
+use phj_server::query::kind_name;
 use phj_server::Connection;
 
 use crate::args::Args;
-
-/// Kind code → short name (mirrors `phj_server::query::KIND_*`).
-fn kind_name(kind: u8) -> &'static str {
-    match kind {
-        1 => "join",
-        2 => "agg",
-        3 => "disk",
-        _ => "?",
-    }
-}
 
 fn state_name(state: u8) -> &'static str {
     QUERY_STATES.get(state as usize).copied().unwrap_or("?")
@@ -94,7 +84,8 @@ pub fn cmd_top(args: &Args) -> Result<(), String> {
         let live = rows.iter().filter(|r| r.state < 5).count();
         outln!("phj top — {addr}: {live} in flight, {} shown", rows.len());
         out!("{}", render(&rows));
-        if iters != 0 && frame >= iters {
+        // A closed stdout ends an unbounded watch: nobody reads it.
+        if iters != 0 && frame >= iters || crate::stdout_closed() {
             return Ok(());
         }
         std::thread::sleep(interval);

@@ -18,19 +18,19 @@
 //!   crates check `global()` and compile down to one atomic load + branch
 //!   when telemetry is off: no registry is ever allocated, and nothing
 //!   about a run's output changes.
-//! * [`TimeSeriesRing`] — a fixed-capacity ring of scrape snapshots; the
-//!   oldest sample is overwritten once the ring is full.
-//! * [`Sampler`] — a background thread that scrapes the registry into a
-//!   ring every `interval`, with an optional per-sample observer hook
-//!   (the CLI's `--dashboard` live view).
 //! * [`prom::encode`] — Prometheus text exposition (version 0.0.4) of a
 //!   scrape: families typed `counter` / `gauge` / `histogram`, no
 //!   duplicate names (the registry's name map guarantees it).
 //! * [`Listener`] — the shared nonblocking TCP accept loop (one tested
 //!   accept path for every hand-rolled server in the workspace).
 //! * [`MetricsServer`] — a hand-rolled, std-only HTTP endpoint over
-//!   [`Listener`] answering `GET /metrics`; bind to port 0 and read
-//!   [`MetricsServer::local_addr`] for an ephemeral endpoint.
+//!   [`Listener`] answering `GET /metrics` and `GET /healthz`; bind to
+//!   port 0 and read [`MetricsServer::local_addr`] for an ephemeral
+//!   endpoint.
+//!
+//! A scrape of `/metrics` is the one live view of these signals; the
+//! query daemon's per-query table is a separate question, answered by
+//! its typed `Status` request (`phj top`).
 //!
 //! The crate is std-only and dependency-free, so every layer of the
 //! workspace (storage, memsim, disk, exec, cli, bench) can depend on it
@@ -40,16 +40,12 @@ pub mod listener;
 pub mod names;
 pub mod prom;
 pub mod registry;
-pub mod ring;
-pub mod sampler;
 pub mod server;
 
 pub use listener::Listener;
 pub use prom::encode;
 pub use registry::{Counter, Family, Gauge, Histogram, MetricKind, Registry, HIST_BUCKETS};
-pub use ring::{Sample, SeriesSummary, TimeSeriesRing};
-pub use sampler::Sampler;
-pub use server::{set_queries_provider, MetricsServer};
+pub use server::MetricsServer;
 
 use std::sync::{Arc, OnceLock};
 

@@ -1,12 +1,11 @@
 //! Well-known metric family names.
 //!
 //! Every instrumentation point in the workspace and every consumer of a
-//! scrape — the `/metrics` endpoint, the report `timeseries` section,
-//! and the `phj-analyze` diagnosis engine mining that section for
-//! evidence — must agree on these strings. Centralizing them here makes
-//! the scrape-to-analysis plumbing a compile-time contract instead of a
-//! grep: an analyzer rule that reads [`EXEC_STEALS`] cannot drift from
-//! the counter the worker pool increments.
+//! scrape — the `/metrics` endpoint, the tests that read the registry
+//! and the benchmark's per-layer meters — must agree on these strings.
+//! Centralizing them here makes the plumbing a compile-time contract
+//! instead of a grep: a reader of [`EXEC_STEALS`] cannot drift from the
+//! counter the worker pool increments.
 
 /// `phj_exec_tasks_total` — tasks run by the worker pool.
 pub const EXEC_TASKS: &str = "phj_exec_tasks_total";

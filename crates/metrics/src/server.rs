@@ -3,16 +3,10 @@
 //! The accept loop is the shared [`Listener`]; each accepted connection
 //! is answered synchronously on the listener thread: read the request
 //! head, scrape the registry, write one HTTP/1.0-style response, close.
-//! There is no keep-alive, no routing beyond `GET /metrics`,
-//! `GET /healthz`, and `GET /queries`, and no TLS — this is a scrape
-//! target, not a web server. Bind to port 0 and read
-//! [`MetricsServer::local_addr`] for an ephemeral endpoint (CI does).
-//!
-//! `/queries` serves whatever JSON document the installed
-//! [`set_queries_provider`] callback renders — the query daemon
-//! installs its live query table there; without a provider the route
-//! answers 404 with a hint. The indirection keeps this crate free of
-//! any dependency on the server crate (which depends on *this* one).
+//! There is no keep-alive, no routing beyond `GET /metrics` and
+//! `GET /healthz`, and no TLS — this is a scrape target, not a web
+//! server. Bind to port 0 and read [`MetricsServer::local_addr`] for an
+//! ephemeral endpoint (CI does).
 //!
 //! The server registers self-metrics on the registry it serves:
 //! `phj_http_scrapes_total` (count of successful `/metrics` responses,
@@ -30,28 +24,6 @@ use crate::registry::Registry;
 
 /// Content type of the Prometheus text exposition format.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
-
-/// Renders the `/queries` response body (a JSON document).
-type QueriesProvider = Arc<dyn Fn() -> String + Send + Sync>;
-
-static QUERIES_PROVIDER: std::sync::OnceLock<std::sync::Mutex<Option<QueriesProvider>>> =
-    std::sync::OnceLock::new();
-
-fn provider_slot() -> &'static std::sync::Mutex<Option<QueriesProvider>> {
-    QUERIES_PROVIDER.get_or_init(|| std::sync::Mutex::new(None))
-}
-
-/// Install (or replace) the `GET /queries` body provider. The query
-/// daemon points this at its live query table; the callback runs on
-/// the listener thread per request, so it should snapshot, not block.
-pub fn set_queries_provider(f: Arc<dyn Fn() -> String + Send + Sync>) {
-    *provider_slot().lock().unwrap() = Some(f);
-}
-
-fn queries_body() -> Option<String> {
-    let f = provider_slot().lock().unwrap().clone();
-    f.map(|f| f())
-}
 
 /// Handle to the listener thread. Dropping the handle stops it.
 pub struct MetricsServer {
@@ -110,20 +82,8 @@ fn serve_one(mut stream: TcpStream, registry: &Registry) {
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
 
-    let mut ctype = CONTENT_TYPE;
     let (status, body) = if method != "GET" {
         ("405 Method Not Allowed", String::from("method not allowed\n"))
-    } else if path == "/queries" || path.starts_with("/queries?") {
-        match queries_body() {
-            Some(json) => {
-                ctype = "application/json";
-                ("200 OK", json)
-            }
-            None => (
-                "404 Not Found",
-                String::from("no queries provider installed; is the query daemon running?\n"),
-            ),
-        }
     } else if path == "/metrics" || path.starts_with("/metrics?") {
         // Count before encoding so the scrape observes itself — the
         // first response already reports phj_http_scrapes_total 1.
@@ -142,7 +102,7 @@ fn serve_one(mut stream: TcpStream, registry: &Registry) {
         ("404 Not Found", String::from("not found; scrape /metrics\n"))
     };
     let response = format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "HTTP/1.0 {status}\r\nContent-Type: {CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     let _ = stream.write_all(response.as_bytes());

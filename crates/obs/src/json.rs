@@ -611,19 +611,6 @@ impl<T: FromJson> FromJson for Vec<(String, T)> {
     }
 }
 
-/// A `(t, value)` sample is a two-item array.
-impl ToJson for (u64, u64) {
-    fn to_json(&self) -> Json {
-        [self.0, self.1].to_json()
-    }
-}
-
-impl FromJson for (u64, u64) {
-    fn from_json(doc: &Json) -> Result<Self, String> {
-        <[u64; 2]>::from_json(doc).map(|[t, v]| (t, v))
-    }
-}
-
 /// Declare a record's JSON form **once**: the declaration yields the
 /// [`ToJson`] writer and the [`FromJson`] reader, so a key cannot be
 /// written under one name and read under another, and adding a field is

@@ -33,7 +33,6 @@ pub mod json;
 pub mod postmortem;
 pub mod report;
 pub mod span;
-pub mod spark;
 pub mod trace;
 
 pub use json::Json;
@@ -41,8 +40,7 @@ pub use postmortem::Postmortem;
 pub use report::{
     AnalysisSection, DegradationRow, FaultsSection, FlightrecSection, PhasePrediction,
     QueryTraceSection, RegionReport, RegionsSection, ResidualRow, RuleOutcome, RunReport, SkewRow,
-    TimeseriesRow, TimeseriesSection, BOTTLENECK_CLASSES, QUERY_STATES, SCHEMA_VERSION,
+    BOTTLENECK_CLASSES, QUERY_STATES, SCHEMA_VERSION,
 };
-pub use spark::{render_timeseries, sparkline};
 pub use span::{span_begin, span_end, span_meta, Recorder, SpanId, SpanRecord};
 pub use trace::{trace_json, trace_text};

@@ -162,40 +162,6 @@ json_record! {
 }
 
 json_record! {
-    /// One sampled metric series in a report's `timeseries` section.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct TimeseriesRow {
-        /// Metric family name (`phj_exec_tasks_total`, …).
-        pub name: String,
-        /// Smallest sampled value.
-        pub min: u64,
-        /// Largest sampled value.
-        pub max: u64,
-        /// Final sampled value.
-        pub last: u64,
-        /// `(t_ns, value)` samples, oldest first (`t_ns` relative to the
-        /// sampler's start).
-        pub points: Vec<(u64, u64)>,
-    }
-
-    /// The optional live-telemetry section of a [`RunReport`]: the sampler
-    /// ring's contents at end of run, one row per metric family. Present
-    /// only when the run enabled telemetry sampling (`--sample-interval` /
-    /// `--metrics-addr` / `--dashboard`); like `regions` and `faults`, the
-    /// JSON key is omitted entirely when absent so untelemetered reports
-    /// stay byte-identical to older ones.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct TimeseriesSection {
-        /// Sampling interval in milliseconds.
-        pub interval_ms: u64,
-        /// Ring capacity in samples (rows hold at most this many points).
-        pub capacity: u64,
-        /// Per-metric series, in scrape (name) order.
-        pub series: Vec<TimeseriesRow>,
-    }
-}
-
-json_record! {
     /// The optional flight-recorder summary section of a [`RunReport`]:
     /// per-kind event totals and exact ring-wrap drop accounting from the
     /// process flight recorder (`phj-flightrec`). Deliberately carries no
@@ -423,8 +389,8 @@ json_record! {
     /// The optional model-vs-measured diagnosis section of a [`RunReport`],
     /// produced by `phj-analyze`: Theorem-1/2 predictions recomputed from
     /// the config fingerprint, predicted-vs-measured residuals, and a
-    /// rule-engine bottleneck classification. Like `regions`/`faults`/
-    /// `timeseries`, the JSON key is omitted entirely when absent.
+    /// rule-engine bottleneck classification. Like `regions`/`faults`,
+    /// the JSON key is omitted entirely when absent.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct AnalysisSection {
         /// Full miss latency `T` the predictions assumed (cycles).
@@ -547,10 +513,6 @@ pub struct RunReport {
     /// injected faults, retried I/O, or degraded; omitted from the JSON
     /// when absent, same convention as `regions`).
     pub faults: Option<FaultsSection>,
-    /// Sampled live-telemetry series (`None` unless the run enabled the
-    /// sampler; omitted from the JSON when absent, same convention as
-    /// `regions` and `faults`).
-    pub timeseries: Option<TimeseriesSection>,
     /// Model-vs-measured diagnosis (`None` unless an analyzer attached
     /// one; omitted from the JSON when absent, same convention as the
     /// other optional sections).
@@ -568,7 +530,7 @@ pub struct RunReport {
 // Written by the table below, gated on by `RunReport::parse`.
 const VERSION_KEY: &str = "schema_version";
 
-// The document layout, top to bottom. The six optional sections are the
+// The document layout, top to bottom. The five optional sections are the
 // `opt` entries: their key is omitted entirely when the section is
 // `None`, so reports without one stay byte-identical to older ones.
 json_record! {
@@ -591,7 +553,6 @@ json_record! {
         "spans" => rw(spans),
         "regions" => opt(regions),
         "faults" => opt(faults),
-        "timeseries" => opt(timeseries),
         "analysis" => opt(analysis),
         "flightrec" => opt(flightrec),
         "query_trace" => opt(query_trace),
@@ -747,9 +708,6 @@ impl RunReport {
         if let Some(sec) = &self.regions {
             self.validate_regions(sec)?;
         }
-        if let Some(sec) = &self.timeseries {
-            validate_timeseries(sec)?;
-        }
         if let Some(sec) = &self.analysis {
             validate_analysis(sec)?;
         }
@@ -802,39 +760,6 @@ impl RunReport {
         }
         Ok(())
     }
-}
-
-/// Internal consistency of a `timeseries` section: each row's
-/// min/max/last must be exactly the reduction of its points, point
-/// counts must fit the ring capacity, and timestamps must be
-/// non-decreasing (the sampler ring appends in time order).
-fn validate_timeseries(sec: &TimeseriesSection) -> Result<(), String> {
-    for row in &sec.series {
-        if row.points.is_empty() {
-            return Err(format!("timeseries row '{}' has no points", row.name));
-        }
-        if sec.capacity > 0 && row.points.len() as u64 > sec.capacity {
-            return Err(format!(
-                "timeseries row '{}' holds {} points over ring capacity {}",
-                row.name,
-                row.points.len(),
-                sec.capacity
-            ));
-        }
-        let min = row.points.iter().map(|&(_, v)| v).min().unwrap_or(0);
-        let max = row.points.iter().map(|&(_, v)| v).max().unwrap_or(0);
-        let last = row.points.last().map_or(0, |&(_, v)| v);
-        if (row.min, row.max, row.last) != (min, max, last) {
-            return Err(format!(
-                "timeseries row '{}' summary ({}, {}, {}) disagrees with its points ({min}, {max}, {last})",
-                row.name, row.min, row.max, row.last
-            ));
-        }
-        if row.points.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err(format!("timeseries row '{}' timestamps go backwards", row.name));
-        }
-    }
-    Ok(())
 }
 
 /// Coverage for one snapshot delta (see
@@ -1353,76 +1278,21 @@ mod tests {
         r.validate().expect("merged section conserves against summed totals");
     }
 
-    fn timeseries_section() -> TimeseriesSection {
-        TimeseriesSection {
-            interval_ms: 10,
-            capacity: 64,
-            series: vec![
-                TimeseriesRow {
-                    name: "phj_exec_tasks_total".into(),
-                    min: 0,
-                    max: 12,
-                    last: 12,
-                    points: vec![(0, 0), (10_000_000, 5), (20_000_000, 12)],
-                },
-                TimeseriesRow {
-                    name: "phj_exec_workers".into(),
-                    min: 4,
-                    max: 4,
-                    last: 4,
-                    points: vec![(0, 4), (10_000_000, 4), (20_000_000, 4)],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn timeseries_section_round_trips_and_validates() {
-        let mut r = report_with_spans();
-        r.timeseries = Some(timeseries_section());
-        r.validate().expect("consistent timeseries validates");
-        let text = r.render();
-        assert!(text.contains("\"timeseries\""));
-        assert!(text.contains("\"interval_ms\""));
-        let back = RunReport::parse(&text).expect("parse");
-        assert_eq!(back.timeseries, r.timeseries);
-        back.validate().expect("round-tripped timeseries still validates");
-    }
-
     #[test]
     fn untelemetered_reports_never_mention_timeseries() {
-        assert!(!report_with_spans().render().contains("timeseries"));
-    }
-
-    #[test]
-    fn validate_rejects_inconsistent_timeseries() {
-        // Summary out of step with the points.
-        let mut r = report_with_spans();
-        let mut sec = timeseries_section();
-        sec.series[0].max = 99;
-        r.timeseries = Some(sec);
-        assert!(r.validate().unwrap_err().contains("disagrees"));
-
-        // A row with no points at all.
-        let mut sec = timeseries_section();
-        sec.series[0].points.clear();
-        sec.series[0].min = 0;
-        sec.series[0].max = 0;
-        sec.series[0].last = 0;
-        r.timeseries = Some(sec);
-        assert!(r.validate().unwrap_err().contains("no points"));
-
-        // More points than the ring could hold.
-        let mut sec = timeseries_section();
-        sec.capacity = 2;
-        r.timeseries = Some(sec);
-        assert!(r.validate().unwrap_err().contains("capacity"));
-
-        // Timestamps running backwards.
-        let mut sec = timeseries_section();
-        sec.series[0].points[1].0 = 30_000_000;
-        r.timeseries = Some(sec);
-        assert!(r.validate().unwrap_err().contains("backwards"));
+        let text = report_with_spans().render();
+        assert!(!text.contains("timeseries"));
+        // Older reports carried a sampled `timeseries` section; the key
+        // is ignored on read, so they still parse, validate and diff.
+        let old = text.replacen(
+            "\n  \"spans\":",
+            "\n  \"timeseries\": {\"interval_ms\": 10, \"series\": []},\n  \"spans\":",
+            1,
+        );
+        assert_ne!(old, text);
+        let back = RunReport::parse(&old).expect("a retired section is ignored on read");
+        back.validate().expect("and the rest still validates");
+        assert_eq!(back.render(), text);
     }
 
     fn analysis_section() -> AnalysisSection {

@@ -139,36 +139,6 @@ pub fn trace_json(report: &RunReport) -> Json {
             }
         }
     }
-    // Sampled telemetry becomes one counter track per metric, on its own
-    // process (pid 2): sample timestamps are host wall time, which only
-    // shares a timebase with the span tracks for native runs — a separate
-    // process keeps the cycle-positioned sim timeline uncorrupted.
-    if let Some(sec) = &report.timeseries {
-        if !sec.series.is_empty() {
-            events.push(Json::obj(vec![
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::U64(2)),
-                ("tid", Json::U64(1)),
-                ("name", Json::Str("process_name".into())),
-                (
-                    "args",
-                    Json::obj(vec![("name", Json::Str("phj telemetry".into()))]),
-                ),
-            ]));
-            for row in &sec.series {
-                for &(t_ns, v) in &row.points {
-                    events.push(Json::obj(vec![
-                        ("ph", Json::Str("C".into())),
-                        ("pid", Json::U64(2)),
-                        ("tid", Json::U64(1)),
-                        ("name", Json::Str(row.name.clone())),
-                        ("ts", Json::F64(t_ns as f64 / 1e3)),
-                        ("args", Json::obj(vec![("value", Json::U64(v))])),
-                    ]));
-                }
-            }
-        }
-    }
     Json::obj(vec![
         ("traceEvents", Json::Arr(events)),
         (
@@ -323,54 +293,11 @@ mod tests {
         assert!(names.contains(&(4, "worker 2".to_string())));
     }
 
-    #[test]
-    fn timeseries_counter_tracks_land_on_their_own_process() {
-        use crate::report::{TimeseriesRow, TimeseriesSection};
-        let mut r = sim_report();
-        r.timeseries = Some(TimeseriesSection {
-            interval_ms: 10,
-            capacity: 64,
-            series: vec![TimeseriesRow {
-                name: "phj_exec_tasks_total".into(),
-                min: 0,
-                max: 9,
-                last: 9,
-                points: vec![(0, 0), (10_000_000, 4), (20_000_000, 9)],
-            }],
-        });
-        let doc = trace_json(&r);
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let telemetry: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(2))
-            .collect();
-        // One process_name meta + three counter samples.
-        assert_eq!(telemetry.len(), 4);
-        let samples: Vec<_> = telemetry
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .collect();
-        assert_eq!(samples.len(), 3);
-        for s in &samples {
-            assert_eq!(s.get("name").and_then(Json::as_str), Some("phj_exec_tasks_total"));
-        }
-        // Wall-time ns map to trace µs.
-        assert_eq!(samples[1].get("ts").and_then(Json::as_f64), Some(10_000.0));
-        assert_eq!(samples[2].get("args").unwrap().get("value").and_then(Json::as_u64), Some(9));
-        // The sim span tracks stay on pid 1, untouched.
-        assert!(events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .all(|e| e.get("pid").and_then(Json::as_u64) == Some(1)));
-        assert!(json::parse(&trace_text(&r)).is_ok());
-    }
-
-    /// Span, meta, and metric names containing quotes, backslashes, and
-    /// non-ASCII must survive export: the rendered trace parses as JSON
-    /// and the names come back verbatim through the in-tree parser.
+    /// Span and meta names containing quotes, backslashes, and non-ASCII
+    /// must survive export: the rendered trace parses as JSON and the
+    /// names come back verbatim through the in-tree parser.
     #[test]
     fn hostile_names_round_trip_through_the_parser() {
-        use crate::report::{TimeseriesRow, TimeseriesSection};
         let hostile = [
             r#"span "with quotes""#,
             r"back\slash\",
@@ -380,23 +307,11 @@ mod tests {
         let mut rec = Recorder::new();
         let run = rec.begin(hostile[0], snap(0));
         rec.meta(hostile[1], hostile[2]);
+        let child = rec.begin(hostile[3], snap(1));
+        rec.end(child, snap(5));
         rec.end(run, snap(10));
         let mut r = RunReport::from_recorder("join", rec, snap(10), 1_000);
         r.simulated = true;
-        r.timeseries = Some(TimeseriesSection {
-            interval_ms: 10,
-            capacity: 8,
-            series: hostile
-                .iter()
-                .map(|&name| TimeseriesRow {
-                    name: name.into(),
-                    min: 1,
-                    max: 1,
-                    last: 1,
-                    points: vec![(0, 1)],
-                })
-                .collect(),
-        });
         let text = trace_text(&r);
         let doc = json::parse(&text).expect("hostile names must still render valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -404,7 +319,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.get("name").and_then(Json::as_str))
             .collect();
-        for h in hostile {
+        for h in [hostile[0], hostile[3]] {
             assert!(names.contains(&h), "name {h:?} lost in round-trip");
         }
         // The hostile meta key/value pair survives inside span args too.

@@ -12,7 +12,7 @@ use phj_memsim::{Breakdown, CacheStats, LatencyHistogram, RegionStats, Snapshot}
 use phj_obs::{
     AnalysisSection, DegradationRow, FaultsSection, FlightrecSection, PhasePrediction,
     QueryTraceSection, Recorder, RegionReport, RegionsSection, ResidualRow, RuleOutcome,
-    RunReport, SkewRow, SpanRecord, TimeseriesRow, TimeseriesSection,
+    RunReport, SkewRow, SpanRecord,
 };
 use std::path::Path;
 
@@ -29,7 +29,7 @@ fn hist(samples: &[(u64, usize)]) -> LatencyHistogram {
 }
 
 /// The report `fixtures/full_report.json` was rendered from: spans with
-/// latency histograms and `worker` lanes, and all six optional sections
+/// latency histograms and `worker` lanes, and all five optional sections
 /// non-empty and mutually consistent (it must pass `validate`).
 fn full_report() -> RunReport {
     let totals = Snapshot {
@@ -148,26 +148,6 @@ fn full_report() -> RunReport {
             },
         ],
     });
-    r.timeseries = Some(TimeseriesSection {
-        interval_ms: 10,
-        capacity: 64,
-        series: vec![
-            TimeseriesRow {
-                name: "phj_exec_tasks_total".into(),
-                min: 0,
-                max: 12,
-                last: 12,
-                points: vec![(0, 0), (10_000_000, 5), (20_000_000, 12)],
-            },
-            TimeseriesRow {
-                name: "phj_exec_workers".into(),
-                min: 4,
-                max: 4,
-                last: 4,
-                points: vec![(0, 4), (10_000_000, 4)],
-            },
-        ],
-    });
     r.analysis = Some(AnalysisSection {
         t_full: 150,
         t_next: 10,
@@ -259,7 +239,7 @@ fn full_report_renders_and_reparses_to_the_committed_bytes() {
     let parsed = RunReport::parse(FULL_REPORT).expect("fixture parses");
     parsed.validate().expect("parsed fixture validates");
     assert_eq!(parsed.render(), FULL_REPORT, "bytes -> struct -> bytes drifted");
-    for sec in ["regions", "faults", "timeseries", "analysis", "flightrec", "query_trace"] {
+    for sec in ["regions", "faults", "analysis", "flightrec", "query_trace"] {
         assert!(FULL_REPORT.contains(&format!("\n  \"{sec}\": {{")), "fixture lacks {sec}");
     }
     assert_eq!(parsed.spans[1].latency, built.spans[1].latency);
@@ -296,9 +276,6 @@ fn minimally_broken_documents_are_still_rejected() {
         ("skew row without cycles", broken("\"cycles\": 67", "\"cycle\": 67")),
         ("degradation row without action", broken("\"action\"", "\"auction\"")),
         ("faults without degradation", broken("\"degradation\"", "\"degradations\"")),
-        ("timeseries point holding a string", broken("[\n            10000000,\n            5\n", "[\n            10000000,\n            \"5\"\n")),
-        ("timeseries point with three items", broken("[\n            10000000,\n            5\n", "[\n            10000000,\n            5,\n            6\n")),
-        ("timeseries row without last", broken("\"last\"", "\"lost\"")),
         ("prediction with non-integer stage cost", broken("114,", "114.5,")),
         ("residual without measured", broken("\"measured\"", "\"pleasured\"")),
         ("rule evidence holding a number", broken("\"evidence\": []", "\"evidence\": [3]")),

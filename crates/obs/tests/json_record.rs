@@ -94,6 +94,4 @@ fn table_form_errors_name_the_path() {
     assert_eq!(err, "field 'buckets': [1]: expected a non-negative integer");
     let err = read(&good.replace("{}", "{\"k\":3}")).unwrap_err();
     assert_eq!(err, "field 'tags': 'k': expected a string");
-    assert_eq!(<(u64, u64)>::from_json(&json::parse("[1,2]").unwrap()), Ok((1, 2)));
-    assert!(<(u64, u64)>::from_json(&json::parse("[1,2,3]").unwrap()).is_err());
 }

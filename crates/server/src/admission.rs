@@ -157,7 +157,7 @@ pub struct Admission {
     sheds: AtomicU64,
     /// Called with the victim query id each time a shed request is
     /// issued — the server wires this to the live query registry so
-    /// `/queries` can show which query absorbed the pressure.
+    /// `phj top` can show which query absorbed the pressure.
     shed_observer: Mutex<Option<ShedObserver>>,
 }
 

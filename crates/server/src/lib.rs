@@ -31,9 +31,9 @@
 //! * [`registry`] — the live query table. Every query walks a typed
 //!   lifecycle state machine (received → queued → admitted → executing
 //!   → responding → done/failed) with wall-clock offsets per
-//!   transition; the table is served four ways: the `Status` protocol
-//!   request, the `/queries` HTTP endpoint, `phj top`, and the
-//!   optional `query_trace` RunReport section. Clients can mint a
+//!   transition; the table is served three ways: the `Status` protocol
+//!   request, `phj top` (which renders it), and the optional
+//!   `query_trace` RunReport section. Clients can mint a
 //!   trace id (an optional 8-byte frame tail — untraced frames are
 //!   byte-identical to older builds) that follows the query through
 //!   admission, the flight recorder, and back out in the result.

@@ -34,6 +34,17 @@ pub const KIND_AGG: u8 = 2;
 /// Result kind tag: an on-disk join.
 pub const KIND_DISK: u8 = 3;
 
+/// Short name of a result kind tag (`phj top`'s KIND column); `"?"`
+/// for a tag no `KIND_*` constant names.
+pub fn kind_name(kind: u8) -> &'static str {
+    match kind {
+        KIND_JOIN => "join",
+        KIND_AGG => "agg",
+        KIND_DISK => "disk",
+        _ => "?",
+    }
+}
+
 /// Tuples above this cannot be generated (they approach the 8 KiB page
 /// bound); rejected up front as a bad request.
 const MAX_TUPLE_SIZE: u32 = 2048;
@@ -482,6 +493,16 @@ mod tests {
             seed: 0x11D0,
             trace_id: 0,
         })
+    }
+
+    #[test]
+    fn every_kind_has_its_own_name() {
+        let kinds = [KIND_JOIN, KIND_AGG, KIND_DISK];
+        let names: Vec<&str> = kinds.iter().map(|&k| kind_name(k)).collect();
+        assert_eq!(names, ["join", "agg", "disk"]);
+        // Unknown tags, either side of the named ones, are not misnamed.
+        assert_eq!(kind_name(0), "?");
+        assert_eq!(kind_name(KIND_DISK + 1), "?");
     }
 
     #[test]

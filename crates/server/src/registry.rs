@@ -12,9 +12,9 @@
 //! `queued` is skipped when admission grants without waiting, and any
 //! state can fall through to `failed` (rejection, typed error, panic).
 //! Every transition records its wall-clock offset from arrival, which
-//! is what the `query_trace` report section, the `Status` protocol
-//! response, the `/queries` HTTP endpoint, and `phj top` all render —
-//! one registry, four views.
+//! is what the `query_trace` report section and the `Status` protocol
+//! response carry (`phj top` renders the latter) — one registry, one
+//! wire view.
 //!
 //! The registry never extends a query's life: it holds a [`Weak`] to
 //! the grant (live size readable until release, then 0) and plain
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::admission::MemGrant;
 use crate::proto::StatusRow;
-use phj_obs::{Json, QUERY_STATES};
+use phj_obs::QUERY_STATES;
 
 /// How many completed queries the registry remembers.
 const RECENT_CAP: usize = 32;
@@ -252,32 +252,6 @@ impl QueryRegistry {
     pub fn live_count(&self) -> usize {
         self.inner.lock().unwrap().live.len()
     }
-
-    /// The table as a JSON document for the `/queries` HTTP endpoint:
-    /// `{"queries": [{...}, ...]}` with states and kinds as names.
-    pub fn to_json(&self) -> String {
-        let row = |r: StatusRow| {
-            let kind = match r.kind {
-                1 => "join",
-                2 => "agg",
-                _ => "disk_join",
-            };
-            Json::obj(vec![
-                ("query_id", Json::U64(r.query_id)),
-                ("trace_id", Json::U64(r.trace_id)),
-                ("kind", Json::Str(kind.to_string())),
-                ("state", Json::Str(QUERY_STATES[r.state as usize].to_string())),
-                ("age_us", Json::U64(r.age_us)),
-                ("grant_bytes", Json::U64(r.grant_bytes)),
-                ("shed_count", Json::U64(r.shed_count as u64)),
-                ("queue_wait_us", Json::U64(r.queue_wait_us)),
-                ("grant_wait_us", Json::U64(r.grant_wait_us)),
-                ("exec_us", Json::U64(r.exec_us)),
-            ])
-        };
-        let queries = self.snapshot().into_iter().map(row).collect();
-        Json::obj(vec![("queries", Json::Arr(queries))]).render_pretty()
-    }
 }
 
 #[cfg(test)]
@@ -323,10 +297,8 @@ mod tests {
         let rows = reg.snapshot();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].state, QueryState::Done as u8);
-        // The JSON view carries names, not codes.
-        let json = reg.to_json();
-        assert!(json.contains("\"state\": \"done\""));
-        assert!(json.contains("\"kind\": \"join\""));
+        assert_eq!(QUERY_STATES[rows[0].state as usize], "done");
+        assert_eq!(crate::query::kind_name(rows[0].kind), "join");
     }
 
     #[test]

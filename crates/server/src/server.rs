@@ -173,7 +173,7 @@ impl Server {
         });
         let registry = Arc::new(QueryRegistry::new());
         // Shed attribution: admission knows *which* query it asked to
-        // shrink; the registry is where that shows up in `/queries`,
+        // shrink; the registry is where that shows up in `Status`,
         // `phj top`, and the slow-query shed trigger.
         {
             let reg = Arc::clone(&registry);
@@ -235,8 +235,8 @@ impl Server {
         self.ctx.inflight.load(Ordering::SeqCst)
     }
 
-    /// The live query table (the `Status` protocol response, the
-    /// `/queries` endpoint, and `phj top` all render its snapshots).
+    /// The live query table (the `Status` protocol response and
+    /// `phj top` render its snapshots).
     pub fn registry(&self) -> &Arc<QueryRegistry> {
         &self.ctx.registry
     }

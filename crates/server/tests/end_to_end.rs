@@ -11,7 +11,7 @@ use phj_obs::RunReport;
 use phj_server::proto::{
     AggRequest, DiskJoinRequest, ErrorCode, JoinRequest, Request, Response, WireScheme,
 };
-use phj_server::{query, Connection, ServeConfig, Server};
+use phj_server::{query, Connection, QueryState, ServeConfig, Server};
 
 fn join_req(seed: u64) -> Request {
     Request::Join(JoinRequest {
@@ -470,6 +470,30 @@ fn mid_run_grant_shrink_on_a_live_dynamic_disk_query() {
     while adm.outstanding() < 20 << 20 {
         std::thread::yield_now();
     }
+
+    // A Status snapshot on a second connection shows the disk query in
+    // flight, holding its whole grant. The registry learns of the grant
+    // just after admission does, so poll until the row carries it.
+    let mut status = Connection::connect(addr).unwrap();
+    let live = loop {
+        let rows = match status.request(&Request::Status).unwrap() {
+            Response::Status(rows) => rows,
+            other => panic!("Status: want rows, got {other:?}"),
+        };
+        let row = rows
+            .into_iter()
+            .find(|r| r.kind == query::KIND_DISK)
+            .expect("the disk query is in the live table");
+        assert!(
+            row.state < QueryState::Done as u8,
+            "the disk query ended before a snapshot saw it hold its grant: {row:?}"
+        );
+        if row.grant_bytes == 20 << 20 {
+            break row;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(live.shed_count, 0, "nothing has asked it to shed yet");
 
     // 8 MB wanted, 4 MB free: this arrival must force a shed request
     // (target 20 - 4 = 16 MB) rather than waiting for the release.
