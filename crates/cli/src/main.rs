@@ -43,6 +43,7 @@
 //! and run reports are byte-identical to an uninstrumented build.
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use phj::grace::{grace_join_with_sink_rec, hybrid_join, GraceConfig};
@@ -197,12 +198,12 @@ fn start_metrics(args: &Args) -> Result<Option<phj_metrics::MetricsServer>, Stri
 }
 
 /// Set once a write to stdout has failed with `EPIPE`.
-static STDOUT_CLOSED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
 /// Whether a reader has closed stdout; a command that would otherwise
 /// print forever (`phj top --iters 0`) stops on it.
 fn stdout_closed() -> bool {
-    STDOUT_CLOSED.load(std::sync::atomic::Ordering::Relaxed)
+    STDOUT_CLOSED.load(Ordering::Relaxed)
 }
 
 /// Write `args` (and a newline) to stdout. A closed stdout (`EPIPE`) is
@@ -224,7 +225,7 @@ fn write_stdout(args: std::fmt::Arguments, newline: bool) {
     match written {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
-            STDOUT_CLOSED.store(true, std::sync::atomic::Ordering::Relaxed)
+            STDOUT_CLOSED.store(true, Ordering::Relaxed)
         }
         Err(e) => panic!("failed printing to stdout: {e}"),
     }
