@@ -18,12 +18,11 @@
 //! `phj_metrics::install()`: the registry is process-global and
 //! irreversible, so ordering is what keeps the off-measurement honest.
 //!
-//! The native sweep then reruns with the flight recorder at `phase` and
-//! `full` granularity (`scaling_join_flightrec`): the recorder, like the
-//! metrics registry, installs irreversibly, so the recorder-off
-//! wall-clock baseline is measured first and the overhead columns are
-//! the measured price of `--flightrec phase` (the default) and
-//! `--flightrec full`.
+//! The native sweep then reruns with the flight recorder installed
+//! (`scaling_join_flightrec`): the recorder, like the metrics registry,
+//! installs irreversibly, so the recorder-off wall-clock baseline is
+//! measured first and the overhead column is the measured price of
+//! `--flightrec phase`, the default.
 //!
 //! Emits `scaling_join_sim` / `scaling_join_native` tables plus a
 //! per-worker `scaling_join_workers` table recording each lane/worker's
@@ -160,42 +159,36 @@ fn main() {
         }
     }
 
-    // Passes 4 and 5: flight recorder at phase, then full, granularity.
-    // install() is irreversible (process-global, like the metrics
-    // registry), so the recorder-off native baseline above had to run
-    // first; set_mode() flips phase -> full in the same process.
-    phj_flightrec::install(phj_flightrec::Mode::Phase);
-    let native_pass = |n: usize| {
-        let t0 = std::time::Instant::now();
-        let out = phj_exec::parallel_join_native(&cfg, &gen.build, &gen.probe, n, false);
-        assert_eq!(out.sink.matches(), gen.expected_matches);
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    let phase_ms: Vec<f64> = THREADS.iter().map(|&n| native_pass(n)).collect();
-    let rec = phj_flightrec::global().expect("recorder installed above");
-    rec.set_mode(phj_flightrec::Mode::Full);
-    let full_ms: Vec<f64> = THREADS.iter().map(|&n| native_pass(n)).collect();
-    assert!(rec.total_written() > 0, "flightrec passes recorded no events");
+    // Pass 4: the flight recorder on. install() is irreversible
+    // (process-global, like the metrics registry), so the recorder-off
+    // native baseline above had to run first.
+    let rec = phj_flightrec::install();
+    let phase_ms: Vec<f64> = THREADS
+        .iter()
+        .map(|&n| {
+            let t0 = std::time::Instant::now();
+            let out = phj_exec::parallel_join_native(&cfg, &gen.build, &gen.probe, n, false);
+            assert_eq!(out.sink.matches(), gen.expected_matches);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    assert!(rec.total_written() > 0, "the flightrec pass recorded no events");
 
     let mut flight = Table::new(
         "Thread scaling — flight-recorder overhead (native wall clock)",
-        &["threads", "ms_off", "ms_phase", "phase_overhead", "ms_full", "full_overhead"],
+        &["threads", "ms_off", "ms_phase", "phase_overhead"],
     );
     for (i, &n) in THREADS.iter().enumerate() {
-        let pct = |on: f64| {
-            if native_ms[i] > 0.0 {
-                format!("{:+.2}%", (on - native_ms[i]) / native_ms[i] * 100.0)
-            } else {
-                "n/a".into()
-            }
+        let overhead = if native_ms[i] > 0.0 {
+            format!("{:+.2}%", (phase_ms[i] - native_ms[i]) / native_ms[i] * 100.0)
+        } else {
+            "n/a".into()
         };
         flight.row(&[
             &n,
             &format!("{:.1}", native_ms[i]),
             &format!("{:.1}", phase_ms[i]),
-            &pct(phase_ms[i]),
-            &format!("{:.1}", full_ms[i]),
-            &pct(full_ms[i]),
+            &overhead,
         ]);
     }
 

@@ -108,16 +108,16 @@ fn main() -> ExitCode {
     // The flight recorder is always on (phase granularity) unless
     // `--flightrec off`; a crash, typed failure, or SIGTERM then dumps
     // the journal as a postmortem (`--postmortem PATH`).
-    match phj_flightrec::Mode::parse(&args.get_str("flightrec", "phase")) {
-        Ok(Some(mode)) => {
-            phj_flightrec::install(mode);
+    match args.get_str("flightrec", "phase").as_str() {
+        "phase" => {
+            phj_flightrec::install();
             phj_flightrec::install_crash_hooks();
             phj_flightrec::set_postmortem_path(args.get_str("postmortem", "postmortem.json"));
             phj_flightrec::set_context_provider(Box::new(postmortem_context));
         }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: --flightrec: {e}\n\n{USAGE}");
+        "off" => {}
+        other => {
+            eprintln!("error: --flightrec: unknown mode `{other}` (off|phase)\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     }
@@ -311,9 +311,9 @@ TELEMETRY (turns live metrics on; absent = zero overhead):
                              address printed)
 
 GLOBAL (accepted by every command):
-  --flightrec off|phase|full always-on event journal granularity
-                             (default phase; full adds per-task, steal-
-                             miss, spill, and batch marks)
+  --flightrec off|phase      always-on event journal of phases,
+                             faults, retries, degradation, steals and
+                             grants (default phase; off records nothing)
   --postmortem PATH          where crashes, typed failures, and SIGTERM
                              dump the journal (default postmortem.json)
   --log-format text|json     runtime warning format (degradation steps,
@@ -361,11 +361,9 @@ impl ObsOut {
     }
 
     /// Validate and write the report (and its trace) where requested.
-    /// Every report passes through here, so this is also where the
-    /// flight-recorder summary joins the report and where `--explain`
-    /// runs the diagnosis over the finished run.
+    /// Every report passes through here, so this is also where
+    /// `--explain` runs the diagnosis over the finished run.
     fn write(&self, report: &mut RunReport) -> Result<(), String> {
-        attach_flightrec(report);
         if self.explain {
             let sec = phj_analyze::analyze(report, &self.cost);
             out!("{}", phj_analyze::render(report, &sec));
@@ -382,27 +380,6 @@ impl ObsOut {
         }
         Ok(())
     }
-}
-
-/// Attach the flight-recorder summary (event counts, ring accounting)
-/// to a run report. The section carries no timestamps, so deterministic
-/// runs summarize byte-identically; with `--flightrec off` nothing is
-/// installed and the report is unchanged.
-fn attach_flightrec(report: &mut RunReport) {
-    let Some(rec) = phj_flightrec::global() else { return };
-    let s = rec.summary();
-    report.flightrec = Some(phj_obs::FlightrecSection {
-        mode: s.mode.name().to_string(),
-        capacity: s.capacity as u64,
-        threads: s.threads.len() as u64,
-        written: s.written(),
-        dropped: s.dropped(),
-        counts: phj_flightrec::EventKind::ALL
-            .iter()
-            .filter(|k| s.counts[**k as usize] > 0)
-            .map(|k| (k.name().to_string(), s.counts[*k as usize]))
-            .collect(),
-    });
 }
 
 /// `phj blackbox <postmortem.json>`: validate a crash dump and render

@@ -70,7 +70,6 @@ impl TableProgram for Build<'_> {
 impl StageProgram for Build<'_> {
     type State = BuildState;
     const K: usize = 2;
-    const BATCH: Option<u16> = Some(1);
 
     #[inline]
     fn load<M: MemoryModel>(
@@ -230,7 +229,6 @@ impl<S: JoinSink> TableProgram for Probe<'_, S> {
 impl<S: JoinSink> StageProgram for Probe<'_, S> {
     type State = ProbeState;
     const K: usize = 3;
-    const BATCH: Option<u16> = Some(2);
 
     #[inline]
     fn load<M: MemoryModel>(

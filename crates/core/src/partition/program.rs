@@ -67,7 +67,6 @@ impl Partition<'_, Vec<Relation>> {
 impl<S: PartitionStore> StageProgram for Partition<'_, S> {
     type State = PartState;
     const K: usize = 1;
-    const BATCH: Option<u16> = Some(0);
 
     #[inline]
     fn load<M: MemoryModel>(

@@ -25,7 +25,8 @@
 //!
 //! Every scheduler is generic over the program, so each (program,
 //! scheduler) pair compiles to its own loop with no dynamic dispatch on
-//! the per-tuple path.
+//! the per-tuple path. The loops carry only the paper's work: nothing
+//! is journaled per tuple or per group.
 
 use phj_memsim::{LatencyHistogram, MemoryModel, RegionKind, Snapshot};
 use phj_storage::Relation;
@@ -111,9 +112,6 @@ pub(crate) trait StageProgram {
     type State: Default;
     /// Number of dependent memory references: stages run `0..=K`.
     const K: usize;
-    /// Stage code of the flight recorder's per-group `Batch` mark
-    /// (partition 0, build 1, probe 2), if the program emits one.
-    const BATCH: Option<u16> = None;
 
     /// Read input tuple `(pi, slot)` into `s`: stage 0's computation.
     fn load<M: MemoryModel>(
@@ -257,14 +255,13 @@ enum Status {
 /// The group-prefetching scheduler (§4).
 pub(crate) struct Group<S> {
     slots: Vec<Slot<S>>,
-    batches: u64,
     exhausted: bool,
 }
 
 impl<S: Default> Group<S> {
     /// A scheduler with group size `g` (at least 2).
     pub(crate) fn new(g: usize) -> Self {
-        Group { slots: Slot::array(g.max(2)), batches: 0, exhausted: false }
+        Group { slots: Slot::array(g.max(2)), exhausted: false }
     }
 
     /// Run every group of `scan`.
@@ -320,17 +317,6 @@ impl<S: Default> Group<S> {
                 prog.resolve(mem, &mut slot.state);
             }
             slot.status = Status::Idle;
-        }
-        if let Some(code) = P::BATCH {
-            // Host-side mark (flight recorder full mode only; never a
-            // simulated-cycle cost).
-            phj_flightrec::event_full(
-                phj_flightrec::EventKind::Batch,
-                code,
-                self.batches,
-                g as u64,
-            );
-            self.batches += 1;
         }
         if n < g {
             self.exhausted = true;

@@ -367,14 +367,6 @@ impl SpillFile {
             return;
         }
         self.next_page += 1;
-        // Per-page spill marks are full-mode only: one per sealed page
-        // would dominate the ring at phase granularity.
-        phj_flightrec::event_full(
-            phj_flightrec::EventKind::Spill,
-            part.min(u16::MAX as usize) as u16,
-            self.part_pages[part].len() as u64,
-            self.part_tuples[part],
-        );
     }
 
     /// Surface (and clear) a write error that stuck.

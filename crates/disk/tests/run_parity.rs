@@ -42,7 +42,7 @@ fn counts(s: &IoStats) -> [u64; 8] {
 #[test]
 fn a_unit_written_as_one_run_matches_page_by_page_writes() {
     let written = phj_metrics::install().counter(names::DISK_BYTES_WRITTEN, "");
-    let rec = phj_flightrec::install(phj_flightrec::Mode::Phase);
+    let rec = phj_flightrec::install();
     let base = std::env::temp_dir().join(format!("phj-run-parity-{}", std::process::id()));
     let (runs_dir, pages_dir) = (base.join("runs"), base.join("pages"));
 

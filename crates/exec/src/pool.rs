@@ -233,8 +233,7 @@ impl Pool {
             m.queue_depth.set(tasks.len() as u64);
         }
         // Journal the fork-join region itself on the caller's thread;
-        // workers journal their own task/steal events from their own
-        // rings.
+        // workers journal their own steals from their own rings.
         phj_flightrec::event(
             phj_flightrec::EventKind::PhaseEnter,
             phj_flightrec::phase_code("execute"),
@@ -249,7 +248,6 @@ impl Pool {
             let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
             for &i in &assignment[0] {
                 let task_t0 = Instant::now();
-                phj_flightrec::event_full(phj_flightrec::EventKind::Task, 0, i as u64, 0);
                 slots[i] = Some(f(&mut states[0], i, &tasks[i]));
                 stats.tasks += 1;
                 if let Some(m) = exec_metrics() {
@@ -449,9 +447,6 @@ impl TaskLists {
                 return Some(i);
             }
         }
-        // The worker's one empty round, journaled only in full mode like
-        // every per-task event.
-        phj_flightrec::event_full(phj_flightrec::EventKind::Steal, 0, me as u64, 0);
         None
     }
 }
@@ -478,7 +473,6 @@ where
             m.queue_depth.set((tasks.len() - taken) as u64);
         }
         let t0 = Instant::now();
-        phj_flightrec::event_full(phj_flightrec::EventKind::Task, w as u16, i as u64, 0);
         let r = f(&mut state, i, &tasks[i]);
         let dt = t0.elapsed().as_nanos() as u64;
         busy_ns += dt;

@@ -6,12 +6,13 @@
 //! reserved-zero so decode can reject garbage — the proptest round-trip
 //! and the torn-record hammer test both lean on that.
 
-/// Number of distinct [`EventKind`] values (array sizes, validation).
+/// One past the largest [`EventKind`] discriminant: the length of
+/// per-kind arrays indexed by `kind as usize`.
 pub const KIND_COUNT: usize = 13;
 
 /// What an event records. The discriminant is the wire value; renames
 /// are fine, renumbers are not (postmortems written by one build should
-/// decode under the next).
+/// decode under the next). Retired values (2, 8, 9) are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -20,9 +21,6 @@ pub enum EventKind {
     PhaseEnter = 0,
     /// A pipeline phase closed. Payload mirrors [`Self::PhaseEnter`].
     PhaseExit = 1,
-    /// A partition buffer sealed a page to disk. `code` = partition
-    /// (clamped to `u16`), `a` = pages so far, `b` = bytes in the page.
-    Spill = 2,
     /// An output/partition buffer flushed. `code` = partition, `a` =
     /// flush count, `b` = bytes.
     Flush = 3,
@@ -36,16 +34,9 @@ pub enum EventKind {
     /// An I/O retry after a transient fault. `code` = 0 read, 1 write;
     /// `a` = page index, `b` = attempt number.
     Retry = 6,
-    /// A work-stealing attempt. `code` = 1 hit, 0 miss round; `a` =
-    /// thief worker, `b` = victim worker (hit only).
+    /// A successful work steal. `code` = 1, `a` = thief worker, `b` =
+    /// victim worker.
     Steal = 7,
-    /// A task ran on a pool worker (full mode). `code` = worker, `a` =
-    /// task index, `b` unused.
-    Task = 8,
-    /// A group-prefetch batch boundary (full mode). `code` = 0
-    /// partition stage, 1 build, 2 probe; `a` = batch ordinal, `b` =
-    /// group size.
-    Batch = 9,
     /// A memsim telemetry epoch flushed. `a` = epoch ordinal, `b` =
     /// simulated cycle now.
     MemEpoch = 10,
@@ -94,25 +85,22 @@ pub mod grant_op {
 
 impl EventKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [EventKind; KIND_COUNT] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::PhaseEnter,
         EventKind::PhaseExit,
-        EventKind::Spill,
         EventKind::Flush,
         EventKind::Degrade,
         EventKind::Fault,
         EventKind::Retry,
         EventKind::Steal,
-        EventKind::Task,
-        EventKind::Batch,
         EventKind::MemEpoch,
         EventKind::Grant,
         EventKind::Mark,
     ];
 
-    /// Wire value → kind; `None` for unknown bytes.
+    /// Wire value → kind; `None` for unknown or retired bytes.
     pub fn from_u8(b: u8) -> Option<EventKind> {
-        EventKind::ALL.get(b as usize).copied()
+        EventKind::ALL.into_iter().find(|k| *k as u8 == b)
     }
 
     /// Stable snake-case name (postmortem JSON, RunReport section).
@@ -120,14 +108,11 @@ impl EventKind {
         match self {
             EventKind::PhaseEnter => "phase_enter",
             EventKind::PhaseExit => "phase_exit",
-            EventKind::Spill => "spill",
             EventKind::Flush => "flush",
             EventKind::Degrade => "degrade",
             EventKind::Fault => "fault",
             EventKind::Retry => "retry",
             EventKind::Steal => "steal",
-            EventKind::Task => "task",
-            EventKind::Batch => "batch",
             EventKind::MemEpoch => "mem_epoch",
             EventKind::Grant => "grant",
             EventKind::Mark => "mark",
@@ -144,14 +129,11 @@ impl EventKind {
         match self {
             EventKind::PhaseEnter => '[',
             EventKind::PhaseExit => ']',
-            EventKind::Spill => 's',
             EventKind::Flush => 'f',
             EventKind::Degrade => 'D',
             EventKind::Fault => 'F',
             EventKind::Retry => 'r',
             EventKind::Steal => 'w',
-            EventKind::Task => 't',
-            EventKind::Batch => '.',
             EventKind::MemEpoch => 'e',
             EventKind::Grant => 'G',
             EventKind::Mark => 'M',
@@ -252,12 +234,17 @@ mod tests {
 
     #[test]
     fn kinds_round_trip_discriminants() {
-        for (i, k) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(*k as usize, i);
-            assert_eq!(EventKind::from_u8(i as u8), Some(*k));
-            assert_eq!(EventKind::from_name(k.name()), Some(*k));
+        assert!(EventKind::ALL.windows(2).all(|w| w[0] < w[1]), "discriminant order");
+        for k in EventKind::ALL {
+            assert!((k as usize) < KIND_COUNT);
+            assert_eq!(EventKind::from_u8(k as u8), Some(k));
+            assert_eq!(EventKind::from_name(k.name()), Some(k));
         }
-        assert_eq!(EventKind::from_u8(KIND_COUNT as u8), None);
+        // Retired wire values (spill, task, batch) stay unknown.
+        for retired in [2u8, 8, 9, KIND_COUNT as u8] {
+            assert_eq!(EventKind::from_u8(retired), None);
+        }
+        assert_eq!(EventKind::from_name("task"), None);
         assert_eq!(EventKind::from_name("nope"), None);
     }
 

@@ -13,7 +13,7 @@
 //!
 //! 1. **Never on the simulated critical path.** Recording is host-side
 //!    bookkeeping; simulated cycle counts are byte-identical with the
-//!    recorder off, at phase granularity, or in full mode.
+//!    recorder on or off.
 //! 2. **Bounded.** Rings never grow; old events are overwritten and the
 //!    wrap is accounted for exactly (`written - recovered = dropped`).
 //! 3. **Lock-free on the hot path.** One atomic fetch-add plus five
@@ -24,8 +24,9 @@
 //!
 //! The global recorder follows the phj-metrics idiom: not installed
 //! (`off`) until [`install`] is called, after which [`global`] returns
-//! it forever. Granularity is a runtime [`Mode`] so benchmarks can
-//! measure `phase` vs `full` in one process.
+//! it forever. There is one granularity, `phase`: coarse events only,
+//! never one per tuple, per prefetch group or per pool task, so the
+//! paper's kernel loops carry no recorder check at all.
 
 mod event;
 mod postmortem;
@@ -38,8 +39,8 @@ pub use postmortem::{
     Cause,
 };
 pub use recorder::{
-    event, event_full, full, global, install, install_with, phase_enter, phase_exit, FlightRecorder,
-    Mode, Summary, ThreadSummary, DEFAULT_CAPACITY,
+    event, global, install, install_with, phase_enter, phase_exit, FlightRecorder, Summary,
+    ThreadSummary, DEFAULT_CAPACITY,
 };
 pub use ring::{RingSnapshot, ThreadRing};
 

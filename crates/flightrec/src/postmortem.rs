@@ -22,10 +22,11 @@
 //! }
 //! ```
 //!
-//! `counts` holds only nonzero kinds; `context` is whatever the host
-//! binary's provider returns (pre-rendered JSON values — the CLI puts
-//! a live-metrics snapshot and the degradation state there) and is
-//! omitted when no provider is installed.
+//! `mode` is always `"phase"`, the recorder's one granularity; schema
+//! v1 keeps the key. `counts` holds only nonzero kinds; `context` is
+//! whatever the host binary's provider returns (pre-rendered JSON
+//! values — the CLI puts a live-metrics snapshot and the degradation
+//! state there) and is omitted when no provider is installed.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -115,7 +116,7 @@ pub fn dump_to(path: &Path, cause: Cause, message: &str) -> std::io::Result<()> 
         cause.name(),
         escape(message)
     ));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", summary.mode.name()));
+    out.push_str("  \"mode\": \"phase\",\n");
     out.push_str(&format!("  \"capacity\": {},\n", summary.capacity));
     out.push_str("  \"threads\": [");
     for (i, t) in summary.threads.iter().enumerate() {
@@ -181,13 +182,7 @@ pub fn dump_events_to(
     events: &[Event],
     context: &[(String, String)],
 ) -> std::io::Result<()> {
-    let (mode_name, capacity) = match global() {
-        Some(rec) => {
-            let s = rec.summary();
-            (s.mode.name(), s.capacity)
-        }
-        None => ("phase", 0),
-    };
+    let capacity = global().map_or(0, |rec| rec.capacity());
     let mut events: Vec<Event> = events.to_vec();
     events.sort_by_key(|e| e.ts_ns);
 
@@ -209,7 +204,7 @@ pub fn dump_events_to(
         cause.name(),
         escape(message)
     ));
-    out.push_str(&format!("  \"mode\": \"{mode_name}\",\n"));
+    out.push_str("  \"mode\": \"phase\",\n");
     out.push_str(&format!("  \"capacity\": {capacity},\n"));
     out.push_str("  \"threads\": [");
     for (i, (tid, n)) in per_tid.iter().enumerate() {
@@ -334,7 +329,7 @@ fn install_sigterm_hook() {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::recorder::{event, install_with, Mode};
+    use crate::recorder::{event, install_with};
 
     #[test]
     fn dump_without_path_is_none_and_manual_dump_writes_schema() {
@@ -342,7 +337,7 @@ mod tests {
         // No path configured yet: dump is a no-op.
         assert!(dump(Cause::Manual, "x").unwrap().is_none());
 
-        install_with(Mode::Phase, 64);
+        install_with(64);
         event(EventKind::Fault, 4, 12, 0);
         event(EventKind::Degrade, 0, 1, 8);
 
@@ -374,7 +369,7 @@ mod tests {
     #[test]
     fn filtered_event_dump_balances_accounting_and_sorts() {
         let _guard = crate::test_serial();
-        install_with(Mode::Phase, 64);
+        install_with(64);
         // Out of order on purpose: the writer must sort before emitting,
         // or the obs-side validator rejects the timeline.
         let events = vec![

@@ -4,12 +4,11 @@
 //! Mirrors the phj-metrics idiom: [`install`] once (idempotent),
 //! [`global`] everywhere, and every emit helper is a no-op until then —
 //! so library crates can instrument unconditionally and binaries decide
-//! whether the recorder exists. Granularity ([`Mode`]) is a runtime
-//! atomic rather than an install-time choice so one process can measure
-//! `phase` vs `full` overhead back to back (the bench does).
+//! whether the recorder exists. There is one granularity: coarse events
+//! (phases, flushes, degradation, faults, retries, steals, grants,
+//! epochs), none of them per tuple, per group or per task.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -21,44 +20,12 @@ use crate::ring::{RingSnapshot, ThreadRing};
 /// enough to forget about.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Recording granularity. `off` is represented by not installing the
-/// recorder at all ([`global`] returns `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Coarse events only: phases, spills, degradation, faults,
-    /// retries, grants, epochs. Unmeasurable overhead.
-    Phase,
-    /// Everything in `Phase` plus per-batch and per-task events
-    /// (prefetch-group boundaries, steal attempts, pool tasks).
-    Full,
-}
-
-impl Mode {
-    /// Stable name (`"phase"` / `"full"`), as written into reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Phase => "phase",
-            Mode::Full => "full",
-        }
-    }
-
-    /// Parse a `--flightrec` value (`off` maps to `None`).
-    pub fn parse(s: &str) -> Result<Option<Mode>, String> {
-        match s {
-            "off" => Ok(None),
-            "phase" => Ok(Some(Mode::Phase)),
-            "full" => Ok(Some(Mode::Full)),
-            other => Err(format!("unknown flightrec mode `{other}` (off|phase|full)")),
-        }
-    }
-}
-
 /// The process-wide flight recorder. Owns one [`ThreadRing`] per thread
 /// that ever recorded an event; rings outlive their threads so a
-/// postmortem can still see what a finished worker did.
+/// postmortem can still see what a finished worker did. Recording is
+/// off until [`install`] is called ([`global`] returns `None`).
 pub struct FlightRecorder {
     origin: Instant,
-    mode: AtomicU8,
     capacity: usize,
     rings: Mutex<Vec<Arc<ThreadRing>>>,
 }
@@ -74,13 +41,10 @@ pub struct ThreadSummary {
     pub recovered: u64,
 }
 
-/// Aggregate view of the recorder for the RunReport `flightrec`
-/// section: per-kind totals and exact drop accounting, no timestamps —
-/// so two identical deterministic runs summarize byte-identically.
+/// Aggregate view of the recorder for a postmortem's header: per-kind
+/// totals and exact drop accounting, no timestamps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Summary {
-    /// Granularity at summary time.
-    pub mode: Mode,
     /// Per-thread ring capacity.
     pub capacity: usize,
     /// Rings registered (threads that recorded ≥ 1 event).
@@ -102,27 +66,8 @@ impl Summary {
 }
 
 impl FlightRecorder {
-    fn new(mode: Mode, capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            origin: Instant::now(),
-            mode: AtomicU8::new(mode as u8),
-            capacity,
-            rings: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Current granularity.
-    pub fn mode(&self) -> Mode {
-        match self.mode.load(Ordering::Relaxed) {
-            0 => Mode::Phase,
-            _ => Mode::Full,
-        }
-    }
-
-    /// Switch granularity at runtime (benchmarks measure phase vs full
-    /// in one process; threads observe the change on their next event).
-    pub fn set_mode(&self, mode: Mode) {
-        self.mode.store(mode as u8, Ordering::Relaxed);
+    fn new(capacity: usize) -> FlightRecorder {
+        FlightRecorder { origin: Instant::now(), capacity, rings: Mutex::new(Vec::new()) }
     }
 
     /// Per-thread ring capacity.
@@ -179,7 +124,7 @@ impl FlightRecorder {
                 recovered: snap.events.len() as u64,
             });
         }
-        Summary { mode: self.mode(), capacity: self.capacity, threads, counts }
+        Summary { capacity: self.capacity, threads, counts }
     }
 
     /// Total events written across all rings (cheap liveness probe:
@@ -193,26 +138,19 @@ impl FlightRecorder {
 static GLOBAL: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
 
 /// Install the global recorder with [`DEFAULT_CAPACITY`]. Idempotent:
-/// a second call returns the existing recorder (use
-/// [`FlightRecorder::set_mode`] to change granularity after the fact).
-pub fn install(mode: Mode) -> &'static Arc<FlightRecorder> {
-    install_with(mode, DEFAULT_CAPACITY)
+/// a second call returns the existing recorder.
+pub fn install() -> &'static Arc<FlightRecorder> {
+    install_with(DEFAULT_CAPACITY)
 }
 
 /// [`install`] with an explicit per-thread ring capacity.
-pub fn install_with(mode: Mode, capacity: usize) -> &'static Arc<FlightRecorder> {
-    GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new(mode, capacity)))
+pub fn install_with(capacity: usize) -> &'static Arc<FlightRecorder> {
+    GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new(capacity)))
 }
 
 /// The recorder, or `None` while recording is off.
 pub fn global() -> Option<&'static Arc<FlightRecorder>> {
     GLOBAL.get()
-}
-
-/// Whether full-granularity events should be emitted right now.
-#[inline]
-pub fn full() -> bool {
-    matches!(GLOBAL.get(), Some(r) if r.mode() == Mode::Full)
 }
 
 struct ThreadHandle {
@@ -239,22 +177,13 @@ fn with_handle(f: impl FnOnce(&FlightRecorder, &mut ThreadHandle)) {
     });
 }
 
-/// Record one event (any mode). No-op while the recorder is off.
+/// Record one event. No-op while the recorder is off.
 #[inline]
 pub fn event(kind: EventKind, code: u16, a: u64, b: u64) {
     with_handle(|rec, h| {
         let ev = Event { ts_ns: rec.now_ns(), kind, code, tid: h.ring.tid(), a, b };
         h.ring.record(&ev);
     });
-}
-
-/// Record one event only in [`Mode::Full`] — for per-batch / per-task
-/// sites that are too hot for phase granularity.
-#[inline]
-pub fn event_full(kind: EventKind, code: u16, a: u64, b: u64) {
-    if full() {
-        event(kind, code, a, b);
-    }
 }
 
 /// Record a phase entry and remember its code so the matching
@@ -304,29 +233,18 @@ mod tests {
     #[test]
     fn global_recorder_end_to_end() {
         let _guard = crate::test_serial();
-        assert!(Mode::parse("off").unwrap().is_none());
-        assert_eq!(Mode::parse("full").unwrap(), Some(Mode::Full));
-        assert!(Mode::parse("loud").is_err());
-
         // Emitting before install is a silent no-op.
         event(EventKind::Mark, 1, 2, 3);
 
-        let rec = install_with(Mode::Phase, 64);
+        let rec = install_with(64);
         assert!(global().is_some());
-        assert!(!full());
 
         phase_enter("grace_join");
         phase_enter("partition");
         event(EventKind::Grant, 0, 0, 1 << 20);
-        event_full(EventKind::Batch, 0, 1, 16); // dropped: phase mode
         phase_exit();
         phase_exit();
         phase_exit(); // unbalanced extra exit: ignored
-
-        rec.set_mode(Mode::Full);
-        assert!(full());
-        event_full(EventKind::Batch, 2, 7, 16);
-        rec.set_mode(Mode::Phase);
 
         let others: Vec<std::thread::JoinHandle<()>> = (0..2)
             .map(|i| {
@@ -342,7 +260,6 @@ mod tests {
         }
 
         let summary = rec.summary();
-        assert_eq!(summary.mode, Mode::Phase);
         assert_eq!(summary.capacity, 64);
         // ≥ 3: this thread + 2 spawned (other serialized tests may have
         // registered rings of their own first).
@@ -351,7 +268,6 @@ mod tests {
         assert_eq!(summary.counts[EventKind::PhaseEnter as usize], 4);
         assert_eq!(summary.counts[EventKind::PhaseExit as usize], 4);
         assert_eq!(summary.counts[EventKind::Grant as usize], 1);
-        assert_eq!(summary.counts[EventKind::Batch as usize], 1, "full-only event needs Full");
         assert_eq!(summary.counts[EventKind::Steal as usize], 2);
         assert_eq!(summary.written(), rec.total_written());
 
@@ -384,7 +300,7 @@ mod tests {
         assert_eq!(exits, vec![phase_code("partition"), phase_code("grace_join")]);
 
         // install() again returns the same recorder.
-        let again = install(Mode::Full);
+        let again = install();
         assert!(Arc::ptr_eq(again, rec));
         assert_eq!(again.capacity(), 64);
     }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use phj_flightrec::{phase_code, phase_name, Event, EventKind, KIND_COUNT, PHASES};
+use phj_flightrec::{phase_code, phase_name, Event, EventKind, PHASES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -12,7 +12,7 @@ proptest! {
     #[test]
     fn encode_decode_round_trips(
         ts_ns in any::<u64>(),
-        kind_ix in 0usize..KIND_COUNT,
+        kind_ix in 0usize..EventKind::ALL.len(),
         code in any::<u16>(),
         tid in any::<u16>(),
         a in any::<u64>(),
@@ -41,7 +41,7 @@ proptest! {
                 let reserved = meta & ((1u64 << 24) - 1);
                 let kind = (meta >> 56) as u8;
                 prop_assert!(
-                    reserved != 0 || kind as usize >= KIND_COUNT,
+                    reserved != 0 || EventKind::from_u8(kind).is_none(),
                     "rejected a canonical word: meta={meta:#x}"
                 );
             }

@@ -130,14 +130,14 @@ fn concurrent_writers_and_readers_never_tear() {
 fn global_recorder_survives_thread_churn() {
     // Rings must outlive their threads: spawn short-lived workers that
     // each record a burst, then snapshot after they are gone.
-    let rec = phj_flightrec::install_with(phj_flightrec::Mode::Full, 256);
+    let rec = phj_flightrec::install_with(256);
     let before: u64 = rec.summary().written();
     for round in 0..8u64 {
         let handles: Vec<_> = (0..4)
             .map(|w| {
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
-                        phj_flightrec::event(EventKind::Task, w as u16, round * 50 + i, 0);
+                        phj_flightrec::event(EventKind::Mark, w as u16, round * 50 + i, 0);
                     }
                 })
             })
@@ -148,7 +148,7 @@ fn global_recorder_survives_thread_churn() {
     }
     let summary = rec.summary();
     assert_eq!(summary.written() - before, 8 * 4 * 50);
-    assert_eq!(summary.counts[EventKind::Task as usize], 8 * 4 * 50);
+    assert_eq!(summary.counts[EventKind::Mark as usize], 8 * 4 * 50);
     // Dead threads' rings are still snapshottable.
     assert!(summary.threads.len() >= 32, "one ring per short-lived thread");
     let timeline = rec.timeline();

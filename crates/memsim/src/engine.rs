@@ -1638,7 +1638,7 @@ mod pipeline_tests {
 
     #[test]
     fn flush_epochs_are_journaled_on_the_calling_thread() {
-        let rec = phj_flightrec::install(phj_flightrec::Mode::Phase);
+        let rec = phj_flightrec::install();
         // A marker (code 0xE90C; the engine journals code 0) identifies
         // this thread's ring.
         const MARK: u16 = 0xE90C;

@@ -38,8 +38,8 @@ pub mod trace;
 pub use json::Json;
 pub use postmortem::Postmortem;
 pub use report::{
-    AnalysisSection, DegradationRow, FaultsSection, FlightrecSection, PhasePrediction,
-    QueryTraceSection, RegionReport, RegionsSection, ResidualRow, RuleOutcome, RunReport, SkewRow,
+    AnalysisSection, DegradationRow, FaultsSection, PhasePrediction, QueryTraceSection,
+    RegionReport, RegionsSection, ResidualRow, RuleOutcome, RunReport, SkewRow,
     BOTTLENECK_CLASSES, QUERY_STATES, SCHEMA_VERSION,
 };
 pub use span::{span_begin, span_end, span_meta, Recorder, SpanId, SpanRecord};

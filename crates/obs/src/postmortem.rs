@@ -17,9 +17,6 @@ use phj_flightrec::{phase_name, EventKind};
 /// discriminant order).
 pub const FAULT_NAMES: &[&str] = &["transient", "short_read", "torn_write", "slow", "permanent"];
 
-/// Batch-stage names, indexed by the `code` on [`EventKind::Batch`].
-pub const BATCH_STAGES: &[&str] = &["partition", "build", "probe"];
-
 json_record! {
     /// Per-thread accounting row of a postmortem.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +71,7 @@ pub struct Postmortem {
     pub cause_kind: String,
     /// Human-readable cause detail.
     pub cause_message: String,
-    /// Recorder granularity at dump time (`phase` / `full`).
+    /// Recorder granularity at dump time (always `phase`).
     pub mode: String,
     /// Per-thread ring capacity.
     pub capacity: u64,
@@ -126,7 +123,7 @@ impl Postmortem {
         if !["panic", "typed_error", "sigterm", "manual"].contains(&self.cause_kind.as_str()) {
             return Err(format!("unknown cause kind '{}'", self.cause_kind));
         }
-        if self.mode != "phase" && self.mode != "full" {
+        if self.mode != "phase" {
             return Err(format!("unknown mode '{}'", self.mode));
         }
         for t in &self.threads {
@@ -212,11 +209,9 @@ impl Postmortem {
             ));
         }
         out.push_str(
-            "         [ enter  ] exit  F fault  r retry  D degrade  s spill  f flush\n",
+            "         [ enter  ] exit  F fault  r retry  D degrade  f flush\n",
         );
-        out.push_str(
-            "         G grant  w steal  t task  . batch  e mem-epoch  M mark\n\n",
-        );
+        out.push_str("         G grant  w steal  e mem-epoch  M mark\n\n");
 
         // Timeline tail: the forensically interesting end of the run.
         let total = self.timeline.len();
@@ -363,9 +358,6 @@ pub fn describe(ev: &PmEvent) -> String {
     match ev.kind {
         EventKind::PhaseEnter => format!("enter {}", phase_name(ev.code)),
         EventKind::PhaseExit => format!("exit {}", phase_name(ev.code)),
-        EventKind::Spill => {
-            format!("spill partition {}: page {} sealed ({} tuples so far)", ev.code, ev.a, ev.b)
-        }
         EventKind::Flush => {
             format!("flush: {} partitions, {} pages, {} tuples", ev.code, ev.a, ev.b)
         }
@@ -384,20 +376,7 @@ pub fn describe(ev: &PmEvent) -> String {
             ev.a,
             ev.b
         ),
-        EventKind::Steal => {
-            if ev.code == 1 {
-                format!("steal: worker {} took from worker {}", ev.a, ev.b)
-            } else {
-                format!("steal miss: worker {} found every task list empty", ev.a)
-            }
-        }
-        EventKind::Task => format!("task {} on worker {}", ev.a, ev.code),
-        EventKind::Batch => format!(
-            "{} batch {} (group {})",
-            BATCH_STAGES.get(ev.code as usize).unwrap_or(&"stage"),
-            ev.a,
-            ev.b
-        ),
+        EventKind::Steal => format!("steal: worker {} took from worker {}", ev.a, ev.b),
         EventKind::MemEpoch => format!("mem epoch {} at cycle {}", ev.a, ev.b),
         EventKind::Grant => match ev.code {
             phj_flightrec::grant_op::ACQUIRE => {
@@ -475,6 +454,11 @@ mod tests {
         assert!(Postmortem::parse(&bad_version).unwrap_err().contains("schema_version"));
         let bad_kind = sample().replace("\"kind\": \"fault\"", "\"kind\": \"exploded\"");
         assert!(Postmortem::parse(&bad_kind).unwrap_err().contains("exploded"));
+        // Retired kinds (per-task, per-group and per-page marks) are
+        // unknown to this reader like any other name.
+        let retired = sample().replace("\"kind\": \"retry\"", "\"kind\": \"task\"");
+        let err = Postmortem::parse(&retired).unwrap_err();
+        assert!(err.ends_with("field 'kind': unknown event kind 'task'"), "{err}");
     }
 
     #[test]
@@ -494,6 +478,10 @@ mod tests {
         let mut pm = Postmortem::parse(sample()).unwrap();
         pm.cause_kind = "gremlins".into();
         assert!(pm.validate().unwrap_err().contains("cause"));
+
+        let mut pm = Postmortem::parse(sample()).unwrap();
+        pm.mode = "full".into();
+        assert!(pm.validate().unwrap_err().contains("mode"));
     }
 
     #[test]

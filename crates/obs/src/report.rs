@@ -161,65 +161,6 @@ json_record! {
     }
 }
 
-json_record! {
-    /// The optional flight-recorder summary section of a [`RunReport`]:
-    /// per-kind event totals and exact ring-wrap drop accounting from the
-    /// process flight recorder (`phj-flightrec`). Deliberately carries no
-    /// timestamps, so two identical deterministic runs summarize
-    /// byte-identically (the `setarch -R` byte-identity gate runs with the
-    /// recorder on). Like the other optional sections, the JSON key is
-    /// omitted entirely when absent.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct FlightrecSection {
-        /// Recording granularity (`"phase"` or `"full"`).
-        pub mode: String,
-        /// Per-thread ring capacity in events.
-        pub capacity: u64,
-        /// Threads that recorded at least one event.
-        pub threads: u64,
-        /// Total events written across all rings.
-        pub written: u64,
-        /// Events lost to ring wrap (`written - recovered`).
-        pub dropped: u64,
-        /// Nonzero per-kind totals, in event-kind order.
-        pub counts: Vec<(String, u64)>,
-    }
-}
-
-/// Internal consistency of a `flightrec` section: known mode, known
-/// nonzero event kinds, and counts that sum to the write total.
-fn validate_flightrec(sec: &FlightrecSection) -> Result<(), String> {
-    if sec.mode != "phase" && sec.mode != "full" {
-        return Err(format!("flightrec mode '{}' is not phase|full", sec.mode));
-    }
-    if sec.dropped > sec.written {
-        return Err(format!(
-            "flightrec dropped {} exceeds written {}",
-            sec.dropped, sec.written
-        ));
-    }
-    let mut sum = 0u64;
-    for (kind, n) in &sec.counts {
-        if phj_flightrec::EventKind::from_name(kind).is_none() {
-            return Err(format!("flightrec count for unknown event kind '{kind}'"));
-        }
-        if *n == 0 {
-            return Err(format!("flightrec carries a zero count for '{kind}'"));
-        }
-        sum += n;
-    }
-    if sum != sec.written {
-        return Err(format!(
-            "flightrec counts sum to {sum} but written is {}",
-            sec.written
-        ));
-    }
-    if sec.written > 0 && sec.threads == 0 {
-        return Err("flightrec wrote events with zero threads".into());
-    }
-    Ok(())
-}
-
 /// Canonical query lifecycle state names, in state-machine order. The
 /// daemon's per-query state machine serializes into these names (both
 /// in the `query_trace` report section and on the wire in `Status`
@@ -517,10 +458,6 @@ pub struct RunReport {
     /// one; omitted from the JSON when absent, same convention as the
     /// other optional sections).
     pub analysis: Option<AnalysisSection>,
-    /// Flight-recorder summary (`None` unless the run had the process
-    /// flight recorder installed; omitted from the JSON when absent,
-    /// same convention as the other optional sections).
-    pub flightrec: Option<FlightrecSection>,
     /// Per-query daemon lifecycle trace (`None` unless a tracing-enabled
     /// server attached one; omitted from the JSON when absent, same
     /// convention as the other optional sections).
@@ -530,7 +467,7 @@ pub struct RunReport {
 // Written by the table below, gated on by `RunReport::parse`.
 const VERSION_KEY: &str = "schema_version";
 
-// The document layout, top to bottom. The five optional sections are the
+// The document layout, top to bottom. The four optional sections are the
 // `opt` entries: their key is omitted entirely when the section is
 // `None`, so reports without one stay byte-identical to older ones.
 json_record! {
@@ -554,7 +491,6 @@ json_record! {
         "regions" => opt(regions),
         "faults" => opt(faults),
         "analysis" => opt(analysis),
-        "flightrec" => opt(flightrec),
         "query_trace" => opt(query_trace),
     }
 }
@@ -710,9 +646,6 @@ impl RunReport {
         }
         if let Some(sec) = &self.analysis {
             validate_analysis(sec)?;
-        }
-        if let Some(sec) = &self.flightrec {
-            validate_flightrec(sec)?;
         }
         if let Some(sec) = &self.query_trace {
             validate_query_trace(sec)?;
@@ -1290,6 +1223,22 @@ mod tests {
             1,
         );
         assert_ne!(old, text);
+        let back = RunReport::parse(&old).expect("a retired section is ignored on read");
+        back.validate().expect("and the rest still validates");
+        assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn reports_never_carry_a_flightrec_section() {
+        let text = report_with_spans().render();
+        assert!(!text.contains("\"flightrec\""));
+        // Older reports carried the flight recorder's summary after
+        // `analysis`; the key is ignored on read, like `timeseries`.
+        let old = format!(
+            "{},\n  \"flightrec\": {{\"mode\": \"full\", \"capacity\": 4096, \"threads\": 1, \
+             \"written\": 3, \"dropped\": 0, \"counts\": {{\"task\": 3}}}}\n}}\n",
+            text.trim_end().strip_suffix('}').unwrap().trim_end()
+        );
         let back = RunReport::parse(&old).expect("a retired section is ignored on read");
         back.validate().expect("and the rest still validates");
         assert_eq!(back.render(), text);

@@ -10,9 +10,8 @@
 
 use phj_memsim::{Breakdown, CacheStats, LatencyHistogram, RegionStats, Snapshot};
 use phj_obs::{
-    AnalysisSection, DegradationRow, FaultsSection, FlightrecSection, PhasePrediction,
-    QueryTraceSection, Recorder, RegionReport, RegionsSection, ResidualRow, RuleOutcome,
-    RunReport, SkewRow, SpanRecord,
+    AnalysisSection, DegradationRow, FaultsSection, PhasePrediction, QueryTraceSection, Recorder,
+    RegionReport, RegionsSection, ResidualRow, RuleOutcome, RunReport, SkewRow, SpanRecord,
 };
 use std::path::Path;
 
@@ -186,14 +185,6 @@ fn full_report() -> RunReport {
             },
         ],
     });
-    r.flightrec = Some(FlightrecSection {
-        mode: "phase".into(),
-        capacity: 4_096,
-        threads: 2,
-        written: 9,
-        dropped: 1,
-        counts: vec![("phase_enter".into(), 4), ("phase_exit".into(), 4), ("grant".into(), 1)],
-    });
     r.query_trace = Some(QueryTraceSection {
         trace_id: 0xABCD_1234,
         query_id: 7,
@@ -239,7 +230,7 @@ fn full_report_renders_and_reparses_to_the_committed_bytes() {
     let parsed = RunReport::parse(FULL_REPORT).expect("fixture parses");
     parsed.validate().expect("parsed fixture validates");
     assert_eq!(parsed.render(), FULL_REPORT, "bytes -> struct -> bytes drifted");
-    for sec in ["regions", "faults", "analysis", "flightrec", "query_trace"] {
+    for sec in ["regions", "faults", "analysis", "query_trace"] {
         assert!(FULL_REPORT.contains(&format!("\n  \"{sec}\": {{")), "fixture lacks {sec}");
     }
     assert_eq!(parsed.spans[1].latency, built.spans[1].latency);
@@ -280,7 +271,6 @@ fn minimally_broken_documents_are_still_rejected() {
         ("residual without measured", broken("\"measured\"", "\"pleasured\"")),
         ("rule evidence holding a number", broken("\"evidence\": []", "\"evidence\": [3]")),
         ("analysis cost_model not an object", broken("\"cost_model\": {", "\"cost_model\": [], \"was\": {")),
-        ("flightrec count not an integer", broken("\"grant\": 1", "\"grant\": \"1\"")),
         ("query_trace state without t_ns", broken("\"t_ns\": 4010", "\"t_nz\": 4010")),
         ("optional section present but null", broken("\"faults\": {", "\"faults\": null, \"was\": {")),
     ];

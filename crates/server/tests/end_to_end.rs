@@ -432,7 +432,7 @@ fn exec_histogram_splits_into_generate_stage_and_kernel() {
 /// sequential checksum, and the arrival must get its grant.
 #[test]
 fn mid_run_grant_shrink_on_a_live_dynamic_disk_query() {
-    phj_flightrec::install(phj_flightrec::Mode::Phase);
+    phj_flightrec::install();
     let metrics = phj_metrics::install();
     let srv = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -630,7 +630,7 @@ fn error_paths_release_grants_and_mark_the_query_failed() {
 /// section, result frame echo, and the `Status` live table.
 #[test]
 fn trace_id_flows_from_request_to_report_to_status() {
-    phj_flightrec::install(phj_flightrec::Mode::Phase);
+    phj_flightrec::install();
     let srv = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -717,7 +717,7 @@ fn trace_id_flows_from_request_to_report_to_status() {
 /// events, the hook fires, and the dump directory stays bounded.
 #[test]
 fn slow_queries_dump_valid_postmortems_into_a_bounded_ring() {
-    phj_flightrec::install(phj_flightrec::Mode::Phase);
+    phj_flightrec::install();
     let dir = std::env::temp_dir().join(format!("phj-slow-dumps-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let srv = Server::start(ServeConfig {
