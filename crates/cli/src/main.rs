@@ -264,7 +264,8 @@ USAGE:
              --mode is the residency policy of the one disk-join driver
              (default dynamic, here and in `phj client --query disk`);
              an oversized partition repartitions while it shrinks, else
-             joins in budget-sized chunks
+             joins in budget-sized chunks. --dir names a directory to
+             create (it must not exist) and remove on exit
   phj tune   [--build-mb N] [--tuple-size B] [--profile-regions] [--heatmap]
              [--json PATH] [--trace-out PATH] [DIAGNOSIS] [TELEMETRY]
   phj serve  [--addr HOST:PORT] [--threads N] [--mem-mb N | --mem-budget BYTES]
@@ -985,11 +986,11 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         spec => phj_disk::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
     };
     let retry = phj_disk::RetryPolicy::default();
-    let dir = match args.get_str("dir", "").as_str() {
+    let scratch = ScratchDir::create(match args.get_str("dir", "").as_str() {
         "" => std::env::temp_dir().join(format!("phj-cli-disk-{}", std::process::id())),
         d => std::path::PathBuf::from(d),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    })?;
+    let dir = scratch.0.as_path();
     let spec = JoinSpec {
         build_tuples: tuples_for(build_mb << 20, 100),
         tuple_size: 100,
@@ -1138,8 +1139,33 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         }
         obs_out.write(&mut run)?;
     }
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
+}
+
+/// The directory `phj disk` stages its stripe files in. The command owns
+/// only a directory it creates: an existing one (`--dir` or a stale
+/// default) is refused before any I/O rather than emptied afterwards.
+/// Removed on drop, so every exit path cleans up — a typed failure under
+/// a fault plan as much as a finished run.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn create(dir: std::path::PathBuf) -> Result<ScratchDir, String> {
+        match std::fs::create_dir(&dir) {
+            Ok(()) => Ok(ScratchDir(dir)),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Err(format!(
+                "{}: already exists; phj disk only writes into a directory it creates",
+                dir.display()
+            )),
+            Err(e) => Err(format!("{}: {e}", dir.display())),
+        }
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn cmd_tune(args: &Args) -> Result<(), String> {
