@@ -7,8 +7,9 @@
 //!   critical-path cycle count, so the table shows the *algorithmic*
 //!   scalability (LPT balance, morsel granularity) independent of how
 //!   many cores this machine has;
-//! * **native** — real threads with work stealing, wall-clock elapsed
-//!   (meaningful only on a multi-core host).
+//! * **native** — real threads with work stealing, wall-clock elapsed,
+//!   the median of [`REPS`] joins (meaningful only on a multi-core
+//!   host).
 //!
 //! The simulated sweep additionally runs a third time with the live
 //! metrics registry installed, and the sim table carries a
@@ -34,6 +35,11 @@ use phj_bench::report::{mcycles, scaled, Table};
 use phj_workload::JoinSpec;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Native joins timed per thread count; each native cell is their
+/// median. One join per cell spread ±50 % run to run, far wider than
+/// the flight recorder's overhead budget.
+const REPS: usize = 5;
 
 fn ratio(base: f64, now: f64) -> f64 {
     if now > 0.0 {
@@ -127,14 +133,25 @@ fn main() {
         }
     }
 
+    // The median of REPS timed joins, with that join's outcome.
+    let native_join = |n: usize| {
+        let mut runs: Vec<_> = (0..REPS)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let out = phj_exec::parallel_join_native(&cfg, &gen.build, &gen.probe, n, false);
+                assert_eq!(out.sink.matches(), gen.expected_matches);
+                (t0.elapsed().as_secs_f64() * 1e3, out)
+            })
+            .collect();
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        runs.swap_remove(REPS / 2)
+    };
+
     let mut native_base = 0.0;
     let mut native_ms = Vec::with_capacity(THREADS.len());
     for (i, &n) in THREADS.iter().enumerate() {
-        let t0 = std::time::Instant::now();
-        let out = phj_exec::parallel_join_native(&cfg, &gen.build, &gen.probe, n, false);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let (ms, out) = native_join(n);
         native_ms.push(ms);
-        assert_eq!(out.sink.matches(), gen.expected_matches);
         if i == 0 {
             native_base = ms;
         }
@@ -163,15 +180,7 @@ fn main() {
     // (process-global, like the metrics registry), so the recorder-off
     // native baseline above had to run first.
     let rec = phj_flightrec::install();
-    let phase_ms: Vec<f64> = THREADS
-        .iter()
-        .map(|&n| {
-            let t0 = std::time::Instant::now();
-            let out = phj_exec::parallel_join_native(&cfg, &gen.build, &gen.probe, n, false);
-            assert_eq!(out.sink.matches(), gen.expected_matches);
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    let phase_ms: Vec<f64> = THREADS.iter().map(|&n| native_join(n).0).collect();
     assert!(rec.total_written() > 0, "the flightrec pass recorded no events");
 
     let mut flight = Table::new(

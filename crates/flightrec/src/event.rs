@@ -103,7 +103,7 @@ impl EventKind {
         EventKind::ALL.into_iter().find(|k| *k as u8 == b)
     }
 
-    /// Stable snake-case name (postmortem JSON, RunReport section).
+    /// Stable snake-case name (postmortem JSON).
     pub fn name(self) -> &'static str {
         match self {
             EventKind::PhaseEnter => "phase_enter",

@@ -26,7 +26,7 @@ use crate::event::{Event, KIND_COUNT};
 const WORDS: usize = 5;
 
 /// One thread's journal: a fixed ring of event slots plus per-kind
-/// totals (totals never wrap — they feed the RunReport summary).
+/// totals (totals never wrap — they feed a postmortem's `counts`).
 pub struct ThreadRing {
     tid: u16,
     cap: usize,
