@@ -9,6 +9,8 @@
 //! are prefetchable); the match-or-append resolution happens in stage 2
 //! when the entry array is actually visited.
 
+use crate::hash::Modulus;
+
 /// Maximum inline group-key length in bytes.
 pub const MAX_KEY: usize = 8;
 
@@ -105,6 +107,8 @@ pub enum UpsertStep {
 /// Hash table of group entries.
 pub struct AggTable {
     buckets: Vec<AggHeader>,
+    /// `hash % buckets.len()` without a division.
+    modulus: Modulus,
     arena: Vec<AggEntry>,
     groups: usize,
     initial_cap: u32,
@@ -118,6 +122,7 @@ impl AggTable {
         let arena = Vec::with_capacity(expected_groups.saturating_mul(4).max(64));
         AggTable {
             buckets: vec![EMPTY_HEADER; num_buckets],
+            modulus: Modulus::new(num_buckets),
             arena,
             groups: 0,
             initial_cap: 2,
@@ -132,7 +137,7 @@ impl AggTable {
     /// Bucket number for a hash code.
     #[inline]
     pub fn bucket_of(&self, hash: u32) -> usize {
-        crate::hash::bucket_of(hash, self.buckets.len())
+        self.modulus.of(hash)
     }
 
     /// Address of bucket `b`'s header (prefetch hook).

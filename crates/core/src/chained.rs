@@ -11,9 +11,10 @@
 //! `G` is.
 
 use phj_memsim::MemoryModel;
-use phj_storage::Relation;
+use phj_storage::{KeySpan, Relation};
 
 use crate::cost;
+use crate::hash::Modulus;
 use crate::join::{charge_code0, keys_equal, tuple_hash, JoinParams, Scan};
 use crate::sink::JoinSink;
 use crate::stage::{self, StageProgram, Step};
@@ -39,6 +40,8 @@ pub struct ChainNode {
 /// bound.
 pub struct ChainedTable {
     heads: Vec<u32>,
+    /// `hash % heads.len()` without a division.
+    modulus: Modulus,
     arena: Vec<ChainNode>,
     items: usize,
 }
@@ -47,7 +50,12 @@ impl ChainedTable {
     /// A table with `num_buckets` buckets, reserving arena space.
     pub fn new(num_buckets: usize, expected_tuples: usize) -> Self {
         let arena = Vec::with_capacity(expected_tuples.max(16));
-        ChainedTable { heads: vec![NIL; num_buckets], arena, items: 0 }
+        ChainedTable {
+            heads: vec![NIL; num_buckets],
+            modulus: Modulus::new(num_buckets),
+            arena,
+            items: 0,
+        }
     }
 
     /// Number of inserted cells.
@@ -63,7 +71,7 @@ impl ChainedTable {
     /// Bucket number for a hash code.
     #[inline]
     pub fn bucket_of(&self, hash: u32) -> usize {
-        crate::hash::bucket_of(hash, self.heads.len())
+        self.modulus.of(hash)
     }
 
     /// Address of the head pointer of bucket `b`.
@@ -153,7 +161,8 @@ pub fn probe_chained<M: MemoryModel, S: JoinSink>(
     probe_rel: &Relation,
     sink: &mut S,
 ) {
-    let mut prog = ChainProbe { params, table, build_rel, probe_rel, sink };
+    let (build_key, probe_key) = (build_rel.schema().key_span(), probe_rel.schema().key_span());
+    let mut prog = ChainProbe { params, table, build_key, probe_key, probe_rel, sink };
     stage::run(params.scheme.schedule(), mem, &mut prog, probe_rel, 0..probe_rel.num_pages());
 }
 
@@ -161,7 +170,8 @@ pub fn probe_chained<M: MemoryModel, S: JoinSink>(
 struct ChainProbe<'a, S> {
     params: &'a JoinParams,
     table: &'a ChainedTable,
-    build_rel: &'a Relation,
+    build_key: KeySpan,
+    probe_key: KeySpan,
     probe_rel: &'a Relation,
     sink: &'a mut S,
 }
@@ -228,10 +238,10 @@ impl<S: JoinSink> StageProgram for ChainProbe<'_, S> {
                     if node.cell.hash == s.hash {
                         mem.visit(node.cell.tuple_addr(), node.cell.tuple_len());
                         mem.busy(cost::KEY_COMPARE);
-                        // SAFETY: cells point into `build_rel`, borrowed for
-                        // the duration of the probe.
+                        // SAFETY: cells point into the build relation,
+                        // borrowed for the duration of the probe.
                         let bt = unsafe { node.cell.tuple_bytes() };
-                        if keys_equal(self.build_rel, self.probe_rel, bt, pt) {
+                        if keys_equal(self.build_key, self.probe_key, bt, pt) {
                             self.sink.emit(mem, bt, pt);
                         }
                     }

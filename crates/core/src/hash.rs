@@ -33,18 +33,53 @@ pub fn hash_key(key: &[u8]) -> u32 {
     h ^ (h >> 16)
 }
 
-/// Partition number of a hash code (partition phase).
-#[inline]
-pub fn partition_of(hash: u32, num_partitions: usize) -> usize {
-    debug_assert!(num_partitions > 0);
-    hash as usize % num_partitions
+/// A divisor with its multiply-shift constant: [`Modulus::of`] returns
+/// exactly `hash % n` for every `u32` hash without a division
+/// (Lemire, Kaser & Kurz, "Faster Remainder by Direct Computation",
+/// 2019: with `m = ⌈2^64 / n⌉`, `hash % n` is the high word of
+/// `(m · hash mod 2^64) · n` for every 32-bit `hash` and `n`). Tables
+/// and partition buffers compute it once for their size, so the
+/// per-tuple bucket and partition numbers cost two multiplies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Modulus {
+    /// `⌈2^64 / n⌉`, wrapped: 0 for `n = 1`, where every remainder is 0.
+    m: u64,
+    n: u32,
 }
 
-/// Bucket number of a hash code (join phase).
+impl Modulus {
+    /// The modulus for divisor `n`.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= n <= u32::MAX`.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n > 0, "modulus of zero");
+        let n = u32::try_from(n).expect("divisor exceeds u32::MAX");
+        Modulus { m: (u64::MAX / n as u64).wrapping_add(1), n }
+    }
+
+    /// `hash % n`.
+    #[inline]
+    pub(crate) fn of(self, hash: u32) -> usize {
+        let low = self.m.wrapping_mul(hash as u64);
+        ((low as u128 * self.n as u128) >> 64) as usize
+    }
+}
+
+/// Partition number of a hash code (partition phase): the hash code
+/// modulo the number of partitions. A one-off form; partition passes
+/// hold a `Modulus` for their fan-out.
+#[inline]
+pub fn partition_of(hash: u32, num_partitions: usize) -> usize {
+    Modulus::new(num_partitions).of(hash)
+}
+
+/// Bucket number of a hash code (join phase): the hash code modulo the
+/// hash table size. A one-off form; tables hold a `Modulus` for their
+/// size.
 #[inline]
 pub fn bucket_of(hash: u32, num_buckets: usize) -> usize {
-    debug_assert!(num_buckets > 0);
-    hash as usize % num_buckets
+    Modulus::new(num_buckets).of(hash)
 }
 
 /// Greatest common divisor (for the relative-primality constraint between
@@ -99,6 +134,47 @@ mod tests {
         let h = 1_000_000_007u32;
         assert_eq!(partition_of(h, 800), (h as usize) % 800);
         assert_eq!(bucket_of(h, 499_979), (h as usize) % 499_979);
+    }
+
+    /// A seeded sample of hash codes: both ends, the values around every
+    /// power of two, and splitmix64 draws.
+    fn sample_hashes() -> Vec<u32> {
+        let mut v = vec![0, 1, u32::MAX, u32::MAX - 1];
+        for b in 1..32 {
+            let p = 1u32 << b;
+            v.extend([p - 1, p, p + 1]);
+        }
+        let mut x = 0x5EED_u64;
+        for _ in 0..200 {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            v.push((z ^ (z >> 31)) as u32);
+        }
+        v
+    }
+
+    #[test]
+    fn modulus_equals_remainder() {
+        let hashes = sample_hashes();
+        let divisors = (1..=4096usize).chain([(1 << 31) - 1, 1 << 31, u32::MAX as usize]);
+        for n in divisors {
+            let m = Modulus::new(n);
+            for &h in &hashes {
+                // The remainder is the test's reference, not the code's.
+                assert_eq!(m.of(h), h as usize % n, "{h} mod {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn modulus_by_one_is_zero_without_a_special_case() {
+        let m = Modulus::new(1);
+        assert_eq!(m.m, 0, "the wrapped constant does the work");
+        for h in sample_hashes() {
+            assert_eq!(m.of(h), 0);
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use group::GroupProbe;
 
 use phj_memsim::{MemoryModel, RegionKind};
 use phj_obs::{self as obs, Recorder};
-use phj_storage::{tuple::key_bytes_of, Relation, PAGE_SIZE};
+use phj_storage::{tuple::key_bytes_of, KeySpan, Relation, PAGE_SIZE};
 
 use crate::cost;
 use crate::hash::hash_key;
@@ -295,10 +295,11 @@ pub(crate) fn tuple_hash(
     }
 }
 
-/// Compare the join keys of a build and probe tuple byte-wise.
+/// Compare the join keys of a build and probe tuple byte-wise, given
+/// each side's key span.
 #[inline]
-pub(crate) fn keys_equal(build_rel: &Relation, probe_rel: &Relation, bt: &[u8], pt: &[u8]) -> bool {
-    key_bytes_of(build_rel.schema(), bt) == key_bytes_of(probe_rel.schema(), pt)
+pub(crate) fn keys_equal(build_key: KeySpan, probe_key: KeySpan, bt: &[u8], pt: &[u8]) -> bool {
+    build_key.bytes(bt) == probe_key.bytes(pt)
 }
 
 /// Charge the input-side code-0 cost for one tuple.

@@ -15,7 +15,7 @@
 //!   since the earlier access has already warmed the bucket's lines.
 
 use phj_memsim::MemoryModel;
-use phj_storage::Relation;
+use phj_storage::{KeySpan, Relation};
 
 use crate::cost::{self, CostModel};
 use crate::sink::JoinSink;
@@ -174,7 +174,9 @@ impl StageProgram for Build<'_> {
 /// output.
 pub(crate) struct Probe<'a, S> {
     table: &'a HashTable,
-    build_rel: &'a Relation,
+    /// The build and probe schemas' key spans, read once per probe.
+    build_key: KeySpan,
+    probe_key: KeySpan,
     probe_rel: &'a Relation,
     use_stored_hash: bool,
     sink: &'a mut S,
@@ -201,7 +203,14 @@ impl<'a, S> Probe<'a, S> {
         use_stored_hash: bool,
         sink: &'a mut S,
     ) -> Self {
-        Probe { table, build_rel, probe_rel, use_stored_hash, sink }
+        Probe {
+            table,
+            build_key: build_rel.schema().key_span(),
+            probe_key: probe_rel.schema().key_span(),
+            probe_rel,
+            use_stored_hash,
+            sink,
+        }
     }
 
     /// `[C_0, C_1, C_2, C_3]`: hash + bucket, header check, cell scan,
@@ -300,10 +309,11 @@ impl<S: JoinSink> StageProgram for Probe<'_, S> {
                     for c in &s.cands {
                         mem.visit(c.tuple_addr(), c.tuple_len());
                         mem.busy(cost::KEY_COMPARE);
-                        // SAFETY: cells point into `build_rel`, borrowed
-                        // for the duration of the probe; pages never move.
+                        // SAFETY: cells point into the build relation,
+                        // borrowed for the duration of the probe; pages
+                        // never move.
                         let bt = unsafe { c.tuple_bytes() };
-                        if keys_equal(self.build_rel, self.probe_rel, bt, pt) {
+                        if keys_equal(self.build_key, self.probe_key, bt, pt) {
                             self.sink.emit(mem, bt, pt);
                         }
                     }

@@ -38,7 +38,7 @@ use phj_obs::{self as obs, Recorder};
 use phj_storage::{tuple::key_bytes_of, Page, Relation, PAGE_SIZE};
 
 use crate::cost;
-use crate::hash::hash_key;
+use crate::hash::{hash_key, Modulus};
 use crate::plan;
 use crate::profile;
 use crate::stage::{self, Schedule};
@@ -241,6 +241,8 @@ pub(crate) fn phase_hash(input: &Relation, pi: usize, slot: u16, use_stored: boo
 /// per-partition order, so a reservation's addresses are exact.
 pub struct OutputBuffers<S> {
     parts: Vec<PartBuf>,
+    /// `hash % parts.len()` without a division.
+    modulus: Modulus,
     store: S,
     tuples: u64,
 }
@@ -279,6 +281,7 @@ impl<S: PartitionStore> OutputBuffers<S> {
     pub fn with_store(store: S, num_partitions: usize) -> Self {
         OutputBuffers {
             parts: (0..num_partitions).map(|_| PartBuf::fresh()).collect(),
+            modulus: Modulus::new(num_partitions),
             store,
             tuples: 0,
         }
@@ -305,6 +308,12 @@ impl<S: PartitionStore> OutputBuffers<S> {
 
     pub(crate) fn num_partitions(&self) -> usize {
         self.parts.len()
+    }
+
+    /// Partition number of a hash code: the hash code modulo the fan-out.
+    #[inline]
+    pub(crate) fn partition_of(&self, hash: u32) -> usize {
+        self.modulus.of(hash)
     }
 
     /// Tag every partition's output-buffer page for region attribution

@@ -22,7 +22,6 @@ use phj_memsim::MemoryModel;
 use phj_storage::Relation;
 
 use crate::cost::{self, CostModel};
-use crate::hash::partition_of;
 use crate::join::program::TableProgram;
 use crate::stage::{StageProgram, Step};
 
@@ -81,7 +80,7 @@ impl<S: PartitionStore> StageProgram for Partition<'_, S> {
         s.pi = pi;
         s.slot = slot;
         s.hash = phase_hash(self.input, pi, slot, self.use_stored_hash);
-        s.p = partition_of(s.hash, self.out.num_partitions());
+        s.p = self.out.partition_of(s.hash);
     }
 
     #[inline]

@@ -178,8 +178,37 @@ fn step(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
+/// The zero-padded word of a 1–7 byte side: two overlapping loads of
+/// the widest power-of-two width that fits, the second shifted to its
+/// byte position. Bytes both loads read land on themselves, so the OR
+/// is the byte string itself.
+#[inline(always)]
+fn short_word(bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    debug_assert!((1..8).contains(&n));
+    if n >= 4 {
+        let lo = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as u64;
+        let hi = u32::from_le_bytes(bytes[n - 4..].try_into().expect("4 bytes")) as u64;
+        lo | hi << (8 * (n - 4))
+    } else if n >= 2 {
+        let lo = u16::from_le_bytes(bytes[..2].try_into().expect("2 bytes")) as u64;
+        let hi = u16::from_le_bytes(bytes[n - 2..].try_into().expect("2 bytes")) as u64;
+        lo | hi << (8 * (n - 2))
+    } else {
+        bytes[0] as u64
+    }
+}
+
 /// Feed `bytes` to the lanes as little-endian `u64` words, word `i` to
 /// lane `i % LANES`, the 0–7 byte tail zero-padded into one last word.
+///
+/// Every whole word is one load at a fixed offset. The tail is one
+/// overlapping load of the side's last 8 bytes, shifted right past the
+/// bytes the whole words already took: the tail bytes land in the low
+/// end with zeros above them, which is the zero-padded word without a
+/// copy. The load stays inside the side, since a side with a tail and
+/// at least 8 bytes ends at least 8 bytes past its start. Only a side
+/// shorter than 8 bytes has no such window ([`short_word`]).
 #[inline(always)]
 fn absorb(lanes: &mut [u64; LANES], bytes: &[u8]) {
     let mut blocks = bytes.chunks_exact(8 * LANES);
@@ -188,10 +217,23 @@ fn absorb(lanes: &mut [u64; LANES], bytes: &[u8]) {
             *h = step(*h, u64::from_le_bytes(w.try_into().unwrap()));
         }
     }
-    for (h, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
-        let mut word = [0u8; 8];
-        word[..w.len()].copy_from_slice(w);
-        *h = step(*h, u64::from_le_bytes(word));
+    // Under a block: at most LANES - 1 whole words and one tail word.
+    let mut words = blocks.remainder().chunks_exact(8);
+    let mut lane = lanes.iter_mut();
+    for w in &mut words {
+        let h = lane.next().expect("a lane per remaining word");
+        *h = step(*h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder().len();
+    if tail > 0 {
+        let n = bytes.len();
+        let w = if n >= 8 {
+            u64::from_le_bytes(bytes[n - 8..].try_into().expect("8 bytes")) >> (8 * (8 - tail))
+        } else {
+            short_word(bytes)
+        };
+        let h = lane.next().expect("a lane for the tail word");
+        *h = step(*h, w);
     }
 }
 
@@ -354,6 +396,66 @@ mod tests {
             checksum_of(&[(b"key1", b"probe tuple")]),
             0x8C39_E2E5_61E3_3E70
         );
+    }
+
+    /// The byte-wise reference the word loads must equal: `chunks` over
+    /// each block and a zero-padded copy of every remainder word.
+    fn absorb_reference(lanes: &mut [u64; LANES], bytes: &[u8]) {
+        let mut blocks = bytes.chunks_exact(8 * LANES);
+        for block in &mut blocks {
+            for (h, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *h = step(*h, u64::from_le_bytes(w.try_into().unwrap()));
+            }
+        }
+        for (h, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+            let mut word = [0u8; 8];
+            word[..w.len()].copy_from_slice(w);
+            *h = step(*h, u64::from_le_bytes(word));
+        }
+    }
+
+    fn pair_digest_reference(build: &[u8], probe: &[u8]) -> u64 {
+        let mut lanes = LANE_SEEDS;
+        absorb_reference(&mut lanes, build);
+        absorb_reference(&mut lanes, probe);
+        let h = step(step(FNV_OFFSET, build.len() as u64), probe.len() as u64);
+        fmix64(lanes.iter().fold(h, |h, &l| step(h, l)))
+    }
+
+    #[test]
+    fn pair_digest_equals_the_byte_wise_reference() {
+        // Every length pair 0..=130 (four whole blocks and every tail) at
+        // all 8 start offsets from an 8-aligned address. No byte is zero,
+        // so a tail shifted by a byte either way reads a different word.
+        const MAX: usize = 130;
+        let fill = |seed: u8| -> Vec<u8> {
+            (0..MAX + 16).map(|i| (i as u8).wrapping_mul(131).wrapping_add(seed) | 1).collect()
+        };
+        let (bbuf, pbuf) = (fill(7), fill(90));
+        let (ba, pa) = (bbuf.as_ptr().align_offset(8), pbuf.as_ptr().align_offset(8));
+        for off in 0..8 {
+            let bside = &bbuf[ba + off..];
+            let pside = &pbuf[pa + 7 - off..];
+            for lb in 0..=MAX {
+                for lp in 0..=MAX {
+                    let (b, p) = (&bside[..lb], &pside[..lp]);
+                    assert_eq!(
+                        pair_digest(b, p),
+                        pair_digest_reference(b, p),
+                        "build len {lb}, probe len {lp}, offset {off}"
+                    );
+                }
+            }
+        }
+        // The aggregation checksum's shape: a 4-byte key against a
+        // 16-byte count ‖ sum accumulator.
+        for k in 0u32..2000 {
+            let key = k.wrapping_mul(0x9E37_79B9).to_le_bytes();
+            let mut acc = [0u8; 16];
+            acc[..8].copy_from_slice(&(k as u64 + 1).to_le_bytes());
+            acc[8..].copy_from_slice(&(k as i64 * -7919).to_le_bytes());
+            assert_eq!(pair_digest(&key, &acc), pair_digest_reference(&key, &acc), "key {k}");
+        }
     }
 
     #[test]

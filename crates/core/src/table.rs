@@ -29,6 +29,8 @@
 //! protocols of the prefetching build loops (§4.4 busy flag + delayed
 //! tuples; §5.3 waiting queues). The baseline build never leaves it set.
 
+use crate::hash::Modulus;
+
 /// Sentinel for "no overflow array".
 pub const NO_ARRAY: u32 = u32::MAX;
 
@@ -178,6 +180,8 @@ pub enum InsertStep {
 /// The Figure-2 hash table.
 pub struct HashTable {
     buckets: Vec<BucketHeader>,
+    /// `hash % buckets.len()` without a division.
+    modulus: Modulus,
     arena: CellArena,
     items: usize,
     /// Initial overflow-array capacity (doubles on growth).
@@ -194,6 +198,7 @@ impl HashTable {
         let reserve = expected_tuples.saturating_mul(4).max(64);
         HashTable {
             buckets: vec![EMPTY_HEADER; num_buckets],
+            modulus: Modulus::new(num_buckets),
             arena: CellArena::with_capacity(reserve),
             items: 0,
             initial_cap: 2,
@@ -220,7 +225,7 @@ impl HashTable {
     /// Bucket number for a hash code.
     #[inline]
     pub fn bucket_of(&self, hash: u32) -> usize {
-        crate::hash::bucket_of(hash, self.buckets.len())
+        self.modulus.of(hash)
     }
 
     /// Address of bucket `b`'s header (prefetch hook).

@@ -38,5 +38,5 @@ pub mod tuple;
 pub use frame::Frame;
 pub use page::{Page, PageError, SlotId, PAGE_HEADER_BYTES, PAGE_SIZE};
 pub use relation::{Relation, RelationBuilder, TupleRef};
-pub use schema::{AttrType, Attribute, Schema};
+pub use schema::{AttrType, Attribute, KeySpan, Schema};
 pub use tuple::{TupleAssembler, TupleView};

@@ -75,6 +75,20 @@ impl Attribute {
     }
 }
 
+/// Where the join key sits in a schema's tuples: resolved once when the
+/// schema is built, so reading a tuple's key (see
+/// [`crate::tuple::key_bytes_of`]) indexes no attribute list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySpan {
+    /// Byte offset of the key's fixed part.
+    pub(crate) offset: usize,
+    /// Width of the key's fixed part (4 for a var-len descriptor).
+    pub(crate) width: usize,
+    /// Whether the fixed part is a var-len `(offset: u16, len: u16)`
+    /// descriptor rather than the key bytes themselves.
+    pub(crate) var: bool,
+}
+
 /// Schema of a relation: ordered attributes plus the index of the join key.
 ///
 /// The layout places all fixed-width parts first, in attribute order
@@ -92,6 +106,8 @@ pub struct Schema {
     fixed_size: usize,
     /// Whether any attribute is variable-length.
     has_var: bool,
+    /// The join key's byte span.
+    key_span: KeySpan,
 }
 
 impl Schema {
@@ -112,7 +128,10 @@ impl Schema {
             off += a.ty.fixed_width();
             has_var |= a.ty.is_var();
         }
-        Schema { attrs, key, fixed_offsets, fixed_size: off, has_var }
+        let ty = attrs[key].ty;
+        let key_span =
+            KeySpan { offset: fixed_offsets[key], width: ty.fixed_width(), var: ty.is_var() };
+        Schema { attrs, key, fixed_offsets, fixed_size: off, has_var, key_span }
     }
 
     /// The paper's experimental schema: a 4-byte `u32` join key followed by
@@ -150,6 +169,12 @@ impl Schema {
     /// Type of the join-key attribute.
     pub fn key_type(&self) -> AttrType {
         self.attrs[self.key].ty
+    }
+
+    /// The join key's byte span.
+    #[inline]
+    pub fn key_span(&self) -> KeySpan {
+        self.key_span
     }
 
     /// Byte offset of attribute `i`'s fixed part within a tuple.
@@ -206,6 +231,7 @@ mod tests {
         assert!(!s.has_var());
         assert_eq!(s.key_index(), 0);
         assert_eq!(s.key_type(), AttrType::U32);
+        assert_eq!(s.key_span(), KeySpan { offset: 0, width: 4, var: false });
     }
 
     #[test]
@@ -237,6 +263,9 @@ mod tests {
         assert_eq!(s.fixed_offset(2), 8);
         assert_eq!(s.fixed_size(), 16);
         assert_eq!(s.tuple_size(&[5]), 21);
+        let span = |key| Schema::new(s.attrs().to_vec(), key).key_span();
+        assert_eq!(span(1), KeySpan { offset: 4, width: 4, var: true });
+        assert_eq!(span(2), KeySpan { offset: 8, width: 8, var: false });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! per-tuple allocation, per the workhorse-collection idiom), and
 //! [`TupleView`] provides zero-copy typed access over an encoded slice.
 
-use crate::schema::{AttrType, Schema};
+use crate::schema::{AttrType, KeySpan, Schema};
 
 /// Reusable tuple encoder.
 ///
@@ -208,7 +208,7 @@ impl<'a> TupleView<'a> {
 
     /// The join-key bytes of this tuple.
     pub fn key_bytes(&self) -> &'a [u8] {
-        self.attr_bytes(self.schema.key_index())
+        self.schema.key_span().bytes(self.bytes)
     }
 
     fn fixed(&self, attr: usize, want: AttrType) -> usize {
@@ -217,20 +217,27 @@ impl<'a> TupleView<'a> {
     }
 }
 
+impl KeySpan {
+    /// The join-key bytes of an encoded tuple of this span's schema.
+    #[inline]
+    pub fn bytes(self, tuple: &[u8]) -> &[u8] {
+        let off = self.offset;
+        if self.var {
+            let vo = u16::from_le_bytes(tuple[off..off + 2].try_into().expect("2 bytes")) as usize;
+            let vl =
+                u16::from_le_bytes(tuple[off + 2..off + 4].try_into().expect("2 bytes")) as usize;
+            &tuple[vo..vo + vl]
+        } else {
+            &tuple[off..off + self.width]
+        }
+    }
+}
+
 /// Extract the join-key bytes from an encoded tuple without constructing a
 /// view (hot-path helper for the join inner loops).
 #[inline]
 pub fn key_bytes_of<'a>(schema: &Schema, tuple: &'a [u8]) -> &'a [u8] {
-    let ki = schema.key_index();
-    let ty = schema.attrs()[ki].ty;
-    let off = schema.fixed_offset(ki);
-    if ty.is_var() {
-        let vo = u16::from_le_bytes(tuple[off..off + 2].try_into().unwrap()) as usize;
-        let vl = u16::from_le_bytes(tuple[off + 2..off + 4].try_into().unwrap()) as usize;
-        &tuple[vo..vo + vl]
-    } else {
-        &tuple[off..off + ty.fixed_width()]
-    }
+    schema.key_span().bytes(tuple)
 }
 
 /// Concatenate a build tuple and probe tuple into the join-output encoding
